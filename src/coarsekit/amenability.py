@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import (
     EnumerationOverflow,
@@ -27,7 +27,7 @@ from .errors import (
     RankTooSmall,
 )
 from .maps import CoarseMap
-from .spaces import FreeGroupSpace, Space, Window, scale_pairs, word_mul
+from .spaces import FreeGroupSpace, Space, Window, word_mul
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +233,33 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
     enc = space.point_to_json
     witness = None
     carrier = [x for x in w.points if p.in_carrier(x)]
+    covered = set(carrier)
     plus = {x for x in carrier if p.in_plus(x)}
     minus = {x for x in carrier if p.in_minus(x)}
-    partition_ok = not (plus & minus) and (plus | minus) == set(carrier)
+    partition_ok = not (plus & minus) and (plus | minus) == covered
     if not partition_ok:
         overlap = plus & minus
-        missed = set(carrier) - (plus | minus)
+        missed = covered - (plus | minus)
         witness = {
             "kind": "partition",
             "point": enc(next(iter(overlap or missed))),
         }
+    # an empty carrier makes every check below vacuous
+    interior = w.interior(p.displacement)
+    uncovered = [x for x in interior if x not in covered]
+    if not carrier:
+        partition_ok = False
+        if witness is None:
+            witness = {"kind": "empty_carrier"}
+    elif uncovered:
+        partition_ok = False
+        if witness is None:
+            witness = {"kind": "interior_outside_carrier", "point": enc(uncovered[0])}
+    interior = set(interior)
 
     injective_ok, image_ok, disp_ok, disp_val = {}, {}, {}, {}
     interior_defined_ok, interior_surjective_ok = {}, {}
     images = {}
-    interior = set(w.interior(p.displacement))
     for name, t, part in (("plus", p.t_plus, plus), ("minus", p.t_minus, minus)):
         seen = {}
         inj = True
@@ -397,6 +409,9 @@ class FolnerCertificate:
 def verify_folner(cert: FolnerCertificate) -> dict:
     """Recompute |N_r(F)| from F alone and re-check the ratio bound."""
     n = len(neighborhood_points(cert.space, cert.F, cert.r))
+    if not cert.F:
+        return {"recomputed": n, "declared": cert.neighborhood_size, "ok": False,
+                "reason": "empty_F"}
     ok = (
         n == cert.neighborhood_size
         and Fraction(n, len(cert.F)) <= 1 + cert.eps
@@ -691,90 +706,52 @@ def matching_certificate(w: Window, r: int) -> MatchingOutcome:
         return MatchingOutcome(True, WindowedDoubling(w, r, (), {}, {}), None, None, 0)
 
     # adjacency: window points within r of each interior point (self included)
-    ii, jj = scale_pairs(w, r)
-    adj: dict[int, set] = {w.index(p): {w.index(p)} for p in interior}
-    int_idx = set(adj)
-    for a, b in zip(ii, jj):
-        a, b = int(a), int(b)
-        if a in int_idx:
-            adj[a].add(b)
-        if b in int_idx:
-            adj[b].add(a)
-
-    interior_order = [w.index(p) for p in interior]
-    target_ids = sorted({t for s in adj.values() for t in s})
-    t_pos = {t: k for k, t in enumerate(target_ids)}
-    n_tgt = len(target_ids)
-    source = 0
-    int_node = {idx: 1 + k for k, idx in enumerate(interior_order)}
-    tgt_node = {t: 1 + n_int + t_pos[t] for t in target_ids}
-    sink = 1 + n_int + n_tgt
-    big = 2 * n_int + 1
-
-    rows, cols, caps = [], [], []
-    for idx in interior_order:
-        rows.append(source)
-        cols.append(int_node[idx])
-        caps.append(2)
-        for t in sorted(adj[idx]):
-            rows.append(int_node[idx])
-            cols.append(tgt_node[t])
-            caps.append(big)
-    for t in target_ids:
-        rows.append(tgt_node[t])
-        cols.append(sink)
-        caps.append(1)
-    graph = sparse.csr_matrix(
-        (np.array(caps, dtype=np.int32), (rows, cols)), shape=(sink + 1, sink + 1)
+    int_idx = np.array([w.index(p) for p in interior], dtype=np.int64)
+    adj = w.scale_graph(r)[int_idx] + sparse.csr_matrix(
+        (np.ones(n_int, dtype=np.int8), (np.arange(n_int), int_idx)), shape=(n_int, len(w.points))
     )
+    adj.sum_duplicates()
+    target_ids = np.unique(adj.indices)
+    n_tgt = len(target_ids)
+
+    # nodes: source 0, interior points 1..n_int, targets, sink
+    source, sink = 0, 1 + n_int + n_tgt
+    int_nodes = 1 + np.arange(n_int)
+    tgt_nodes = 1 + n_int + np.arange(n_tgt)
+    rows = np.concatenate([np.zeros(n_int, dtype=np.int64),
+                           np.repeat(int_nodes, np.diff(adj.indptr)), tgt_nodes])
+    cols = np.concatenate([int_nodes, 1 + n_int + np.searchsorted(target_ids, adj.indices),
+                           np.full(n_tgt, sink)])
+    caps = np.concatenate([np.full(n_int, 2), np.full(adj.nnz, 2 * n_int + 1),
+                           np.ones(n_tgt, dtype=np.int64)]).astype(np.int32)
+    graph = sparse.csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
     res = maximum_flow(graph, source, sink)
     flow = res.flow
 
     if res.flow_value == 2 * n_int:
         u_plus, u_minus = {}, {}
-        for idx in interior_order:
-            node = int_node[idx]
-            row = flow.getrow(node).tocoo()
-            picks = sorted(
-                target_ids[c - 1 - n_int]
-                for c, v in zip(row.col, row.data)
-                if v > 0 and c != source
-            )
-            a, b = picks[0], picks[1]
+        for k, idx in enumerate(int_idx.tolist()):
+            lo, hi = flow.indptr[1 + k], flow.indptr[2 + k]
+            out = flow.indices[lo:hi][flow.data[lo:hi] > 0]
+            a, b = np.sort(target_ids[out - 1 - n_int])[:2].tolist()
             u_plus[w.points[idx]] = w.points[a]
             u_minus[w.points[idx]] = w.points[b]
         doubling = WindowedDoubling(w, r, tuple(interior), u_plus, u_minus)
         return MatchingOutcome(True, doubling, None, None, int(res.flow_value))
 
-    # residual BFS from the source to extract a Hall violator
-    cap_lookup = {}
-    for u, v, c in zip(rows, cols, caps):
-        cap_lookup[(u, v)] = cap_lookup.get((u, v), 0) + c
-    fwd: dict[int, list[int]] = {}
-    for u, v in cap_lookup:
-        fwd.setdefault(u, []).append(v)
-    reach = {source}
-    stack = [source]
-    flow_csr = flow.tocsr()
-    while stack:
-        u = stack.pop()
-        for v in fwd.get(u, ()):  # forward residual
-            if v not in reach and cap_lookup[(u, v)] - flow_csr[u, v] > 0:
-                reach.add(v)
-                stack.append(v)
-        row = flow_csr.getrow(u).tocoo()
-        for v, val in zip(row.col, row.data):  # backward residual
-            if val < 0 and int(v) not in reach and (int(v), u) in cap_lookup:
-                reach.add(int(v))
-                stack.append(int(v))
-    F_idx = [idx for idx in interior_order if int_node[idx] in reach]
-    F = tuple(w.points[idx] for idx in F_idx)
-    nbrs = set()
-    for idx in F_idx:
-        nbrs.update(adj[idx])
-    if len(nbrs) >= 2 * len(F):
+    # Hall violator: the interior points reachable from the source in the
+    # residual network (positive capacity - flow, reverse edges included)
+    residual = (graph - flow).tocsr()
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    reach = np.zeros(sink + 1, dtype=bool)
+    reach[breadth_first_order(residual, source, return_predecessors=False)] = True
+    F_k = np.nonzero(reach[int_nodes])[0]
+    F = tuple(interior[k] for k in F_k.tolist())
+    n_nbrs = len(np.unique(adj[F_k].indices))
+    if n_nbrs >= 2 * len(F):
         raise AssertionError("min-cut extraction produced a non-violating set")
-    return MatchingOutcome(False, None, F, len(nbrs), int(res.flow_value))
+    return MatchingOutcome(False, None, F, n_nbrs, int(res.flow_value))
 
 
 # ---------------------------------------------------------------------------

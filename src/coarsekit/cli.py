@@ -73,10 +73,7 @@ def _window_flags(p):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--out", type=str, default=None, help="write payload JSON here")
-    common.add_argument("--json", action="store_true", help="JSON payload only (default)")
-    common.add_argument("--jobs", type=int, default=1)
     top = argparse.ArgumentParser(prog="coarsekit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import MalformedSpec, NoSegments
-from .spaces import Space, Window, scale_pairs
+from .spaces import Space, Window, pairwise_dist
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,9 @@ def components_at_scale(w: Window, r: int) -> ScalePartition:
     """Exact ~_r classes of a window, sorted canonically."""
     if r < 0:
         raise MalformedSpec("scale must be >= 0")
-    n = len(w.points)
-    if n == 0:
+    if not w.points:
         return ScalePartition(w, r, ())
-    ii, jj = scale_pairs(w, r)
-    graph = sparse.csr_matrix(
-        (np.ones(len(ii), dtype=np.int8), (ii, jj)), shape=(n, n)
-    )
-    _, labels = connected_components(graph, directed=False)
+    _, labels = connected_components(w.scale_graph(r), directed=False)
     groups: dict[int, list] = {}
     for i, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(i)
@@ -97,17 +91,13 @@ class SegmentFamily:
         segs = self.segments
         if len(segs) < 2:
             return []
-        out = []
-        for n, sn in enumerate(segs):
-            best = None
-            for m, sm in enumerate(segs):
-                if m == n:
-                    continue
-                d = min(self.space.dist(p, q) for p in sn for q in sm)
-                if best is None or d < best:
-                    best = d
-            out.append(best)
-        return out
+        ends = np.cumsum([len(s) for s in segs]).tolist()
+        rows = [slice(e - len(s), e) for s, e in zip(segs, ends)]
+        D = pairwise_dist(self.space, self.all_points(), self.all_points())
+        return [
+            min(int(D[a, b].min()) for m, b in enumerate(rows) if m != n)
+            for n, a in enumerate(rows)
+        ]
 
     def basepoints(self) -> tuple:
         return tuple(s[0] for s in self.segments)
@@ -282,12 +272,8 @@ def extract_segments(space: Space, r: int, count: int, budget: Window) -> Segmen
             fam = SegmentFamily(space, r, tuple(chosen))
             seps = fam.separations()
             radius = max(n_sofar, max(seps, default=0))
-            used = [p for seg in chosen for p in seg]
-            remaining = [
-                p
-                for p in budget.points
-                if min(space.dist(p, q) for q in used) > radius
-            ]
+            near = pairwise_dist(space, budget.points, fam.all_points()).min(axis=1)
+            remaining = [p for p, d in zip(budget.points, near.tolist()) if d > radius]
         need_m = (len(chosen[-1]) + 1) if chosen else 2
         part = components_at_scale(budget.subwindow(remaining), r) if remaining else None
         seg = None

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .components import components_at_scale
 from .errors import MalformedSpec, NotTreelike
@@ -22,7 +24,6 @@ from .spaces import (
     Space,
     TreeSpace,
     Window,
-    scale_pairs,
     set_diameter,
 )
 
@@ -103,7 +104,9 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
             witness = {"kind": "uncovered", "point": enc(w.points[i])}
 
     separation_ok = True
-    ii, jj = scale_pairs(w, cover.r)
+    g = w.scale_graph(cover.r).tocoo()
+    upper = g.row < g.col  # each pair once, in row-major order
+    ii, jj = g.row[upper], g.col[upper]
     if len(ii):
         bad = (
             (color_of[ii] == color_of[jj])
@@ -232,27 +235,16 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     annulus = np.array([space.dist(root, p) // (2 * r) for p in w.points], dtype=np.int64)
 
     # r-chain components inside each annulus
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ii, jj = scale_pairs(w, r)
-    for a, b in zip(ii, jj):
-        if annulus[a] == annulus[b]:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[rb] = ra
+    g = w.scale_graph(r).tocoo()
+    inside = annulus[g.row] == annulus[g.col]
+    chains = sparse.csr_matrix((g.data[inside], (g.row[inside], g.col[inside])), shape=(n, n))
+    _, labels = connected_components(chains, directed=False)
 
     groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(i)
     families: dict[int, list] = {0: [], 1: []}
-    for root_idx in sorted(groups):
-        idxs = groups[root_idx]
+    for idxs in groups.values():
         c = int(annulus[idxs[0]] % 2)
         families[c].append(tuple(w.points[i] for i in idxs))
     colors = (tuple(families[0]), tuple(families[1]))
@@ -276,48 +268,30 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
         cover = ColoredCover(w, r, B, (pieces,))
         return cover if verify_decomposition(cover).passed else None
 
-    # chunk the window into pieces of radius <= B // 2 around canonical seeds
-    half = B // 2
-    unassigned = set(w.points)
-    pieces = []
-    for p in w.points:
-        if p not in unassigned:
-            continue
-        chunk = [q for q in w.points if q in unassigned and space.dist(p, q) <= half]
-        for q in chunk:
-            unassigned.discard(q)
-        pieces.append(tuple(chunk))
+    # chunk the window into pieces of radius <= B // 2 around canonical seeds;
+    # every point before a seed is already assigned
+    half = w.scale_graph(B // 2)
+    unassigned = np.ones(len(w.points), dtype=bool)
+    chunks = []
+    for i in range(len(w.points)):
+        if unassigned[i]:
+            row = half.indices[half.indptr[i]:half.indptr[i + 1]]
+            chunk = np.concatenate(([i], row[unassigned[row]]))
+            unassigned[chunk] = False
+            chunks.append(chunk)
 
-    # neighbor lists at scale r for the color-conflict test
-    ii, jj = scale_pairs(w, r)
-    nbrs: dict[int, list[int]] = {}
-    for a, b in zip(ii, jj):
-        nbrs.setdefault(int(a), []).append(int(b))
-        nbrs.setdefault(int(b), []).append(int(a))
-
-    color_of = {}
-    piece_of = {}
+    # first color not taken by a window point within r of the chunk; only
+    # earlier chunks are colored yet
+    near = w.scale_graph(r)
+    color_of = np.full(len(w.points), -1, dtype=np.int64)
     families = [[] for _ in range(d + 1)]
-    for k, piece in enumerate(pieces):
-        placed = False
-        for c in range(d + 1):
-            conflict = False
-            for p in piece:
-                for j in nbrs.get(w.index(p), ()):  # window points within r
-                    q = w.points[j]
-                    if color_of.get(q) == c and piece_of.get(q) != k:
-                        conflict = True
-                        break
-                if conflict:
-                    break
-            if not conflict:
-                for p in piece:
-                    color_of[p] = c
-                    piece_of[p] = k
-                families[c].append(piece)
-                placed = True
-                break
-        if not placed:
+    for chunk in chunks:
+        nbrs = np.concatenate([near.indices[near.indptr[i]:near.indptr[i + 1]] for i in chunk])
+        taken = set(color_of[nbrs].tolist())
+        c = next((c for c in range(d + 1) if c not in taken), None)
+        if c is None:
             return None
+        color_of[chunk] = c
+        families[c].append(tuple(w.points[i] for i in chunk))
     cover = ColoredCover(w, r, B, tuple(tuple(f) for f in families))
     return cover if verify_decomposition(cover).passed else None

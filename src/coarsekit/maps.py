@@ -7,8 +7,13 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainMismatch, Infeasible, MalformedSpec, UnknownPoint
-from .spaces import Space, Window
+from .spaces import Space, Window, pairwise_dist
+
+# rows of distances computed at once: memory stays linear in the window size
+_ROW_BLOCK = 256
 
 
 class CoarseMap:
@@ -69,36 +74,25 @@ def expansion_envelopes(f: CoarseMap) -> ExpansionEnvelopes:
     pts = f.source.points
     if not pts:
         raise MalformedSpec("source window is empty")
-    ds = f.source.space
-    dt = f.target_space
-    diam = 0
-    pair_data = []
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = ds.dist(p, q)
-            pair_data.append((d, dt.dist(f(p), f(q))))
-            if d > diam:
-                diam = d
-    max_at = [0] * (diam + 1)   # max image distance among pairs at exactly t
-    min_at = [None] * (diam + 1)
-    for d, fd in pair_data:
-        if fd > max_at[d]:
-            max_at[d] = fd
-        if min_at[d] is None or fd < min_at[d]:
-            min_at[d] = fd
-    rho_plus = []
-    run = 0
-    for t in range(diam + 1):
-        run = max(run, max_at[t])
-        rho_plus.append(run)
-    rho_minus = [None] * (diam + 1)
-    run = None
-    for t in range(diam, -1, -1):
-        if min_at[t] is not None:
-            run = min_at[t] if run is None else min(run, min_at[t])
-        rho_minus[t] = run if run is not None else 0
+    img = f.image()
+    none = np.iinfo(np.int64).max
+    max_at = np.zeros(1, dtype=np.int64)  # max image distance among pairs at exactly t
+    min_at = np.full(1, none)
+    for lo in range(0, len(pts), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, len(pts))
+        later = np.arange(len(pts))[None, :] > np.arange(lo, hi)[:, None]
+        d = pairwise_dist(f.source.space, pts[lo:hi], pts)[later]
+        fd = pairwise_dist(f.target_space, img[lo:hi], img)[later]
+        grow = int(d.max(initial=0)) + 1 - len(max_at)
+        if grow > 0:
+            max_at = np.pad(max_at, (0, grow))
+            min_at = np.pad(min_at, (0, grow), constant_values=none)
+        np.maximum.at(max_at, d, fd)
+        np.minimum.at(min_at, d, fd)
+    rho_plus = np.maximum.accumulate(max_at)
+    rho_minus = np.minimum.accumulate(min_at[::-1])[::-1]
     rho_minus[0] = 0  # the diagonal pairs
-    return ExpansionEnvelopes(tuple(rho_plus), tuple(rho_minus))
+    return ExpansionEnvelopes(tuple(rho_plus.tolist()), tuple(rho_minus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -147,11 +141,11 @@ def classify(
     eq_c = None
     if target_window is not None:
         image = f.image()
+        tp = target_window.points
         worst = 0
-        for y in target_window.points:
-            d = min(f.target_space.dist(y, z) for z in image)
-            if d > worst:
-                worst = d
+        for lo in range(0, len(tp), _ROW_BLOCK):
+            near = pairwise_dist(f.target_space, tp[lo:lo + _ROW_BLOCK], image).min(axis=1)
+            worst = max(worst, int(near.max()))
         eq_c = worst if c is None else c
         equivalence = evidence and worst <= eq_c
 
@@ -181,19 +175,22 @@ def injectivity_net(f: CoarseMap, c: int) -> Window:
     if c < 0:
         raise MalformedSpec("c must be >= 0")
     src = f.source
-    ds = src.space
+    g = src.scale_graph(c)
+    blocked = np.zeros(len(src.points), dtype=bool)  # within c of a chosen point
     chosen: list = []
     used_values = set()
-    for p in src.points:
-        if any(ds.dist(p, y) <= c for y in chosen):
+    for i, p in enumerate(src.points):
+        if blocked[i]:
             continue
         placed = False
         # prefer p itself, then the canonically first usable point within c
-        candidates = [p] + [q for q in src.points if q != p and ds.dist(p, q) <= c]
-        for q in candidates:
+        for j in [i, *g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()]:
+            q = src.points[j]
             if f(q) not in used_values:
                 chosen.append(q)
                 used_values.add(f(q))
+                blocked[j] = True
+                blocked[g.indices[g.indptr[j]:g.indptr[j + 1]]] = True
                 placed = True
                 break
         if not placed:
@@ -208,11 +205,13 @@ def net_extract(w: Window, c: int) -> Window:
     """Greedy maximal c-separated subset; maximality makes it c-dense."""
     if c < 0:
         raise MalformedSpec("c must be >= 0")
-    ds = w.space
+    g = w.scale_graph(c)
+    blocked = np.zeros(len(w.points), dtype=bool)
     chosen: list = []
-    for p in w.points:
-        if all(ds.dist(p, y) > c for y in chosen):
+    for i, p in enumerate(w.points):
+        if not blocked[i]:
             chosen.append(p)
+            blocked[g.indices[g.indptr[i]:g.indptr[i + 1]]] = True
     return w.subwindow(chosen)
 
 

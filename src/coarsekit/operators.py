@@ -29,7 +29,7 @@ from .errors import (
     SegmentOutsideWindow,
     WindowMismatch,
 )
-from .spaces import GridSpace, ProductFiniteSpace, Window, scale_pairs
+from .spaces import GridSpace, ProductFiniteSpace, Window
 
 FLOAT_TOL = 1e-9
 DENSE_NORM_LIMIT = 512
@@ -594,15 +594,12 @@ class OmegaDecomposition:
             for p in piece:
                 piece_v[w.index(p)] = pid
                 v_of[w.index(p)].add(pid)
-        if r > 0:
-            ii, jj = scale_pairs(w, r)
-            for a, b in zip(ii, jj):
-                a, b = int(a), int(b)
-                for x, y in ((a, b), (b, a)):
-                    if y in piece_u:
-                        u_of[x].add(piece_u[y])
-                    if y in piece_v:
-                        v_of[x].add(piece_v[y])
+        g = w.scale_graph(r).tocoo()
+        for x, y in zip(g.row.tolist(), g.col.tolist()):
+            if y in piece_u:
+                u_of[x].add(piece_u[y])
+            if y in piece_v:
+                v_of[x].add(piece_v[y])
         return u_of, v_of
 
 

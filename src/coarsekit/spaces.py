@@ -739,6 +739,7 @@ class Window:
         self._index = {p: i for i, p in enumerate(self.points)}
         self.ball_center = space.normalize(ball_center) if ball_center is not None else None
         self.ball_radius = ball_radius
+        self._graphs: dict = {}
 
     def __len__(self):
         return len(self.points)
@@ -762,6 +763,25 @@ class Window:
     def subwindow(self, points) -> "Window":
         return Window(self.space, points)
 
+    def scale_graph(self, r: int) -> sparse.csr_matrix:
+        """Symmetric CSR adjacency of "d <= r" on this window, with sorted
+        indices and no diagonal.  Built once per r from :func:`scale_pairs`
+        and cached; callers must not modify it."""
+        g = self._graphs.get(r)
+        if g is None:
+            n = len(self.points)
+            ii, jj = scale_pairs(self, r)
+            g = sparse.csr_matrix(
+                (np.ones(2 * len(ii), dtype=np.int8),
+                 (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
+                shape=(n, n),
+            )
+            g.sum_duplicates()
+            for a in (g.data, g.indices, g.indptr):
+                a.flags.writeable = False
+            self._graphs[r] = g
+        return g
+
     def interior(self, r: int) -> tuple:
         """Points whose ambient r-ball lies entirely inside the window."""
         if r <= 0:
@@ -772,15 +792,8 @@ class Window:
                 return ()
             c = self.ball_center
             return tuple(p for p in self.points if s.dist(c, p) <= self.ball_radius - r)
-        counts = np.zeros(len(self.points), dtype=np.int64)
-        ii, jj = scale_pairs(self, r)
-        np.add.at(counts, ii, 1)
-        np.add.at(counts, jj, 1)
-        out = []
-        for i, p in enumerate(self.points):
-            if counts[i] + 1 == s.ball_size(p, r):
-                out.append(p)
-        return tuple(out)
+        degree = np.diff(self.scale_graph(r).indptr).tolist()
+        return tuple(p for p, k in zip(self.points, degree) if k + 1 == s.ball_size(p, r))
 
     def to_json(self) -> dict:
         if self.is_ball:
@@ -819,6 +832,29 @@ def dist(space: Space, x, y) -> int:
     return space.dist(space.normalize(x), space.normalize(y))
 
 
+def pairwise_dist(space: Space, A: Sequence, B: Sequence) -> np.ndarray:
+    """The |A| x |B| int64 matrix of ambient distances between canonical points."""
+    if isinstance(space, ProductFiniteSpace):
+        D = pairwise_dist(space.base, [a for a, _ in A], [b for b, _ in B])
+        la = np.array([l for _, l in A], dtype=np.int64)
+        lb = np.array([l for _, l in B], dtype=np.int64)
+        return D + (la[:, None] != lb[None, :])
+    if isinstance(space, GridSpace):
+        a = np.array(A, dtype=np.int64).reshape(len(A), space.dim)
+        b = np.array(B, dtype=np.int64).reshape(len(B), space.dim)
+        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    if isinstance(space, PointLineSpace):
+        a, b = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+        return np.abs(a[:, None] - b[None, :])
+    if isinstance(space, CustomSpace):
+        ia = np.array([space._pos[p] for p in A], dtype=np.int64)
+        ib = np.array([space._pos[p] for p in B], dtype=np.int64)
+        return space.table[np.ix_(ia, ib)]
+    return np.array(
+        [[space.dist(a, b) for b in B] for a in A], dtype=np.int64
+    ).reshape(len(A), len(B))
+
+
 # ---------------------------------------------------------------------------
 # pair enumeration at a scale (the workhorse for components / covers / flows)
 # ---------------------------------------------------------------------------
@@ -848,6 +884,8 @@ def scale_pairs(w: Window, r: int):
             return _pairs_point_balls(w, r)
     if isinstance(s, DisjointUnionSpace):
         return _pairs_disjoint(w, r)
+    if isinstance(s, ProductFiniteSpace):
+        return _pairs_product(w, r)
     return _pairs_bruteforce(w, r)
 
 
@@ -887,19 +925,9 @@ def _pairs_grid(w: Window, r: int):
 
 
 def _pairs_dense_coords(w: Window, r: int):
-    s = w.space
-    n = len(w.points)
-    if isinstance(s, CustomSpace):
-        idx = np.array([s._pos[p] for p in w.points])
-        D = s.table[np.ix_(idx, idx)]
-    elif isinstance(s, PointLineSpace):
-        c = np.array(w.points, dtype=np.int64)
-        D = np.abs(c[:, None] - c[None, :])
-    else:
-        coords = np.array(w.points, dtype=np.int64)
-        if n > _ALL_PAIRS_GUARD:
-            return _pairs_bruteforce(w, r)
-        D = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    if isinstance(w.space, GridSpace) and len(w.points) > _ALL_PAIRS_GUARD:
+        return _pairs_bruteforce(w, r)
+    D = pairwise_dist(w.space, w.points, w.points)
     ii, jj = np.nonzero(np.triu(D <= r, k=1))
     return ii.astype(np.int64), jj.astype(np.int64)
 
@@ -965,6 +993,36 @@ def _pairs_disjoint(w: Window, r: int):
     return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
 
 
+def _pairs_product(w: Window, r: int):
+    # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
+    # when i != j; the window order groups points by base, then by level
+    s = w.space
+    bases = [b for b, _ in w.points]
+    first = [0] + [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
+    # the bases of a ball B_R((c, i)) form the base ball B_R(c)
+    center = w.ball_center[0] if w.is_ball else None
+    bw = Window(s.base, [bases[k] for k in first], center, w.ball_radius)
+    base_of = np.repeat(np.arange(len(first)), np.diff(first + [len(bases)]))
+    levels, lvl_of = np.unique([l for _, l in w.points], return_inverse=True)
+    pos = np.full((len(first), len(levels)), -1, dtype=np.int64)
+    pos[base_of, lvl_of] = np.arange(len(bases))
+    same, near = scale_pairs(bw, r), scale_pairs(bw, r - 1)
+    everyone = (np.arange(len(first)),) * 2
+    out_i, out_j = [], []
+    for l in range(len(levels)):
+        for m in range(len(levels)):
+            if l == m:
+                blocks = [same]
+            else:  # equal bases across levels: each level pair once
+                blocks = [near, everyone] if l < m else [near]
+            for P, Q in blocks:
+                a, b = pos[P, l], pos[Q, m]
+                keep = (a >= 0) & (b >= 0)
+                out_i.append(np.minimum(a[keep], b[keep]))
+                out_j.append(np.maximum(a[keep], b[keep]))
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
 def _pairs_bruteforce(w: Window, r: int):
     s = w.space
     pts = w.points
@@ -987,11 +1045,7 @@ def bounded_geometry_profile(w: Window, r: int) -> int:
         raise MalformedSpec("scale must be >= 0")
     if len(w.points) == 0:
         return 0
-    counts = np.zeros(len(w.points), dtype=np.int64)
-    ii, jj = scale_pairs(w, r)
-    np.add.at(counts, ii, 1)
-    np.add.at(counts, jj, 1)
-    return int(counts.max()) + 1
+    return int(np.diff(w.scale_graph(r).indptr).max()) + 1
 
 
 def verify_metric(w: Window, cap: int = 300) -> dict:

@@ -13,6 +13,12 @@ F2 = ck.make_space({"kind": "free_group", "rank": 2})
 
 # -- Folner search ------------------------------------------------------------
 
+def test_verify_folner_empty_set_fails_by_name():
+    cert = ck.FolnerCertificate(Z, (), 1, Fraction(1, 10), 0)
+    rep = ck.verify_folner(cert)
+    assert not rep["ok"] and rep["reason"] == "empty_F"
+
+
 def test_folner_on_line():
     cert = ck.folner_search(Z, 1, Fraction(1, 10))
     assert cert is not None
@@ -282,3 +288,18 @@ def test_partial_translation_displacement():
 def test_partial_translation_rejects_non_bijection():
     with pytest.raises(ck.errors.MalformedSpec):
         PartialTranslation(Z, [((0,), (1,)), ((2,), (1,))])
+
+
+def test_verify_paradox_requires_carrier_over_interior():
+    # an empty carrier covers nothing: it must not verify, on F_2 or on Z
+    for space, center in ((F2, ""), (Z, (0,))):
+        empty = paradox_from_pairs(space, 1, [], [], [], [])
+        rep = ck.verify_paradox(empty, ck.ball(space, center, 3))
+        assert not rep.passed and rep.witness == {"kind": "empty_carrier"}
+    # a carrier that misses part of the interior is named by its first missed point
+    p = ck.paradox_free_group(2)
+    small = ck.ball(F2, "", 2)
+    cut = ck.transport_paradox(p, ck.CoarseMap(small, F2, lambda x: x))
+    rep = ck.verify_paradox(cut, ck.ball(F2, "", 4))
+    assert not rep.partition_ok
+    assert rep.witness["kind"] == "interior_outside_carrier"

@@ -249,3 +249,29 @@ def test_byte_identical_reruns(specs):
     assert first == second
     argv2 = ["components", "--space", specs["pl"], "--r", "3"]
     assert payload_bytes(run(argv2)) == payload_bytes(run(argv2))
+
+
+@pytest.mark.parametrize("space, center", [
+    ({"kind": "grid", "dim": 1}, [0]),
+    ({"kind": "free_group", "rank": 2}, ""),
+])
+def test_verify_rejects_forged_empty_paradox(tmp_path, space, center):
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({
+        "schema": "coarsekit/1", "kind": "paradox_window", "space": space,
+        "window": {"ball": {"center": center, "radius": 3}}, "displacement": 1,
+        "carrier": [], "plus": [], "minus": [], "t_plus": [], "t_minus": [], "tag": ""}))
+    res = run(["verify", "--file", str(forged)])
+    assert res.exit_code == 1
+    assert res.payload["report"]["witness"] == {"kind": "empty_carrier"}
+
+
+def test_verify_rejects_empty_folner_set(tmp_path):
+    cert = tmp_path / "empty.json"
+    cert.write_text(json.dumps({
+        "schema": "coarsekit/1", "kind": "folner_certificate",
+        "space": {"kind": "grid", "dim": 1}, "F": [], "r": 1, "eps": "1/10",
+        "neighborhood_size": 0, "ratio": "0"}))
+    res = run(["verify", "--file", str(cert)])
+    assert res.exit_code == 1
+    assert res.payload["report"]["reason"] == "empty_F"

@@ -164,3 +164,14 @@ def test_one_color_cover_iff_classes_bounded():
         for B in (0, 2, 10, 29, 30):
             cover = ck.greedy_cover(w, r, 0, B)
             assert (cover is not None) == (max(diams) <= B)
+
+
+def test_separation_witness_is_first_pair_in_row_major_order():
+    # the first same-color pair of distinct pieces within r, scanning the
+    # window's points in canonical order and each point's partners after it
+    Z2 = ck.make_space({"kind": "grid", "dim": 2})
+    w = ck.ball(Z2, (0, 0), 6)
+    cover = ck.witness_grid2(1, w)
+    rep = ck.verify_decomposition(ColoredCover(w, 4, cover.bound, cover.colors))
+    assert not rep.separation_ok
+    assert rep.witness == {"kind": "separation", "pair": [[-5, 1], [-4, -2]], "distance": 4}

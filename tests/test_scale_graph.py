@@ -1,0 +1,131 @@
+"""The cached scale graph and the vectorised distances, checked against the
+brute-force oracles on every space kind, plus complexity gates."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
+
+import coarsekit as ck
+from coarsekit import spaces
+from coarsekit.spaces import _pairs_bruteforce, pairwise_dist
+
+
+def _custom_spec(rng, n, name="p"):
+    coords = rng.randint(0, 12, size=n)
+    D = np.abs(coords[:, None] - coords[None, :])
+    D = D + (D == 0) * (1 - np.eye(n, dtype=int))  # distinct points stay apart
+    D = shortest_path(D, directed=False).astype(int)
+    return {"kind": "custom", "points": [f"{name}{i}" for i in range(n)], "dist": D.tolist()}
+
+
+def _window(kind, seed, as_ball):
+    """A window of the named kind: a ball, or a random part of one."""
+    rng = np.random.RandomState(seed)
+    balls = {
+        "grid1": ({"kind": "grid", "dim": 1}, (3,), 12),
+        "grid2": ({"kind": "grid", "dim": 2}, (0, -1), 5),
+        "grid3": ({"kind": "grid", "dim": 3}, (1, 0, 0), 3),
+        "free_group": ({"kind": "free_group", "rank": 2}, "a", 3),
+        "tree": ({"kind": "tree", "branching": 2}, 2, 4),
+        "product_grid": ({"kind": "product_finite", "base": {"kind": "grid", "dim": 2}, "n": 3},
+                         ((0, 0), 2), 3),
+        "product_free_group": ({"kind": "product_finite",
+                                "base": {"kind": "free_group", "rank": 2}, "n": 3}, ("", 1), 3),
+        "product_tree": ({"kind": "product_finite", "base": {"kind": "tree", "branching": 2},
+                          "n": 2}, (1, 2), 4),
+    }
+    if kind in balls:
+        spec, center, radius = balls[kind]
+        w = ck.ball(ck.make_space(spec), center, radius)
+        if as_ball:
+            return w
+        # drop points at random; on products this also drops whole levels of some bases
+        return ck.Window(w.space, [p for p in w.points if rng.rand() < 0.6])
+    if kind == "point_line":
+        space = ck.make_space({"kind": "point_line",
+                               "coords": sorted(rng.choice(60, size=25, replace=False).tolist())})
+    elif kind == "custom":
+        space = ck.make_space(_custom_spec(rng, 20))
+    else:
+        space = ck.make_space({
+            "kind": "disjoint_union",
+            "blocks": [_custom_spec(rng, int(rng.randint(1, 6)), f"b{k}_") for k in range(3)]
+            + [{"kind": "point_line", "coords": [0, 2, 3]}],
+            "gaps": [1, 3, 2],
+        })
+    pts = space.all_points()
+    return ck.Window(space, [p for p in pts if as_ball or rng.rand() < 0.7])
+
+
+KINDS = ["grid1", "grid2", "grid3", "free_group", "tree", "point_line", "disjoint_union",
+         "custom", "product_grid", "product_free_group", "product_tree"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**31 - 1), as_ball=st.booleans())
+def test_scale_graph_matches_bruteforce(kind, seed, as_ball):
+    w = _window(kind, seed, as_ball)
+    n = len(w)
+    for r in (0, 1, 2, 3):
+        g = w.scale_graph(r)
+        ii, jj = _pairs_bruteforce(w, r)
+        want = {(int(a), int(b)) for a, b in zip(ii, jj)}
+        want |= {(b, a) for a, b in want}
+        rows = np.repeat(np.arange(n), np.diff(g.indptr))
+        assert {(int(a), int(b)) for a, b in zip(rows, g.indices)} == want
+        assert g.nnz == len(want)  # no duplicate entries
+        for i in range(n):  # strictly increasing columns: sorted, no diagonal
+            row = g.indices[g.indptr[i]:g.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0) and i not in row
+        assert w.scale_graph(r) is g
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_pairwise_dist_matches_dist(kind, seed):
+    w = _window(kind, seed, as_ball=False)
+    pts = list(w.points)
+    half = pts[: len(pts) // 2]
+    D = pairwise_dist(w.space, half, pts)
+    assert D.shape == (len(half), len(pts)) and D.dtype == np.int64
+    assert D.tolist() == [[w.space.dist(p, q) for q in pts] for p in half]
+
+
+def test_product_towers_never_fall_back_to_bruteforce(monkeypatch):
+    def refuse(w, r):
+        raise AssertionError("brute-force pair enumeration")
+
+    monkeypatch.setattr(spaces, "_pairs_bruteforce", refuse)
+    Z2 = ck.make_space({"kind": "grid", "dim": 2})
+    u = ck.build_uf(ck.ball(Z2, (0, 0), 6), 2, lambda x: 1 if x % 2 else -1)
+    rep = ck.interior_unitarity(u, 1)
+    assert rep["interior_size"] > 0 and rep["isometry_exact"] and rep["coisometry_exact"]
+
+    F2 = ck.make_space({"kind": "free_group", "rank": 2})
+    prod = ck.make_space(
+        {"kind": "product_finite", "base": {"kind": "free_group", "rank": 2}, "n": 2}
+    )
+    src = ck.ball(F2, "", 4)
+    f = ck.CoarseMap(src, prod, lambda x: (x, 1))
+    tp = ck.transport_paradox(ck.paradox_free_group(2), f)
+    assert ck.verify_paradox(tp, ck.Window(prod, [f(x) for x in src.points])).passed
+
+
+def test_witness_and_verifier_enumerate_pairs_once(monkeypatch):
+    calls = []
+    real = spaces.scale_pairs
+
+    def counting(w, r):
+        calls.append(r)
+        return real(w, r)
+
+    monkeypatch.setattr(spaces, "scale_pairs", counting)
+    T3 = ck.make_space({"kind": "tree", "branching": 3})
+    w = ck.ball(T3, 0, 5)
+    cover = ck.witness_tree(T3, 0, 2, w)
+    assert ck.verify_decomposition(cover).passed
+    assert calls == [2]
