@@ -528,30 +528,35 @@ def folner_search_report(
     return FolnerSearchReport(cert, best, best_set, tested)
 
 
+def _subset_neighborhood_sizes(space, points, r):
+    """Yield |N_r(F)| for every nonempty subset F of points, in bitmask order
+    (bit i stands for points[i]); each neighborhood is that of the mask
+    without its lowest bit, joined with the lowest point's ball."""
+    universe: dict = {}
+    balls = []
+    for p in points:
+        bits = 0
+        for q in space.ball_points(p, r):
+            bits |= 1 << universe.setdefault(q, len(universe))
+        balls.append(bits)
+    nbr = [0] * (1 << len(points))
+    for mask in range(1, len(nbr)):
+        low = mask & -mask
+        nbr[mask] = nbr[mask ^ low] | balls[low.bit_length() - 1]
+        yield nbr[mask].bit_count()
+
+
 def _folner_exhaustive(space, r, eps, base, ball_radius) -> FolnerSearchReport:
     ground = sorted(space.ball_points(base, ball_radius), key=space.canonical_key)
     m = len(ground)
     if m > 22:
         raise MalformedSpec(f"exhaustive budget over {m} points (2^{m} subsets) is too large")
-    universe: dict = {}
-    masks = []
-    for p in ground:
-        bits = 0
-        for q in space.ball_points(p, r):
-            idx = universe.setdefault(q, len(universe))
-            bits |= 1 << idx
-        masks.append(bits)
-    # neighborhood mask of every subset, by peeling the lowest bit
     total = 1 << m
-    nbr = [0] * total
     best_n, best_f, best_mask = None, None, None
     bound_num = (eps + 1).numerator
     bound_den = (eps + 1).denominator
     cert_mask = None
-    for mask in range(1, total):
-        low = (mask & -mask).bit_length() - 1
-        nbr[mask] = nbr[mask ^ (mask & -mask)] | masks[low]
-        nsize = nbr[mask].bit_count()
+    for mask, nsize in enumerate(_subset_neighborhood_sizes(space, ground, r), 1):
         fsize = mask.bit_count()
         if best_n is None or nsize * best_f < best_n * fsize:
             best_n, best_f, best_mask = nsize, fsize, mask
@@ -589,21 +594,10 @@ def isoperimetric_profile(w: Window, r: int, mode: str = "greedy", size_cap: Opt
     if mode == "exhaustive":
         if n > 20:
             raise CapExceeded(f"exhaustive mode needs |w| <= 20, got {n}")
-        universe: dict = {}
-        masks = []
-        for p in w.points:
-            bits = 0
-            for q in space.ball_points(p, r):
-                idx = universe.setdefault(q, len(universe))
-                bits |= 1 << idx
-            masks.append(bits)
-        nbr = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            nbr[mask] = nbr[mask ^ (mask & -mask)] | masks[low]
+        for mask, nsize in enumerate(_subset_neighborhood_sizes(space, w.points, r), 1):
             k = mask.bit_count()
             if k <= size_cap:
-                ratio = Fraction(nbr[mask].bit_count(), k)
+                ratio = Fraction(nsize, k)
                 if k not in best or ratio < best[k]:
                     best[k] = ratio
     elif mode == "balls":

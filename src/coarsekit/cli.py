@@ -46,6 +46,13 @@ def _load_json(path: str):
         raise MalformedSpec(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _load_operator(w, path):
+    data = _load_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise MalformedSpec(f"{path}: an operator file needs an 'entries' list")
+    return operators.make_operator(w, data["entries"])
+
+
 def _get_space(args):
     return make_space(_load_json(args.space))
 
@@ -333,7 +340,7 @@ def _cmd_matching(args):
 def _cmd_op(args):
     space = _get_space(args)
     w = _get_window(args, space)
-    a = operators.make_operator(w, _load_json(args.a)["entries"])
+    a = _load_operator(w, args.a)
     if args.action == "norm":
         est = operators.op_norm_detailed(a)
         payload = serialization.envelope(
@@ -346,7 +353,7 @@ def _cmd_op(args):
     if args.action in ("add", "mul"):
         if not args.b:
             raise MalformedSpec(f"op --action {args.action} needs --b")
-        b = operators.make_operator(w, _load_json(args.b)["entries"])
+        b = _load_operator(w, args.b)
         c = a.add(b) if args.action == "add" else a.mul(b)
         payload = serialization.operator_to_payload(c)
         payload["propagation"] = c.propagation
@@ -371,7 +378,7 @@ def _cmd_op(args):
 def _cmd_af_approx(args):
     space = _get_space(args)
     w = _get_window(args, space)
-    a = operators.make_operator(w, _load_json(args.a)["entries"])
+    a = _load_operator(w, args.a)
     approx = operators.af_approximate(a, args.r, args.eps)
     payload = serialization.operator_to_payload(approx.b)
     payload["kind"] = "af_approximation"
@@ -389,7 +396,7 @@ def _cmd_af_approx(args):
 def _cmd_mv_split(args):
     space = _get_space(args)
     w = _get_window(args, space)
-    a = operators.make_operator(w, _load_json(args.a)["entries"])
+    a = _load_operator(w, args.a)
     cover = serialization.cover_from_payload(_load_json(args.cover))
     omega = operators.OmegaDecomposition(cover)
     b, c = operators.mv_split(a, omega)

@@ -61,6 +61,10 @@ class WindowMismatch(CoarseKitError):
     """Binary operator arithmetic on operators over different windows."""
 
 
+class IntegerOverflow(CoarseKitError):
+    """An exact operator entry, or an exact sum or product, would leave int64."""
+
+
 class PropagationTooLarge(CoarseKitError):
     """Operator propagation exceeds the scale required by the construction."""
 

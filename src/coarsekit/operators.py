@@ -3,7 +3,7 @@
 A :class:`BandedOperator` is a sparse matrix indexed by window points whose
 propagation (largest distance over the support) is finite by construction.
 Combinatorial operators built from characteristic functions, partial
-translations, and segment shifts carry exact integer entries, so the algebraic
+translations, and segment shifts carry exact int64 entries, so the algebraic
 identities they satisfy are checked with zero tolerance; generic operators use
 complex doubles with a 1e-9 comparison tolerance.
 """
@@ -11,6 +11,8 @@ complex doubles with a 1e-9 comparison tolerance.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +24,7 @@ from .components import SegmentFamily, components_at_scale
 from .covers import ColoredCover
 from .errors import (
     ClassTooLarge,
+    IntegerOverflow,
     LevelsTooSmall,
     MalformedSpec,
     NoProbe,
@@ -33,54 +36,88 @@ from .spaces import GridSpace, ProductFiniteSpace, Window
 
 FLOAT_TOL = 1e-9
 DENSE_NORM_LIMIT = 512
+# An exact result is refused when a float64 bound on its entries reaches this.
+# Sums are bounded by their float64 value, products by |A| @ |B| in float64;
+# either falls short of the exact magnitude by a relative (k+1)*2^-53 at most
+# for k terms, far inside the 2^-20 margin for any row shorter than 2^30.
+_EXACT_LIMIT = 2.0**63 * (1 - 2.0**-20)
+
+
+def _top(M):
+    """Largest |entry| of a sparse matrix, 0 when it stores none."""
+    return abs(M).max() if M.nnz else 0
+
+
+def _guard(exact: bool, bound, what: str):
+    """Raise IntegerOverflow before an exact result could leave int64, judged
+    by bound(): the result in float64, or a float64 bound on its magnitude."""
+    if exact:
+        b = bound()
+        top = _top(b) if sp.issparse(b) else b
+        if top >= _EXACT_LIMIT:
+            raise IntegerOverflow(f"exact {what} could leave int64 (entry bound {top:.6g})")
 
 
 class BandedOperator:
-    """Sparse operator over a window; entries[(i, j)] is the (row, column)
-    coefficient in the window's canonical index order."""
+    """Sparse operator over a window, held as one canonical CSR ``matrix``
+    (sorted indices, duplicates summed, no stored zeros) in the window's
+    canonical index order: int64 when exact, complex128 otherwise.
 
-    def __init__(self, window: Window, entries: dict, exact: Optional[bool] = None):
+    ``entries`` may be a {(row, column): value} dict, exact when every value is
+    an int (unless exact=False), or a fresh scipy sparse matrix, exact when its
+    dtype is integral."""
+
+    def __init__(self, window: Window, entries, exact: Optional[bool] = None):
+        n = len(window.points)
+        if isinstance(entries, dict):  # exact=True cannot make non-int values exact
+            exact = exact is not False and all(isinstance(v, int) for v in entries.values())
+            try:
+                data = np.array(list(entries.values()), dtype=np.int64 if exact else np.complex128)
+            except OverflowError:
+                raise IntegerOverflow("an exact operator entry lies outside int64") from None
+            ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+            entries = sp.csr_matrix((data, (ij[:, 0], ij[:, 1])), shape=(n, n))
+        elif exact is None:
+            exact = entries.dtype.kind in "biu"
+        M = sp.csr_matrix(entries, dtype=np.int64 if exact else np.complex128)
+        M.sum_duplicates()
+        M.eliminate_zeros()
         self.window = window
-        self.entries = {k: v for k, v in entries.items() if v != 0}
-        if exact is None:
-            exact = all(isinstance(v, int) for v in self.entries.values())
-        self.exact = exact
+        self.matrix = M
         self._prop = None
 
     # -- structure -----------------------------------------------------------
-    def support(self):
-        pts = self.window.points
-        return [(pts[i], pts[j]) for i, j in self.entries]
+    @property
+    def exact(self) -> bool:
+        return self.matrix.dtype == np.int64
+
+    @property
+    def entries(self) -> dict:
+        """{(row, column): value} in row-major order, read off the matrix (int
+        values when exact, complex otherwise); changing it changes nothing."""
+        A = self.matrix.tocoo()
+        return dict(zip(zip(A.row.tolist(), A.col.tolist()), A.data.tolist()))
 
     @property
     def propagation(self) -> int:
         if self._prop is None:
-            pts = self.window.points
-            d = self.window.space.dist
-            self._prop = max((d(pts[i], pts[j]) for i, j in self.entries), default=0)
+            A, pts, d = self.matrix.tocoo(), self.window.points, self.window.space.dist
+            pairs = zip(A.row.tolist(), A.col.tolist())
+            self._prop = max((d(pts[i], pts[j]) for i, j in pairs if i != j), default=0)
         return self._prop
 
-    @property
-    def entry_bound(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
-
     def entry(self, x, y):
-        return self.entries.get((self.window.index(x), self.window.index(y)), 0)
+        return self.matrix[self.window.index(x), self.window.index(y)].item()
 
     def to_dense(self) -> np.ndarray:
-        n = len(self.window.points)
-        M = np.zeros((n, n), dtype=complex)
-        for (i, j), v in self.entries.items():
-            M[i, j] = v
-        return M
+        return self.to_sparse().toarray()
 
     def to_sparse(self):
-        n = len(self.window.points)
-        if not self.entries:
-            return sp.csr_matrix((n, n), dtype=complex)
-        ii, jj = zip(*self.entries)
-        vv = [complex(v) for v in self.entries.values()]
-        return sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
+        return self.matrix.astype(np.complex128)
+
+    def _float(self):
+        """The matrix of an exact operator in float64, for overflow bounds."""
+        return self.matrix.astype(np.float64)
 
     # -- arithmetic -----------------------------------------------------------
     def _check(self, other):
@@ -92,102 +129,83 @@ class BandedOperator:
 
     def add(self, other) -> "BandedOperator":
         self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return BandedOperator(self.window, out, exact=self.exact and other.exact)
+        _guard(self.exact and other.exact, lambda: self._float() + other._float(), "sum")
+        return BandedOperator(self.window, self.matrix + other.matrix)
 
     def sub(self, other) -> "BandedOperator":
-        return self.add(other.scale(-1))
+        self._check(other)
+        _guard(self.exact and other.exact, lambda: self._float() - other._float(), "difference")
+        return BandedOperator(self.window, self.matrix - other.matrix)
 
     def mul(self, other) -> "BandedOperator":
         self._check(other)
-        rows: dict[int, list] = {}
-        for (j, k), v in other.entries.items():
-            rows.setdefault(j, []).append((k, v))
-        out: dict = {}
-        for (i, j), va in self.entries.items():
-            for k, vb in rows.get(j, ()):
-                key = (i, k)
-                out[key] = out.get(key, 0) + va * vb
-        return BandedOperator(self.window, out, exact=self.exact and other.exact)
+        _guard(self.exact and other.exact, lambda: abs(self._float()) @ abs(other._float()), "product")
+        return BandedOperator(self.window, self.matrix @ other.matrix)
 
     def adjoint(self) -> "BandedOperator":
-        return BandedOperator(
-            self.window,
-            {(j, i): v.conjugate() if isinstance(v, complex) else v
-             for (i, j), v in self.entries.items()},
-            exact=self.exact,
-        )
+        return BandedOperator(self.window, self.matrix.T.conj())
 
     def scale(self, c) -> "BandedOperator":
-        return BandedOperator(
-            self.window,
-            {k: c * v for k, v in self.entries.items()},
-            exact=self.exact and isinstance(c, int),
-        )
+        exact = self.exact and isinstance(c, int)
+        # the max with 1 also refuses a c outside int64 for the zero operator
+        _guard(exact, lambda: abs(c) * max(_top(self._float()), 1), "multiple")
+        return BandedOperator(self.window, self.matrix * c if exact else self.to_sparse() * c)
 
     __add__ = add
     __sub__ = sub
     __matmul__ = mul
 
     def equals(self, other, tol: Optional[float] = None) -> bool:
-        self._check(other)
         if tol is None:
             tol = 0 if (self.exact and other.exact) else FLOAT_TOL
-        keys = set(self.entries) | set(other.entries)
-        return all(
-            abs(self.entries.get(k, 0) - other.entries.get(k, 0)) <= tol for k in keys
-        )
+        return _top(self.sub(other).matrix) <= tol
 
     def restrict(self, indices) -> "BandedOperator":
         """Compression to rows and columns in the given index set."""
-        idx = set(indices)
-        return BandedOperator(
-            self.window,
-            {k: v for k, v in self.entries.items() if k[0] in idx and k[1] in idx},
-            exact=self.exact,
-        )
+        mask = np.zeros(len(self.window.points), dtype=np.int64)
+        mask[list(indices)] = 1
+        P = sp.diags(mask, dtype=np.int64, format="csr")
+        return BandedOperator(self.window, P @ self.matrix @ P)
 
     def to_json(self) -> dict:
-        enc = self.window.space.point_to_json
-        pts = self.window.points
-        rows = sorted(self.entries.items())
-        return {
-            "entries": [
-                [enc(pts[i]), enc(pts[j]), float(complex(v).real), float(complex(v).imag)]
-                for (i, j), v in rows
-            ]
-        }
+        enc, pts, A = self.window.space.point_to_json, self.window.points, self.matrix.tocoo()
+        data = A.data.astype(np.complex128).tolist()
+        return {"entries": [[enc(pts[i]), enc(pts[j]), v.real, v.imag]
+                            for i, j, v in zip(A.row.tolist(), A.col.tolist(), data)]}
 
     def __repr__(self):
-        return (
-            f"<BandedOperator {len(self.entries)} entries, prop {self.propagation}, "
-            f"{'exact' if self.exact else 'float'}>"
-        )
+        kind = "exact" if self.exact else "float"
+        return f"<BandedOperator {self.matrix.nnz} entries, prop {self.propagation}, {kind}>"
+
+
+def _json_entry(row):
+    """((x, y), value) from one [x, y, re, im] row of finite floats (NaN fails
+    the bound); integral reals become ints."""
+    if not (isinstance(row, (list, tuple)) and len(row) == 4
+            and all(isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max
+                    for t in row[2:])):
+        raise MalformedSpec(f"operator entry must be [x, y, re, im], got {row!r}")
+    x, y, re, im = row
+    return (x, y), int(re) if im == 0 and float(re).is_integer() else complex(re, im)
 
 
 def make_operator(w: Window, entries) -> BandedOperator:
     """Entries as {(x, y): value} keyed by points, or [[x, y, re, im], ...]."""
-    out: dict = {}
     if isinstance(entries, dict):
         items = entries.items()
-        for (x, y), v in items:
-            i, j = w.index(w.space.normalize(x)), w.index(w.space.normalize(y))
-            out[(i, j)] = out.get((i, j), 0) + v
+    elif isinstance(entries, list):
+        items = map(_json_entry, entries)
     else:
-        for row in entries:
-            x, y, re, im = row
-            i, j = w.index(w.space.normalize(x)), w.index(w.space.normalize(y))
-            v = complex(re, im)
-            if im == 0 and float(re).is_integer():
-                v = int(re)
-            out[(i, j)] = out.get((i, j), 0) + v
+        raise MalformedSpec(f"operator entries must be a list of [x, y, re, im], got {type(entries).__name__}")
+    out: dict = {}
+    for (x, y), v in items:
+        i, j = w.index(w.space.normalize(x)), w.index(w.space.normalize(y))
+        out[(i, j)] = out.get((i, j), 0) + v
     return BandedOperator(w, out)
 
 
 def identity_operator(w: Window) -> BandedOperator:
-    return BandedOperator(w, {(i, i): 1 for i in range(len(w.points))}, exact=True)
+    return BandedOperator(w, sp.identity(len(w.points), dtype=np.int64, format="csr"))
 
 
 def zero_operator(w: Window) -> BandedOperator:
@@ -196,17 +214,13 @@ def zero_operator(w: Window) -> BandedOperator:
 
 def char_projection(S, w: Window) -> BandedOperator:
     """Diagonal 0/1 projection onto a subset of the window."""
-    idx = [w.index(w.space.normalize(p)) for p in S]
-    return BandedOperator(w, {(i, i): 1 for i in idx}, exact=True)
+    return BandedOperator(w, {(i, i): 1 for i in (w.index(w.space.normalize(p)) for p in S)})
 
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
     """v delta_x = delta_{t(x)}, over the pairs with both endpoints in the window."""
-    entries = {}
-    for a, b in t.pairs:
-        if a in w and b in w:
-            entries[(w.index(b), w.index(a))] = 1
-    return BandedOperator(w, entries, exact=True)
+    pairs = [(a, b) for a, b in t.pairs if a in w and b in w]
+    return BandedOperator(w, {(w.index(b), w.index(a)): 1 for a, b in pairs}, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +237,7 @@ class NormEstimate:
 
 def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_000) -> NormEstimate:
     n = len(a.window.points)
-    if n == 0 or not a.entries:
+    if a.matrix.nnz == 0:
         return NormEstimate(0.0, True, 0, "trivial")
     if n <= DENSE_NORM_LIMIT:
         return NormEstimate(float(np.linalg.norm(a.to_dense(), 2)), True, 0, "dense")
@@ -302,25 +316,19 @@ def verify_properly_infinite(
 
     xxs = x.mul(x.adjoint()).restrict(I)
     yys = y.mul(y.adjoint()).restrict(I)
-    S = pr.sub(xxs).sub(yys)
-    off_diag = any(i != j for i, j in S.entries)
-    if not off_diag:
-        neg = [v for (i, j), v in S.entries.items() if complex(v).real < -tol or abs(complex(v).imag) > tol]
-        psd_ok = not neg
-        psd_method = "diagonal-exact" if S.exact else "diagonal"
+    S = pr.sub(xxs).sub(yys).matrix
+    if S.nnz == np.count_nonzero(S.diagonal()):
+        psd_ok = not np.any((S.data.real < -tol) | (np.abs(S.data.imag) > tol))
+        psd_method = "diagonal-exact" if S.dtype == np.int64 else "diagonal"
     else:
-        M = S.to_dense()
-        sub = np.ix_(I, I)
-        H = M[sub]
-        H = (H + H.conj().T) / 2
-        eig_min = float(np.linalg.eigvalsh(H).min()) if len(I) else 0.0
+        H = S[I][:, I].toarray()
+        eig_min = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
         psd_ok = eig_min >= -max(tol, FLOAT_TOL)
         psd_method = "eigenvalue"
     if not psd_ok and witness is None:
         witness = {"kind": "not_psd"}
 
-    prod = xxs.mul(yys)
-    orthogonal = all(abs(v) <= tol for v in prod.entries.values())
+    orthogonal = xxs.mul(yys).equals(zero_operator(w), tol=tol)
     if not orthogonal and witness is None:
         witness = {"kind": "ranges_not_orthogonal"}
     return ProperInfiniteReport(xx_eq, yy_eq, psd_ok, orthogonal, psd_method, witness)
@@ -385,23 +393,19 @@ def af_approximate(
                 f"chain class of size {len(cls)} exceeds cap {class_cap}", cls=cls
             )
 
-    blocks = []
-    for cls in part.classes:
-        idx = [w.index(p) for p in cls]
-        pos = {i: k for k, i in enumerate(idx)}
-        M = np.zeros((len(idx), len(idx)), dtype=complex)
-        for i in idx:
-            for j in idx:
-                v = a.entries.get((i, j))
-                if v is not None:
-                    M[pos[i], pos[j]] = v
-        blocks.append((idx, M))
+    # one dense block per class; propagation <= r keeps every entry inside one
+    blocks = [np.zeros((len(cls), len(cls)), dtype=np.complex128) for cls in part.classes]
+    where = {w.index(p): (c, k) for c, cls in enumerate(part.classes) for k, p in enumerate(cls)}
+    A = a.matrix.tocoo()
+    for i, j, v in zip(A.row.tolist(), A.col.tolist(), A.data.tolist()):
+        c, k = where[i]
+        blocks[c][k, where[j][1]] = v
 
     color_key_to_id: dict = {}
     color_of_class = []
     models: list = []
-    for idx, M in blocks:
-        n = len(idx)
+    for M in blocks:
+        n = len(M)
         delta = eps / (2 * n * math.sqrt(2))
         lattice = tuple(
             (int(round(z.real / delta)), int(round(z.imag / delta)))
@@ -413,35 +417,26 @@ def af_approximate(
             models.append(M.copy())
         color_of_class.append(color_key_to_id[key])
 
-    b_entries: dict = {}
     err = 0.0
-    for (idx, M), color in zip(blocks, color_of_class):
-        model = models[color]
-        for k, i in enumerate(idx):
-            for l, j in enumerate(idx):
-                if model[k, l] != 0:
-                    b_entries[(i, j)] = model[k, l]
-        diff = M - model
+    for M, color in zip(blocks, color_of_class):
+        diff = M - models[color]
         if diff.any():
             err = max(err, float(np.linalg.norm(diff, 2)))
-    b = BandedOperator(w, b_entries, exact=False)
-    coloring = BlockColoring(
-        r, part.classes, tuple(color_of_class), tuple(models)
-    )
-    return AFApproximation(coloring, b, err, eps)
+    coloring = BlockColoring(r, part.classes, tuple(color_of_class), tuple(models))
+    return AFApproximation(coloring, rebuild_from_coloring(w, coloring), err, eps)
 
 
 def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
-    """Reassemble the block-constant operator determined by a coloring."""
-    entries: dict = {}
+    """Reassemble the block-constant operator determined by a coloring: the
+    model of each class's color on the rows and columns of that class."""
+    rows, cols, vals = [], [], []
     for cls, color in zip(coloring.classes, coloring.color_of_class):
         idx = [w.index(p) for p in cls]
-        model = coloring.models[color]
-        for k, i in enumerate(idx):
-            for l, j in enumerate(idx):
-                if model[k, l] != 0:
-                    entries[(i, j)] = model[k, l]
-    return BandedOperator(w, entries, exact=False)
+        rows += [i for i in idx for _ in idx]
+        cols += idx * len(idx)
+        vals += np.asarray(coloring.models[color], dtype=np.complex128).ravel().tolist()
+    n = len(w.points)
+    return BandedOperator(w, sp.coo_matrix((vals, (rows, cols)), shape=(n, n)), exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +451,9 @@ def segment_shift(fam: SegmentFamily, w: Window) -> BandedOperator:
         if p not in w:
             raise SegmentOutsideWindow(f"segment point {p!r} is outside the window")
     in_seg = set(seg_pts)
-    entries = {}
-    for i, p in enumerate(w.points):
-        if p not in in_seg:
-            entries[(i, i)] = 1
+    entries = {(i, i): 1 for i, p in enumerate(w.points) if p not in in_seg}
     for seg in fam.segments:
-        for k in range(len(seg) - 1):
-            entries[(w.index(seg[k + 1]), w.index(seg[k]))] = 1
+        entries.update({(w.index(b), w.index(a)): 1 for a, b in zip(seg, seg[1:])})
     return BandedOperator(w, entries, exact=True)
 
 
@@ -484,23 +475,13 @@ def cancellation_witness(fam: SegmentFamily, w: Window, s: int) -> CancellationW
     segment endpoint."""
     if s < 1:
         raise MalformedSpec("s must be >= 1")
-    for p0 in fam.all_points():
-        if p0 not in w:
-            raise SegmentOutsideWindow(f"segment point {p0!r} is outside the window")
+    v = segment_shift(fam, w)
     A = {p for seg in fam.segments for p in seg[:-1]}
     B = {p for seg in fam.segments for p in seg[1:]}
     C = set(fam.all_points())
     rest = [p for p in w.points if p not in C]
     p_op = char_projection(sorted(A, key=w.space.canonical_key) + rest, w)
     q_op = char_projection(sorted(B, key=w.space.canonical_key) + rest, w)
-    entries = {}
-    for i, pt in enumerate(w.points):
-        if pt not in C:
-            entries[(i, i)] = 1
-    for seg in fam.segments:
-        for k in range(len(seg) - 1):
-            entries[(w.index(seg[k + 1]), w.index(seg[k]))] = 1
-    v = BandedOperator(w, entries, exact=True)
     lasts = fam.endpoints()
     probe = None
     for bp in fam.basepoints():
@@ -637,7 +618,8 @@ def omega_membership(
     pts = a.window.points
     witness = None
     support_ok = True
-    for (i, j) in a.entries:
+    A = a.matrix.tocoo()
+    for i, j in zip(A.row.tolist(), A.col.tolist()):
         if part == "I":
             ok = bool(u_of[i] & u_of[j])
         elif part == "J":
@@ -659,14 +641,13 @@ def mv_split(a: BandedOperator, omega: OmegaDecomposition):
     if a.window is not omega.window and a.window.points != omega.window.points:
         raise WindowMismatch("operator and decomposition windows differ")
     w = a.window
-    u_rows = {w.index(p) for piece in omega.u_pieces for p in piece}
-    b_entries, c_entries = {}, {}
-    for (i, j), v in a.entries.items():
-        (b_entries if i in u_rows else c_entries)[(i, j)] = v
-    return (
-        BandedOperator(w, b_entries, exact=a.exact),
-        BandedOperator(w, c_entries, exact=a.exact),
-    )
+    u_rows = np.zeros(len(w.points), dtype=bool)
+    u_rows[[w.index(p) for piece in omega.u_pieces for p in piece]] = True
+    in_u = np.repeat(u_rows, np.diff(a.matrix.indptr))  # per stored entry
+    b, c = a.matrix.copy(), a.matrix.copy()
+    b.data[~in_u] = 0
+    c.data[in_u] = 0
+    return BandedOperator(w, b), BandedOperator(w, c)
 
 
 # ---------------------------------------------------------------------------

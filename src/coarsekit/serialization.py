@@ -127,7 +127,7 @@ def operator_to_payload(a: BandedOperator) -> dict:
 def operator_from_payload(data: dict) -> BandedOperator:
     space = make_space(data["space"])
     w = window_from_json(space, data["window"])
-    return make_operator(w, data["entries"])
+    return make_operator(w, data.get("entries"))
 
 
 # -- re-verification --------------------------------------------------------

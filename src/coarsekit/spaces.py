@@ -609,6 +609,32 @@ class ProductFiniteSpace(Space):
         return [self.base.point_to_json(b), lvl]
 
 
+def _metric_failures(D: np.ndarray) -> dict:
+    """The first failure of each metric axiom on a square int64 distance table,
+    keyed in the order checked, as indices in row-major order: (i, j) for
+    "negative", (i,) for "diagonal", (i, j) for "zero" (distinct points at
+    distance 0) and "asymmetric", and (i, k, j), smallest k, for "triangle"."""
+    masks = {"negative": D < 0, "diagonal": np.diag(D) != 0,
+             "zero": D + np.eye(len(D), dtype=np.int64) == 0, "asymmetric": D != D.T}
+    out = {axiom: tuple(map(int, np.argwhere(m)[0])) for axiom, m in masks.items() if m.any()}
+    for k in range(len(D)):
+        bad = D > D[:, [k]] + D[[k], :]
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            out["triangle"] = (i, k, j)
+            break
+    return out
+
+
+_METRIC_MESSAGES = {
+    "negative": "negative distance in table",
+    "diagonal": "d({0!r},{0!r}) != 0",
+    "zero": "distinct points {0!r}, {1!r} at distance 0",
+    "asymmetric": "asymmetry between {0!r} and {1!r}",
+    "triangle": "triangle inequality fails: d({0!r},{2!r}) > d({0!r},{1!r}) + d({1!r},{2!r})",
+}
+
+
 class CustomSpace(Space):
     """A finite space given by an explicit symmetric integer distance table."""
 
@@ -631,33 +657,10 @@ class CustomSpace(Space):
                 raise MalformedSpec("distance table entries must be integers")
             D = Df.astype(np.int64)
         D = D.astype(np.int64)
-        if np.any(D < 0):
-            raise MetricViolation("negative distance in table")
-        if np.any(np.diag(D) != 0):
-            i = int(np.nonzero(np.diag(D))[0][0])
-            raise MetricViolation(f"d({points[i]!r},{points[i]!r}) != 0", witness=(points[i],))
-        off = D + np.eye(n, dtype=np.int64)
-        if np.any(off == 0):
-            i, j = map(int, np.argwhere(off == 0)[0])
-            raise MetricViolation(
-                f"distinct points {points[i]!r}, {points[j]!r} at distance 0",
-                witness=(points[i], points[j]),
-            )
-        if np.any(D != D.T):
-            i, j = map(int, np.argwhere(D != D.T)[0])
-            raise MetricViolation(
-                f"asymmetry between {points[i]!r} and {points[j]!r}",
-                witness=(points[i], points[j]),
-            )
-        for k in range(n):
-            bad = D > D[:, [k]] + D[[k], :]
-            if np.any(bad):
-                i, j = map(int, np.argwhere(bad)[0])
-                raise MetricViolation(
-                    f"triangle inequality fails: d({points[i]!r},{points[j]!r}) > "
-                    f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r})",
-                    witness=(points[i], points[k], points[j]),
-                )
+        for axiom, idx in _metric_failures(D).items():  # raise on the first one
+            witness = tuple(points[i] for i in idx)
+            raise MetricViolation(_METRIC_MESSAGES[axiom].format(*witness),
+                                  witness=None if axiom == "negative" else witness)
         self.points = points
         self.table = D
         self._pos = {p: i for i, p in enumerate(points)}
@@ -1054,26 +1057,14 @@ def verify_metric(w: Window, cap: int = 300) -> dict:
     n = len(pts)
     if n > cap:
         raise MalformedSpec(f"window of size {n} exceeds exhaustive-check cap {cap}")
-    s = w.space
-    D = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = s.dist(pts[i], pts[j])
-    report = {"symmetry": True, "identity": True, "triangle": True, "witness": None}
-    if np.any(D < 0):
-        report["identity"] = False
-    off = D + np.eye(n, dtype=np.int64)
-    if np.any(off == 0):
-        i, j = map(int, np.argwhere(off == 0)[0])
-        report["identity"] = False
-        report["witness"] = (pts[i], pts[j])
-    for k in range(n):
-        bad = D > D[:, [k]] + D[[k], :]
-        if np.any(bad):
-            i, j = map(int, np.argwhere(bad)[0])
-            report["triangle"] = False
-            report["witness"] = (pts[i], pts[k], pts[j])
-            break
+    failures = _metric_failures(pairwise_dist(w.space, pts, pts))
+    witness = failures.get("triangle", failures.get("zero"))
+    report = {
+        "symmetry": "asymmetric" not in failures,
+        "identity": not {"negative", "diagonal", "zero"} & failures.keys(),
+        "triangle": "triangle" not in failures,
+        "witness": None if witness is None else tuple(pts[i] for i in witness),
+    }
     report["ok"] = report["symmetry"] and report["identity"] and report["triangle"]
     return report
 

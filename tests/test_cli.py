@@ -275,3 +275,71 @@ def test_verify_rejects_empty_folner_set(tmp_path):
     res = run(["verify", "--file", str(cert)])
     assert res.exit_code == 1
     assert res.payload["report"]["reason"] == "empty_F"
+
+
+# -- operator files checked at the boundary ------------------------------------------
+
+def _op_file(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_op_file_without_entries_exits_3(specs, tmp_path, flag):
+    files = {"--a": _op_file(tmp_path, "good.json", {"entries": [[[0], [0], 1, 0]]}),
+             "--b": _op_file(tmp_path, "good.json", {"entries": [[[0], [0], 1, 0]]})}
+    files[flag] = _op_file(tmp_path, "empty.json", {})
+    res = run(["op", "--space", specs["z"], "--window-radius", "3",
+               "--a", files["--a"], "--b", files["--b"], "--action", "add"])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+
+
+def test_af_approx_and_mv_split_without_entries_exit_3(specs, tmp_path):
+    empty = _op_file(tmp_path, "empty.json", {"kind": "banded_operator"})
+    res = run(["af-approx", "--space", specs["z"], "--window-radius", "3", "--a", empty,
+               "--r", "1", "--eps", "0.25"])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+    cover = str(tmp_path / "cover.json")
+    run(["asdim", "witness", "--construction", "line", "--space", specs["z"],
+         "--window-radius", "10", "--r", "1", "--out", cover])
+    res = run(["mv-split", "--space", specs["z"], "--window-radius", "10", "--a", empty,
+               "--cover", cover])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+
+
+@pytest.mark.parametrize("entries", [
+    [[[0], [0], 1]],            # three fields
+    [[[0], [0], "x", 0]],       # a string coefficient
+    [[[0], [0], 1, 0, 0]],      # five fields
+    [7],                        # not a row
+    [[[0], [0], float("nan"), 0]],  # NaN, which json reads and writes
+    [[[0], [0], 1, float("inf")]],
+    [[[0], [0], 10**400, 0]],   # an int beyond any float
+    {"x": 1},                   # not a list
+])
+def test_op_malformed_rows_exit_3(specs, tmp_path, entries):
+    a = _op_file(tmp_path, "a.json", {"entries": entries})
+    res = run(["op", "--space", specs["z"], "--window-radius", "3", "--a", a, "--action", "norm"])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+
+
+def test_op_integral_entry_outside_int64_exits_3(specs, tmp_path):
+    a = _op_file(tmp_path, "a.json", {"entries": [[[0], [0], 1e300, 0]]})
+    res = run(["op", "--space", specs["z"], "--window-radius", "3", "--a", a, "--action", "adjoint"])
+    assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
+
+
+def test_op_exact_product_raises_before_leaving_int64(specs, tmp_path):
+    base = ["op", "--space", specs["z"], "--window-radius", "3", "--action", "mul"]
+    # 3037000500^2 = 9223372037000250000 > 2^63 - 1
+    a = _op_file(tmp_path, "a.json", {"entries": [[[0], [1], 3037000500, 0]]})
+    b = _op_file(tmp_path, "b.json", {"entries": [[[1], [0], 3037000500, 0]]})
+    res = run([*base, "--a", a, "--b", b])
+    assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
+    # 2^31 * 2^31 = 2^62 fits
+    a = _op_file(tmp_path, "a.json", {"entries": [[[0], [1], 2**31, 0]]})
+    b = _op_file(tmp_path, "b.json", {"entries": [[[1], [0], 2**31, 0]]})
+    res = run([*base, "--a", a, "--b", b])
+    assert res.exit_code == 0
+    assert res.payload["entries"] == [[[0], [0], float(2**62), 0.0]]

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit.amenability import PartialTranslation
 from coarsekit.components import SegmentFamily
 from coarsekit.errors import (
     ClassTooLarge,
+    IntegerOverflow,
     LevelsTooSmall,
+    MalformedSpec,
     NoProbe,
     PropagationTooLarge,
     SegmentOutsideWindow,
     WindowMismatch,
 )
 from coarsekit.operators import (
+    BandedOperator,
     OmegaDecomposition,
     identity_operator,
     make_operator,
@@ -21,6 +26,7 @@ from coarsekit.operators import (
 
 Z = ck.make_space({"kind": "grid", "dim": 1})
 F2 = ck.make_space({"kind": "free_group", "rank": 2})
+G2 = ck.make_space({"kind": "grid", "dim": 2})
 
 
 def line_window(lo, hi):
@@ -456,3 +462,207 @@ def test_build_uf_levels_too_small():
     w2 = grid2_window(3)
     with pytest.raises(LevelsTooSmall):
         ck.build_uf(w2, 1, lambda x: 2)
+
+
+# -- the CSR operator against a dict reference implementation -----------------------------
+
+def ref_clean(d):
+    return {k: v for k, v in d.items() if v != 0}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i, j), va in a.items():
+        for (j2, k), vb in b.items():
+            if j == j2:
+                out[(i, k)] = out.get((i, k), 0) + va * vb
+    return ref_clean(out)
+
+
+def ref_adjoint(a):
+    return {(j, i): v.conjugate() for (i, j), v in a.items()}
+
+
+def ref_restrict(a, idx):
+    return {(i, j): v for (i, j), v in a.items() if i in idx and j in idx}
+
+
+def ref_equals(a, b, tol):
+    return all(abs(a.get(k, 0) - b.get(k, 0)) <= tol for k in set(a) | set(b))
+
+
+def ref_propagation(w, a):
+    return max((w.space.dist(w.points[i], w.points[j]) for i, j in a), default=0)
+
+
+def ref_to_json(w, a):
+    enc = w.space.point_to_json
+    return [[enc(w.points[i]), enc(w.points[j]), float(complex(v).real), float(complex(v).imag)]
+            for (i, j), v in sorted(a.items())]
+
+
+def assert_matches(op, ref, exact):
+    assert op.exact == exact
+    if exact:
+        assert op.entries == ref
+        assert all(type(v) is int for v in op.entries.values())
+    else:
+        have = op.entries
+        assert all(abs(have.get(k, 0) - ref.get(k, 0)) <= 1e-12 for k in set(have) | set(ref))
+
+
+@st.composite
+def window_and_operators(draw):
+    kind = draw(st.sampled_from(["line", "grid2", "free_group"]))
+    if kind == "line":
+        lo = draw(st.integers(-5, 5))
+        w = ck.Window(Z, [(x,) for x in range(lo, lo + draw(st.integers(1, 9)))])
+    elif kind == "grid2":
+        w = ck.ball(G2, (draw(st.integers(-3, 3)), 0), draw(st.integers(0, 2)))
+    else:
+        w = ck.ball(F2, draw(st.sampled_from(["", "a", "B"])), draw(st.integers(0, 2)))
+    n = len(w.points)
+    exact = draw(st.booleans())
+    if exact:
+        value = st.integers(-4, 4)
+    else:
+        part = st.floats(-2, 2, allow_nan=False).map(lambda t: round(t, 3))
+        value = st.builds(complex, part, part)
+    key = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ops = draw(st.lists(st.dictionaries(key, value, max_size=3 * n), min_size=2, max_size=2))
+    idx = draw(st.sets(st.integers(0, n - 1)))
+    return w, exact, [ref_clean(d) for d in ops], idx
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(window_and_operators(), st.integers(-3, 3))
+def test_csr_operator_matches_dict_reference(case, c):
+    w, exact, (ra, rb), idx = case
+    a = BandedOperator(w, ra, exact=exact)
+    b = BandedOperator(w, rb, exact=exact)
+    assert_matches(a, ra, exact)
+    assert_matches(a.add(b), ref_add(ra, rb), exact)
+    assert_matches(a.sub(b), ref_add(ra, rb, -1), exact)
+    assert_matches(a.mul(b), ref_mul(ra, rb), exact)
+    assert_matches(a.adjoint(), ref_adjoint(ra), exact)
+    assert_matches(a.scale(c), ref_clean({k: c * v for k, v in ra.items()}), exact)
+    assert_matches(a.scale(0.5), {k: 0.5 * v for k, v in ra.items()}, False)
+    assert_matches(a.restrict(idx), ref_restrict(ra, idx), exact)
+    for tol in (0, 0.5, 3):
+        assert a.equals(b, tol=tol) == ref_equals(ra, rb, tol)
+    assert a.equals(BandedOperator(w, dict(ra), exact=exact))
+    assert a.propagation == ref_propagation(w, ra)
+    assert a.mul(b).propagation == ref_propagation(w, ref_mul(ra, rb))
+    assert a.to_json() == {"entries": ref_to_json(w, ra)}
+    if exact:
+        assert a.mul(b).to_json()["entries"] == ref_to_json(w, ref_mul(ra, rb))
+    dense = np.zeros((len(w.points),) * 2, dtype=complex)
+    for (i, j), v in ra.items():
+        dense[i, j] = v
+    assert np.array_equal(a.to_dense(), dense)
+    assert np.array_equal(a.to_sparse().toarray(), dense)
+
+
+def test_operator_storage_dtype_follows_exactness():
+    w = line_window(0, 3)
+    assert BandedOperator(w, {(0, 1): 2}).matrix.dtype == np.int64
+    assert BandedOperator(w, {(0, 1): 2}, exact=False).matrix.dtype == np.complex128
+    assert BandedOperator(w, {(0, 1): 2.0}).matrix.dtype == np.complex128
+    assert BandedOperator(w, {(0, 1): 1.5}, exact=True).entry((0,), (1,)) == 1.5
+    a = BandedOperator(w, {(0, 1): 2, (1, 1): 0})
+    assert a.matrix.nnz == 1 and a.matrix.has_canonical_format
+    assert not a.scale(np.int64(2)).exact  # only Python ints keep exactness, as before
+    assert not a.mul(BandedOperator(w, {(1, 0): 1.5})).exact
+
+
+def test_int64_guard_on_exact_arithmetic():
+    w = line_window(0, 3)
+    big = BandedOperator(w, {(0, 0): 2**62})
+    with pytest.raises(IntegerOverflow):
+        big.add(big)
+    with pytest.raises(IntegerOverflow):
+        big.sub(big.scale(-1))
+    with pytest.raises(IntegerOverflow):
+        big.scale(2)
+    with pytest.raises(IntegerOverflow):
+        BandedOperator(w, {(0, 0): -(2**63)}).scale(-1)
+    with pytest.raises(IntegerOverflow):
+        BandedOperator(w, {(0, 0): 2**63})
+    with pytest.raises(IntegerOverflow):
+        make_operator(w, [[[0], [0], 1e300, 0]])
+    # the same magnitudes are fine in floating point
+    assert big.scale(2.0).entry((0,), (0,)) == 2.0**63
+    assert big.add(big.scale(-1)).equals(zero_operator(w), tol=0)
+
+
+@pytest.mark.parametrize("rows", [[[[0], [0], 1]], [[[0], [0], "1", 0]], [3], None])
+def test_make_operator_rejects_malformed_rows(rows):
+    with pytest.raises(MalformedSpec):
+        make_operator(line_window(0, 3), rows)
+
+
+# -- the eigenvalue branch of the PSD test -------------------------------------------------
+
+def dense_interior_psd(p, x, y, margin):
+    P, X, Y = p.to_dense(), x.to_dense(), y.to_dense()
+    S = P - X @ X.conj().T - Y @ Y.conj().T
+    I = [p.window.index(q) for q in p.window.interior(margin)]
+    H = S[np.ix_(I, I)]
+    return np.linalg.eigvalsh((H + H.conj().T) / 2).min() >= -1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_properly_infinite_eigenvalue_branch_matches_dense(seed):
+    rng = np.random.RandomState(seed)
+    w = line_window(0, 7)
+    # p = M M* + shift: Hermitian with off-diagonal entries, PSD when shift >= 0
+    M = rng.standard_normal((8, 8)) * (np.abs(np.subtract.outer(range(8), range(8))) <= 1)
+    P = M @ M.T + (seed - 2) * np.eye(8)
+    p = BandedOperator(w, {(i, j): P[i, j] for i in range(8) for j in range(8)}, exact=False)
+    x = random_banded(w, rng, 1, bound=0.3)
+    y = random_banded(w, rng, 1, bound=0.3)
+    rep = ck.verify_properly_infinite(p, x, y, 1)
+    assert rep.psd_method == "eigenvalue"
+    assert rep.psd_ok == dense_interior_psd(p, x, y, 1)
+
+
+def test_properly_infinite_eigenvalue_branch_pass_and_not_psd():
+    w = line_window(0, 3)
+    h = 2 ** -0.5
+    # p = 1 on the first two points; x and y are isometries of its range
+    p = ck.char_projection([(0,), (1,)], w)
+    x = make_operator(w, {((2,), (0,)): 1, ((3,), (1,)): 1})
+    y = make_operator(w, {((0,), (0,)): h, ((2,), (0,)): h, ((1,), (1,)): 1})
+    rep = ck.verify_properly_infinite(p, x, y, 0)
+    assert rep.xx_eq_p and rep.yy_eq_p
+    assert rep.psd_method == "eigenvalue" and not rep.psd_ok
+    assert rep.witness == {"kind": "not_psd"}
+    assert not dense_interior_psd(p, x, y, 0)
+    # a positive p with off-diagonal entries passes the PSD step against x = y = 0
+    q = make_operator(w, {((0,), (0,)): 2.0, ((0,), (1,)): 1.0, ((1,), (0,)): 1.0,
+                          ((1,), (1,)): 2.0})
+    z = zero_operator(w)
+    rep = ck.verify_properly_infinite(q, z, z, 0)
+    assert rep.psd_method == "eigenvalue" and rep.psd_ok
+    assert rep.witness == {"kind": "xx_ne_p"}
+    assert dense_interior_psd(q, z, z, 0)
+
+
+def test_omega_membership_witness_is_first_entry_in_row_major_order():
+    # both entries violate; the witness is the one with the smaller row index,
+    # whatever order the entries were given in
+    w = line_window(-100, 100)
+    omega = OmegaDecomposition(ck.witness_line(5, w))
+    x1, y1 = omega.u_pieces[2][0], omega.v_pieces[5][0]
+    x2, y2 = omega.u_pieces[4][0], omega.v_pieces[7][0]
+    assert w.index(x1) < w.index(x2)
+    e = make_operator(w, {(x2, y2): 1, (x1, y1): 1})
+    rep = ck.omega_membership(e, omega, 2, "intersection")
+    assert rep.witness == {"pair": [list(x1), list(y1)]}
