@@ -19,7 +19,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import (
-    EnumerationOverflow,
     ExpansionUnbounded,
     CapExceeded,
     MalformedSpec,
@@ -431,13 +430,16 @@ class FolnerBudget:
     def parse(text: str) -> "FolnerBudget":
         """Budget strings: 'balls:R', 'subsets-of-ball:R', 'local:R,ROUNDS'."""
         kind, _, arg = text.partition(":")
-        if kind == "balls":
-            return FolnerBudget(ball_radius_max=int(arg))
-        if kind == "subsets-of-ball":
-            return FolnerBudget(subsets_of_ball=int(arg))
-        if kind == "local":
-            radius, _, rounds = arg.partition(",")
-            return FolnerBudget(ball_radius_max=int(radius), local_rounds=int(rounds or 8))
+        try:
+            if kind == "balls":
+                return FolnerBudget(ball_radius_max=int(arg))
+            if kind == "subsets-of-ball":
+                return FolnerBudget(subsets_of_ball=int(arg))
+            if kind == "local":
+                radius, _, rounds = arg.partition(",")
+                return FolnerBudget(ball_radius_max=int(radius), local_rounds=int(rounds or 8))
+        except ValueError as exc:
+            raise MalformedSpec(f"budget spec {text!r} needs integer arguments") from exc
         raise MalformedSpec(f"unknown budget spec {text!r}")
 
 
@@ -458,7 +460,10 @@ def folner_search_report(
 ) -> FolnerSearchReport:
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedSpec(f"eps must be a rational number, got {eps!r}") from exc
     if eps <= 0:
         raise MalformedSpec("eps must be > 0")
     budget = budget or FolnerBudget()
@@ -762,38 +767,6 @@ class GrowthProfile:
         return {"sizes": list(self.sizes), "tag": self.tag, "tail_slope": self.tail_slope}
 
 
-def _ball_size_sweep(space: Space, x, n_max: int, cap: int) -> list[int]:
-    from .spaces import FreeGroupSpace, GridSpace, ProductFiniteSpace
-
-    closed_form = isinstance(space, (GridSpace, FreeGroupSpace)) or (
-        isinstance(space, ProductFiniteSpace)
-        and isinstance(space.base, (GridSpace, FreeGroupSpace))
-    )
-    if space.finite or closed_form:
-        sizes = [space.ball_size(x, n) for n in range(n_max + 1)]
-        if any(s > cap for s in sizes):
-            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
-        return sizes
-    if not space.graph_like:
-        raise MalformedSpec(f"cannot sweep ball sizes on {space.kind}")
-    # incremental BFS with a hard abort, for infinite trees and the like
-    seen = {x}
-    frontier = [x]
-    sizes = [1]
-    for _ in range(n_max):
-        nxt = []
-        for p in frontier:
-            for q in space.neighbors(p):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > cap:
-                        raise EnumerationOverflow(f"ball size exceeds cap {cap}")
-        frontier = nxt
-        sizes.append(len(seen))
-    return sizes
-
-
 def growth_profile(space: Space, x, n_max: int, cap: int = 2_000_000) -> GrowthProfile:
     """Ball sizes with an advisory growth tag from a log-scale regression on
     the upper half of the computed range (slope > 0.2 per step reads as
@@ -801,7 +774,7 @@ def growth_profile(space: Space, x, n_max: int, cap: int = 2_000_000) -> GrowthP
     if n_max < 1:
         raise MalformedSpec("n_max must be >= 1")
     x = space.normalize(x)
-    sizes = _ball_size_sweep(space, x, n_max, cap)
+    sizes = space.ball_sizes(x, n_max, cap)
     if n_max < 3:
         return GrowthProfile(tuple(sizes), "inconclusive", 0.0)
     lo = n_max // 2

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import amenability, components, covers, maps, operators, serialization
 from .errors import CoarseKitError, Infeasible, MalformedSpec, NoSegments
@@ -46,11 +45,20 @@ def _load_json(path: str):
         raise MalformedSpec(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _point_arg(space, text, flag: str):
+    """The point a flag gives as JSON, or the origin when the flag is absent."""
+    if not text:
+        return space.origin()
+    try:
+        return space.normalize(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise MalformedSpec(f"{flag} is not JSON: {exc}") from exc
+
+
 def _load_operator(w, path):
-    data = _load_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise MalformedSpec(f"{path}: an operator file needs an 'entries' list")
-    return operators.make_operator(w, data["entries"])
+    entries = serialization.payload_field(
+        _load_json(path), "entries", list, f"{path}: an operator file needs an 'entries' list")
+    return operators.make_operator(w, entries)
 
 
 def _get_space(args):
@@ -61,12 +69,7 @@ def _get_window(args, space) -> Window:
     if getattr(args, "window_file", None):
         return window_from_json(space, _load_json(args.window_file))
     if getattr(args, "window_radius", None) is not None:
-        center = (
-            space.normalize(json.loads(args.center))
-            if getattr(args, "center", None)
-            else space.origin()
-        )
-        return ball(space, center, args.window_radius)
+        return ball(space, _point_arg(space, args.center, "--center"), args.window_radius)
     if space.finite:
         return Window(space, space.all_points())
     raise MalformedSpec("need --window-radius or --window-file for an infinite space")
@@ -194,9 +197,7 @@ def _cmd_components(args):
     space = _get_space(args)
     if args.profile_radii:
         radii = sorted({int(t) for t in args.profile_radii.split(",")})
-        center = (
-            space.normalize(json.loads(args.center)) if args.center else space.origin()
-        )
+        center = _point_arg(space, args.center, "--center")
         windows = [ball(space, center, rad) for rad in radii]
         profile = components.class_size_profile(space, args.r, windows)
         tag = "growing" if profile[-1] > profile[0] else "bounded so far"
@@ -219,7 +220,7 @@ def _cmd_components(args):
 
 def _cmd_segments(args):
     space = _get_space(args)
-    center = space.normalize(json.loads(args.center)) if args.center else space.origin()
+    center = _point_arg(space, args.center, "--center")
     budget = ball(space, center, args.budget_radius)
     try:
         fam = components.extract_segments(space, args.r, args.count, budget)
@@ -250,7 +251,7 @@ def _cmd_asdim(args):
         elif args.construction == "grid2":
             cover = covers.witness_grid2(args.r, w)
         elif args.construction == "tree":
-            root = space.normalize(json.loads(args.root)) if args.root else space.origin()
+            root = _point_arg(space, args.root, "--root")
             cover = covers.witness_tree(space, root, args.r, w)
         else:
             raise MalformedSpec("asdim witness needs --construction")
@@ -278,7 +279,7 @@ def _cmd_asdim(args):
 def _cmd_folner(args):
     space = _get_space(args)
     budget = amenability.FolnerBudget.parse(args.budget)
-    report = amenability.folner_search_report(space, args.r, Fraction(args.eps), budget)
+    report = amenability.folner_search_report(space, args.r, args.eps, budget)
     if report.certificate is None:
         payload = {
             "schema": serialization.SCHEMA,
@@ -423,7 +424,8 @@ def _cmd_classify(args):
     space = _get_space(args)
     w = _get_window(args, space)
     target = make_space(_load_json(args.target_space))
-    pairs = _load_json(args.map)["pairs"]
+    pairs = serialization.payload_field(
+        _load_json(args.map), "pairs", list, f"{args.map}: a map file needs a 'pairs' list")
     f = maps.CoarseMap(w, target, [(a, b) for a, b in pairs])
     tw = None
     if args.target_window_radius is not None:

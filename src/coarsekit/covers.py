@@ -18,14 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .components import components_at_scale
 from .errors import MalformedSpec, NotTreelike
-from .spaces import (
-    FreeGroupSpace,
-    GridSpace,
-    Space,
-    TreeSpace,
-    Window,
-    set_diameter,
-)
+from .spaces import GridSpace, Space, TreeMetricSpace, Window
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,7 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
 
     bound_ok = True
     for c, k, piece in cover.pieces():
-        diam = set_diameter(w.space, piece)
+        diam = w.space.diameter(piece)
         if diam > cover.bound:
             bound_ok = False
             if witness is None:
@@ -214,7 +207,7 @@ def witness_grid2(r: int, w: Window) -> ColoredCover:
     while len(colors) < 3:
         colors = colors + ((),)
     bound = max(
-        (set_diameter(w.space, piece) for _, _, piece in ColoredCover(w, r, 0, colors).pieces()),
+        (w.space.diameter(piece) for _, _, piece in ColoredCover(w, r, 0, colors).pieces()),
         default=0,
     )
     return ColoredCover(w, r, bound, colors)
@@ -226,7 +219,7 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     within each annulus."""
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
-    if not isinstance(space, (TreeSpace, FreeGroupSpace)):
+    if not isinstance(space, TreeMetricSpace):
         raise NotTreelike(f"witness_tree needs a tree or free_group space, got {space.kind}")
     if w.space is not space:
         raise MalformedSpec("window must live in the given space")
@@ -249,7 +242,7 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
         families[c].append(tuple(w.points[i] for i in idxs))
     colors = (tuple(families[0]), tuple(families[1]))
     bound = max(
-        (set_diameter(space, piece) for fam in colors for piece in fam), default=0
+        (space.diameter(piece) for fam in colors for piece in fam), default=0
     )
     return ColoredCover(w, r, bound, colors)
 
@@ -263,7 +256,7 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
     if d == 0:
         part = components_at_scale(w, r)
         pieces = part.classes
-        if any(set_diameter(space, c) > B for c in pieces):
+        if any(space.diameter(c) > B for c in pieces):
             return None
         cover = ColoredCover(w, r, B, (pieces,))
         return cover if verify_decomposition(cover).passed else None

@@ -10,10 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainMismatch, Infeasible, MalformedSpec, UnknownPoint
-from .spaces import Space, Window, pairwise_dist
-
-# rows of distances computed at once: memory stays linear in the window size
-_ROW_BLOCK = 256
+from .spaces import _ROW_BLOCK, Space, Window, pairwise_dist
 
 
 class CoarseMap:

@@ -31,6 +31,23 @@ def canonical_dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def payload_field(data, key: str, kind: type = object, need: str | None = None):
+    """data[key], checked at the boundary: data must be a JSON object that holds
+    key, with a value of the given kind; otherwise MalformedSpec(need)."""
+    if not isinstance(data, dict) or key not in data or not isinstance(data[key], kind):
+        raise MalformedSpec(need or f"a payload needs a {key!r} field")
+    return data[key]
+
+
+def _space(data) -> Space:
+    return make_space(payload_field(data, "space"))
+
+
+def _space_window(data) -> tuple[Space, Window]:
+    space = _space(data)
+    return space, window_from_json(space, payload_field(data, "window"))
+
+
 def envelope(kind: str, space: Space, window: Window | None, body: dict) -> dict:
     out = {"schema": SCHEMA, "kind": kind, "space": space.to_spec()}
     if window is not None:
@@ -46,8 +63,7 @@ def cover_to_payload(cover: ColoredCover) -> dict:
 
 
 def cover_from_payload(data: dict) -> ColoredCover:
-    space = make_space(data["space"])
-    w = window_from_json(space, data["window"])
+    space, w = _space_window(data)
     colors = tuple(
         tuple(tuple(space.normalize(p) for p in piece) for piece in fam)
         for fam in data["colors"]
@@ -64,7 +80,7 @@ def segments_to_payload(fam: SegmentFamily, budget: Window | None = None) -> dic
 
 
 def segments_from_payload(data: dict) -> SegmentFamily:
-    space = make_space(data["space"])
+    space = _space(data)
     segs = tuple(
         tuple(space.normalize(p) for p in seg) for seg in data["segments"]
     )
@@ -76,7 +92,7 @@ def folner_to_payload(cert: FolnerCertificate) -> dict:
 
 
 def folner_from_payload(data: dict) -> FolnerCertificate:
-    space = make_space(data["space"])
+    space = _space(data)
     return FolnerCertificate(
         space,
         tuple(space.normalize(p) for p in data["F"]),
@@ -91,8 +107,7 @@ def doubling_to_payload(d: WindowedDoubling) -> dict:
 
 
 def doubling_from_payload(data: dict) -> WindowedDoubling:
-    space = make_space(data["space"])
-    w = window_from_json(space, data["window"])
+    space, w = _space_window(data)
     norm = space.normalize
     return WindowedDoubling(
         w,
@@ -108,7 +123,7 @@ def paradox_to_payload(p, w: Window) -> dict:
 
 
 def paradox_from_payload(data: dict):
-    space = make_space(data["space"])
+    space = _space(data)
     return paradox_from_pairs(
         space,
         data["displacement"],
@@ -125,15 +140,16 @@ def operator_to_payload(a: BandedOperator) -> dict:
 
 
 def operator_from_payload(data: dict) -> BandedOperator:
-    space = make_space(data["space"])
-    w = window_from_json(space, data["window"])
-    return make_operator(w, data.get("entries"))
+    _, w = _space_window(data)
+    return make_operator(w, payload_field(data, "entries", list, "an operator payload needs an 'entries' list"))
 
 
 # -- re-verification --------------------------------------------------------
 
 def verify_payload(data: dict) -> tuple[bool, dict]:
     """Re-check a serialized certificate from scratch.  Returns (passed, report)."""
+    if not isinstance(data, dict):
+        raise MalformedSpec(f"a payload is a JSON object, got {type(data).__name__}")
     if data.get("schema") != SCHEMA:
         raise MalformedSpec(f"unknown schema {data.get('schema')!r}")
     kind = data.get("kind")
@@ -141,8 +157,7 @@ def verify_payload(data: dict) -> tuple[bool, dict]:
         report = verify_decomposition(cover_from_payload(data))
         return report.passed, report.to_json()
     if kind == "scale_partition":
-        space = make_space(data["space"])
-        w = window_from_json(space, data["window"])
+        space, w = _space_window(data)
         part = components_at_scale(w, data["r"])
         want = {frozenset(space.normalize(p) for p in c) for c in data["classes"]}
         have = {frozenset(c) for c in part.classes}
@@ -158,13 +173,11 @@ def verify_payload(data: dict) -> tuple[bool, dict]:
         report = verify_doubling(doubling_from_payload(data))
         return report["ok"], report
     if kind == "paradox_window":
-        space = make_space(data["space"])
-        w = window_from_json(space, data["window"])
+        _, w = _space_window(data)
         report = verify_paradox(paradox_from_payload(data), w)
         return report.passed, report.to_json()
     if kind == "matching_cut":
-        space = make_space(data["space"])
-        w = window_from_json(space, data["window"])
+        space, w = _space_window(data)
         r = data["r"]
         F = [space.normalize(p) for p in data["cut"]]
         interior = set(w.interior(r))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from math import comb
 from typing import Any, Iterable, Optional, Sequence
 
@@ -99,15 +100,40 @@ class Space:
     def all_points(self) -> list:
         raise NotImplementedError(f"{self.kind} is not finite")
 
-    def diameter(self) -> int:
-        pts = self.all_points()
-        best = 0
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                d = self.dist(p, q)
-                if d > best:
-                    best = d
-        return best
+    def ball_sizes(self, x, n_max: int, cap: int) -> list:
+        """|B_n(x)| for n = 0..n_max; raises EnumerationOverflow once one exceeds cap."""
+        sizes = []
+        for n in range(n_max + 1):
+            sizes.append(self.ball_size(x, n))
+            if sizes[-1] > cap:
+                raise EnumerationOverflow(f"ball size exceeds cap {cap}")
+        return sizes
+
+    # -- metric on finite sets: kinds override these where they have a faster
+    # exact path ---------------------------------------------------------------
+    def pairwise_dist(self, A: Sequence, B: Sequence) -> np.ndarray:
+        """The |A| x |B| int64 matrix of distances between canonical points."""
+        return np.array(
+            [[self.dist(a, b) for b in B] for a in A], dtype=np.int64
+        ).reshape(len(A), len(B))
+
+    def diameter(self, pts: Sequence) -> int:
+        """Exact diameter of a finite point set."""
+        pts = list(pts)
+        return max((int(self.pairwise_dist(pts[lo:lo + _ROW_BLOCK], pts[lo:]).max())
+                    for lo in range(0, len(pts), _ROW_BLOCK)), default=0)
+
+    def scale_pairs(self, w: "Window", r: int):
+        """Index pairs (i, j), i < j, of window points at distance <= r, as two
+        int64 arrays.  Compares all pairs, a block of rows at a time."""
+        pts = w.points
+        out_i, out_j = [], []
+        for lo in range(0, len(pts), _ROW_BLOCK):
+            D = self.pairwise_dist(pts[lo:lo + _ROW_BLOCK], pts[lo:])
+            ii, jj = np.nonzero(np.triu(D <= r, k=1))
+            out_i.append(ii + lo)
+            out_j.append(jj + lo)
+        return _pair_arrays(out_i, out_j)
 
     # -- serialization -----------------------------------------------------
     def to_spec(self) -> dict:
@@ -182,6 +208,53 @@ class GridSpace(Space):
                 out.append(x[:i] + (x[i] + s,) + x[i + 1:])
         return out
 
+    def pairwise_dist(self, A, B):
+        a = np.array(A, dtype=np.int64).reshape(len(A), self.dim)
+        b = np.array(B, dtype=np.int64).reshape(len(B), self.dim)
+        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        # l1 is l-infinity after projecting onto these 2^(dim-1) sign vectors
+        return np.array([(1,) + s for s in itertools.product((1, -1), repeat=self.dim - 1)],
+                        dtype=np.int64).T
+
+    def diameter(self, pts):
+        if len(pts) < 2:
+            return 0
+        if self.dim == 1:  # one-coordinate tuples compare as their coordinate
+            return max(pts)[0] - min(pts)[0]
+        proj = np.array(pts, dtype=np.int64) @ self._signs
+        return int(max(proj.max(axis=0) - proj.min(axis=0)))
+
+    def scale_pairs(self, w, r):
+        # each offset in the r-ball is one sorted lookup of shifted box codes
+        n = len(w.points)
+        if self.ball_size(w.points[0], r) > max(64, 4 * n):
+            return super().scale_pairs(w, r)
+        coords = np.array(w.points, dtype=np.int64)
+        mins = coords.min(axis=0)
+        spans = coords.max(axis=0) - mins + 2 * r + 1
+        strides = np.ones(self.dim, dtype=np.int64)
+        for i in range(self.dim - 2, -1, -1):
+            strides[i] = strides[i + 1] * spans[i + 1]
+        codes = (coords - mins + r) @ strides
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        zero = (0,) * self.dim
+        out_i, out_j = [], []
+        for o in self.ball_points(zero, r):
+            if o <= zero:
+                continue
+            targets = codes + np.asarray(o, dtype=np.int64) @ strides
+            pos = np.clip(np.searchsorted(sorted_codes, targets), 0, n - 1)
+            hit = sorted_codes[pos] == targets
+            src = np.nonzero(hit)[0]
+            dst = order[pos[hit]]
+            out_i.append(np.minimum(src, dst))
+            out_j.append(np.maximum(src, dst))
+        return _pair_arrays(out_i, out_j)
+
     def to_spec(self):
         return {"kind": "grid", "dim": self.dim}
 
@@ -189,7 +262,58 @@ class GridSpace(Space):
         return list(x)
 
 
-class FreeGroupSpace(Space):
+class TreeMetricSpace(Space):
+    """A space whose metric is the path metric of a tree (free groups, trees)."""
+
+    graph_like = True
+
+    def diameter(self, pts):
+        # a double sweep is exact for tree metrics
+        if not pts:
+            return 0
+        a = max(pts, key=lambda q: self.dist(pts[0], q))
+        return max(self.dist(a, q) for q in pts)
+
+    def scale_pairs(self, w, r):
+        if w.is_ball:
+            return self._pairs_graph_power(w, r)
+        if self.ball_size(w.points[0], r) <= max(64, 4 * len(w.points)):
+            return self._pairs_point_balls(w, r)
+        return super().scale_pairs(w, r)
+
+    def _pairs_graph_power(self, w, r):
+        # a ball is convex in a tree, so window BFS distance equals ambient
+        # distance and boolean powers of the unit adjacency give the relation
+        n = len(w.points)
+        rows, cols = [], []
+        for i, p in enumerate(w.points):
+            for q in self.neighbors(p):
+                j = w._index.get(q)
+                if j is not None and j != i:
+                    rows.append(i)
+                    cols.append(j)
+        A = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
+        )
+        M = (A + sparse.identity(n, dtype=np.int8, format="csr")).astype(bool)
+        P = M
+        for _ in range(r - 1):
+            P = (P @ M).astype(bool)
+        coo = sparse.triu(P, k=1).tocoo()
+        return coo.row.astype(np.int64), coo.col.astype(np.int64)
+
+    def _pairs_point_balls(self, w, r):
+        out_i, out_j = [], []
+        for i, p in enumerate(w.points):
+            for q in self.ball_points(p, r):
+                j = w._index.get(q)
+                if j is not None and j > i:
+                    out_i.append(i)
+                    out_j.append(j)
+        return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
+
+
+class FreeGroupSpace(TreeMetricSpace):
     """Free group of finite rank with the word metric on reduced words.
 
     Points are strings: lowercase letters are generators, uppercase their
@@ -197,7 +321,6 @@ class FreeGroupSpace(Space):
     """
 
     kind = "free_group"
-    graph_like = True
     geodesic_extension = True
 
     def __init__(self, rank: int):
@@ -261,12 +384,11 @@ class FreeGroupSpace(Space):
         return {"kind": "free_group", "rank": self.rank}
 
 
-class TreeSpace(Space):
+class TreeSpace(TreeMetricSpace):
     """A tree: either the infinite rooted b-ary tree (vertex ids are ints,
     children of v are b*v+1..b*v+b) or a finite tree given by an edge list."""
 
     kind = "tree"
-    graph_like = True
 
     def __init__(self, branching: Optional[int] = None, edges: Optional[Sequence] = None):
         if (branching is None) == (edges is None):
@@ -354,8 +476,10 @@ class TreeSpace(Space):
         lengths = self._bfs(x)
         return lengths[y]
 
-    def _bfs(self, src, cutoff=None):
-        if self.branching is None and cutoff is None:
+    def _bfs(self, src, cutoff=None, cap=None):
+        """Distances from src out to radius cutoff; raises EnumerationOverflow
+        as soon as more than cap vertices are reached."""
+        if cutoff is None:
             cached = self._dist_cache.get(src)
             if cached is not None:
                 return cached
@@ -370,8 +494,10 @@ class TreeSpace(Space):
                     if u not in lengths:
                         lengths[u] = level
                         nxt.append(u)
+                if cap is not None and len(lengths) > cap:
+                    raise EnumerationOverflow(f"tree ball around {src} exceeds cap {cap}")
             frontier = nxt
-        if self.branching is None and cutoff is None:
+        if cutoff is None:
             self._dist_cache[src] = lengths
         return lengths
 
@@ -384,14 +510,15 @@ class TreeSpace(Space):
         return list(self._adj[x])
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
-        lengths = self._bfs(x, cutoff=r)
-        pts = sorted(lengths)
-        if len(pts) > cap:
-            raise EnumerationOverflow(f"tree ball of radius {r} exceeds cap {cap}")
-        return pts
+        return sorted(self._bfs(x, cutoff=r, cap=cap))
 
     def ball_size(self, x, r):
         return len(self._bfs(x, cutoff=r))
+
+    def ball_sizes(self, x, n_max, cap):
+        depths = np.bincount(list(self._bfs(x, cutoff=n_max, cap=cap).values()),
+                             minlength=n_max + 1)
+        return np.cumsum(depths).tolist()
 
     def all_points(self):
         if self.branching is not None:
@@ -442,8 +569,12 @@ class PointLineSpace(Space):
     def all_points(self):
         return list(self.coords)
 
-    def diameter(self):
-        return self.coords[-1] - self.coords[0]
+    def pairwise_dist(self, A, B):
+        a, b = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+        return np.abs(a[:, None] - b[None, :])
+
+    def diameter(self, pts):
+        return max(pts) - min(pts) if len(pts) else 0
 
     def to_spec(self):
         return {"kind": "point_line", "coords": list(self.coords)}
@@ -479,21 +610,20 @@ class DisjointUnionSpace(Space):
             raise MalformedSpec("gaps must be integers >= 1")
         self.blocks = list(blocks)
         self.gaps = [int(g) for g in gaps]
-        self.diams = [b.diameter() for b in blocks]
-        # prefix sums: cross-block distance in O(1)
-        self._pg = [0]
-        for g in self.gaps:
-            self._pg.append(self._pg[-1] + g)
-        self._pd = [0]
-        for d in self.diams:
-            self._pd.append(self._pd[-1] + d)
+        self.diams = [b.diameter(b.all_points()) for b in blocks]
+        # prefix sums: for k < l, block_distance(k, l) = _reach[l] - _base[k],
+        # and _reach increases strictly with l
+        pg = list(itertools.accumulate(self.gaps, initial=0))
+        pd = list(itertools.accumulate(self.diams, initial=0))
+        self._reach = [g + d for g, d in zip(pg, pd[1:])]
+        self._base = [g + d for g, d in zip(pg, pd)]
 
     def block_distance(self, k: int, l: int) -> int:
         if k == l:
             return 0
         if k > l:
             k, l = l, k
-        return (self._pg[l] - self._pg[k]) + (self._pd[l + 1] - self._pd[k])
+        return self._reach[l] - self._base[k]
 
     def normalize(self, x):
         if isinstance(x, (list, tuple)) and len(x) == 2:
@@ -528,6 +658,25 @@ class DisjointUnionSpace(Space):
 
     def all_points(self):
         return [(k, p) for k, blk in enumerate(self.blocks) for p in blk.all_points()]
+
+    def scale_pairs(self, w, r):
+        # window points are block-major, so each block is one run of indices,
+        # and so are the later blocks within r of a block
+        blk = np.array([k for k, _ in w.points], dtype=np.int64)
+        start = np.searchsorted(blk, np.arange(len(self.blocks) + 1)).tolist()
+        last = np.searchsorted(self._reach, r + np.array(self._base), side="right").tolist()
+        out_i, out_j = [], []
+        for k in np.unique(blk).tolist():
+            lo, hi = start[k], start[k + 1]
+            if hi - lo > 1:
+                si, sj = scale_pairs(Window(self.blocks[k], [p for _, p in w.points[lo:hi]]), r)
+                out_i.append(si + lo)
+                out_j.append(sj + lo)
+            end = start[last[k]]
+            if end > hi:
+                out_i.append(np.repeat(np.arange(lo, hi), end - hi))
+                out_j.append(np.tile(np.arange(hi, end), hi - lo))
+        return _pair_arrays(out_i, out_j)
 
     def to_spec(self):
         return {
@@ -600,6 +749,47 @@ class ProductFiniteSpace(Space):
 
     def all_points(self):
         return [(p, j) for p in self.base.all_points() for j in range(1, self.n + 1)]
+
+    def ball_sizes(self, x, n_max, cap):
+        base = self.base.ball_sizes(x[0], n_max, cap)
+        sizes = base[:1] + [s + (self.n - 1) * t for s, t in zip(base[1:], base)]
+        if sizes[-1] > cap:
+            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
+        return sizes
+
+    def pairwise_dist(self, A, B):
+        D = self.base.pairwise_dist([a for a, _ in A], [b for b, _ in B])
+        la = np.array([l for _, l in A], dtype=np.int64)
+        lb = np.array([l for _, l in B], dtype=np.int64)
+        return D + (la[:, None] != lb[None, :])
+
+    def scale_pairs(self, w, r):
+        # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
+        # when i != j; the window order groups points by base, then by level
+        bases = [b for b, _ in w.points]
+        first = [0] + [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
+        # the bases of a ball B_R((c, i)) form the base ball B_R(c)
+        center = w.ball_center[0] if w.is_ball else None
+        bw = Window(self.base, [bases[k] for k in first], center, w.ball_radius)
+        base_of = np.repeat(np.arange(len(first)), np.diff(first + [len(bases)]))
+        levels, lvl_of = np.unique([l for _, l in w.points], return_inverse=True)
+        pos = np.full((len(first), len(levels)), -1, dtype=np.int64)
+        pos[base_of, lvl_of] = np.arange(len(bases))
+        same, near = scale_pairs(bw, r), scale_pairs(bw, r - 1)
+        everyone = (np.arange(len(first)),) * 2
+        out_i, out_j = [], []
+        for l in range(len(levels)):
+            for m in range(len(levels)):
+                if l == m:
+                    blocks = [same]
+                else:  # equal bases across levels: each level pair once
+                    blocks = [near, everyone] if l < m else [near]
+                for P, Q in blocks:
+                    a, b = pos[P, l], pos[Q, m]
+                    keep = (a >= 0) & (b >= 0)
+                    out_i.append(np.minimum(a[keep], b[keep]))
+                    out_j.append(np.maximum(a[keep], b[keep]))
+        return _pair_arrays(out_i, out_j)
 
     def to_spec(self):
         return {"kind": "product_finite", "base": self.base.to_spec(), "n": self.n}
@@ -688,8 +878,10 @@ class CustomSpace(Space):
     def all_points(self):
         return list(self.points)
 
-    def diameter(self):
-        return int(self.table.max())
+    def pairwise_dist(self, A, B):
+        ia = np.array([self._pos[p] for p in A], dtype=np.int64)
+        ib = np.array([self._pos[p] for p in B], dtype=np.int64)
+        return self.table[np.ix_(ia, ib)]
 
     def to_spec(self):
         return {
@@ -837,196 +1029,37 @@ def dist(space: Space, x, y) -> int:
 
 def pairwise_dist(space: Space, A: Sequence, B: Sequence) -> np.ndarray:
     """The |A| x |B| int64 matrix of ambient distances between canonical points."""
-    if isinstance(space, ProductFiniteSpace):
-        D = pairwise_dist(space.base, [a for a, _ in A], [b for b, _ in B])
-        la = np.array([l for _, l in A], dtype=np.int64)
-        lb = np.array([l for _, l in B], dtype=np.int64)
-        return D + (la[:, None] != lb[None, :])
-    if isinstance(space, GridSpace):
-        a = np.array(A, dtype=np.int64).reshape(len(A), space.dim)
-        b = np.array(B, dtype=np.int64).reshape(len(B), space.dim)
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    if isinstance(space, PointLineSpace):
-        a, b = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-        return np.abs(a[:, None] - b[None, :])
-    if isinstance(space, CustomSpace):
-        ia = np.array([space._pos[p] for p in A], dtype=np.int64)
-        ib = np.array([space._pos[p] for p in B], dtype=np.int64)
-        return space.table[np.ix_(ia, ib)]
-    return np.array(
-        [[space.dist(a, b) for b in B] for a in A], dtype=np.int64
-    ).reshape(len(A), len(B))
+    return space.pairwise_dist(A, B)
 
 
 # ---------------------------------------------------------------------------
 # pair enumeration at a scale (the workhorse for components / covers / flows)
 # ---------------------------------------------------------------------------
 
-_ALL_PAIRS_GUARD = 4000
+# rows of distances computed at once: memory stays linear in the window size
+_ROW_BLOCK = 256
 
 
 def scale_pairs(w: Window, r: int):
     """All index pairs (i, j), i < j, with d(points[i], points[j]) <= r.
 
-    Returns a pair of int arrays.  Strategy is chosen per space kind; every
-    strategy computes the exact ambient relation.
+    Returns a pair of int arrays.  The window's space picks the strategy
+    (:meth:`Space.scale_pairs`); every strategy computes the exact ambient
+    relation.
     """
-    n = len(w.points)
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if n <= 1 or r <= 0:
-        return empty
-    s = w.space
-    if isinstance(s, GridSpace):
-        return _pairs_grid(w, r)
-    if isinstance(s, (PointLineSpace, CustomSpace)):
-        return _pairs_dense_coords(w, r)
-    if isinstance(s, (FreeGroupSpace, TreeSpace)) and s.graph_like:
-        if w.is_ball:
-            return _pairs_graph_power(w, r)
-        if s.ball_size(w.points[0], r) <= max(64, 4 * n):
-            return _pairs_point_balls(w, r)
-    if isinstance(s, DisjointUnionSpace):
-        return _pairs_disjoint(w, r)
-    if isinstance(s, ProductFiniteSpace):
-        return _pairs_product(w, r)
-    return _pairs_bruteforce(w, r)
+    if len(w.points) <= 1 or r <= 0:
+        return _pair_arrays([], [])
+    return w.space.scale_pairs(w, r)
 
 
-def _pairs_grid(w: Window, r: int):
-    s = w.space
-    n = len(w.points)
-    coords = np.array(w.points, dtype=np.int64)
-    if s.ball_size(w.points[0], r) > max(64, 4 * n):
-        return _pairs_dense_coords(w, r)
-    mins = coords.min(axis=0)
-    spans = coords.max(axis=0) - mins + 2 * r + 1
-    strides = np.ones(s.dim, dtype=np.int64)
-    for i in range(s.dim - 2, -1, -1):
-        strides[i] = strides[i + 1] * spans[i + 1]
-    codes = (coords - mins + r) @ strides
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    offsets = [
-        o
-        for o in s.ball_points((0,) * s.dim, r)
-        if any(c != 0 for c in o) and o > (0,) * s.dim
-    ]
-    out_i, out_j = [], []
-    for o in offsets:
-        shift = np.asarray(o, dtype=np.int64) @ strides
-        targets = codes + shift
-        pos = np.searchsorted(sorted_codes, targets)
-        pos_c = np.clip(pos, 0, n - 1)
-        hit = sorted_codes[pos_c] == targets
-        src = np.nonzero(hit)[0]
-        dst = order[pos_c[hit]]
-        out_i.append(np.minimum(src, dst))
-        out_j.append(np.maximum(src, dst))
+def _pair_arrays(out_i: list, out_j: list):
     if not out_i:
         return (np.empty(0, dtype=np.int64),) * 2
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def _pairs_dense_coords(w: Window, r: int):
-    if isinstance(w.space, GridSpace) and len(w.points) > _ALL_PAIRS_GUARD:
-        return _pairs_bruteforce(w, r)
-    D = pairwise_dist(w.space, w.points, w.points)
-    ii, jj = np.nonzero(np.triu(D <= r, k=1))
-    return ii.astype(np.int64), jj.astype(np.int64)
-
-
-def _pairs_graph_power(w: Window, r: int):
-    # windows that are metric balls in tree-like graph spaces: window BFS
-    # distance equals ambient distance, so boolean powers of the unit
-    # adjacency enumerate the <= r relation exactly
-    s = w.space
-    n = len(w.points)
-    rows, cols = [], []
-    for i, p in enumerate(w.points):
-        for q in s.neighbors(p):
-            j = w._index.get(q)
-            if j is not None and j != i:
-                rows.append(i)
-                cols.append(j)
-    A = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    M = (A + sparse.identity(n, dtype=np.int8, format="csr")).astype(bool)
-    P = M
-    for _ in range(r - 1):
-        P = (P @ M).astype(bool)
-    coo = sparse.triu(P, k=1).tocoo()
-    return coo.row.astype(np.int64), coo.col.astype(np.int64)
-
-
-def _pairs_point_balls(w: Window, r: int):
-    s = w.space
-    out_i, out_j = [], []
-    for i, p in enumerate(w.points):
-        for q in s.ball_points(p, r):
-            j = w._index.get(q)
-            if j is not None and j > i:
-                out_i.append(i)
-                out_j.append(j)
-    return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
-
-
-def _pairs_disjoint(w: Window, r: int):
-    s = w.space
-    by_block: dict[int, list[int]] = {}
-    for i, (k, _) in enumerate(w.points):
-        by_block.setdefault(k, []).append(i)
-    out_i, out_j = [], []
-    for k, idxs in by_block.items():
-        sub = Window(s.blocks[k], [w.points[i][1] for i in idxs])
-        # window indices follow the same canonical order as the sub-window
-        back = sorted(idxs, key=lambda i: s.blocks[k].canonical_key(w.points[i][1]))
-        si, sj = scale_pairs(sub, r)
-        for a, b in zip(si, sj):
-            out_i.append(back[a])
-            out_j.append(back[b])
-    blocks = sorted(by_block)
-    for a_pos, k in enumerate(blocks):
-        for l in blocks[a_pos + 1:]:
-            if s.block_distance(k, l) <= r:
-                for i in by_block[k]:
-                    for j in by_block[l]:
-                        out_i.append(min(i, j))
-                        out_j.append(max(i, j))
-    return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
-
-
-def _pairs_product(w: Window, r: int):
-    # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
-    # when i != j; the window order groups points by base, then by level
-    s = w.space
-    bases = [b for b, _ in w.points]
-    first = [0] + [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
-    # the bases of a ball B_R((c, i)) form the base ball B_R(c)
-    center = w.ball_center[0] if w.is_ball else None
-    bw = Window(s.base, [bases[k] for k in first], center, w.ball_radius)
-    base_of = np.repeat(np.arange(len(first)), np.diff(first + [len(bases)]))
-    levels, lvl_of = np.unique([l for _, l in w.points], return_inverse=True)
-    pos = np.full((len(first), len(levels)), -1, dtype=np.int64)
-    pos[base_of, lvl_of] = np.arange(len(bases))
-    same, near = scale_pairs(bw, r), scale_pairs(bw, r - 1)
-    everyone = (np.arange(len(first)),) * 2
-    out_i, out_j = [], []
-    for l in range(len(levels)):
-        for m in range(len(levels)):
-            if l == m:
-                blocks = [same]
-            else:  # equal bases across levels: each level pair once
-                blocks = [near, everyone] if l < m else [near]
-            for P, Q in blocks:
-                a, b = pos[P, l], pos[Q, m]
-                keep = (a >= 0) & (b >= 0)
-                out_i.append(np.minimum(a[keep], b[keep]))
-                out_j.append(np.maximum(a[keep], b[keep]))
-    return np.concatenate(out_i), np.concatenate(out_j)
+    return np.concatenate(out_i).astype(np.int64), np.concatenate(out_j).astype(np.int64)
 
 
 def _pairs_bruteforce(w: Window, r: int):
+    """The test oracle for :func:`scale_pairs`: one ``dist`` call per pair."""
     s = w.space
     pts = w.points
     out_i, out_j = [], []
@@ -1070,36 +1103,5 @@ def verify_metric(w: Window, cap: int = 300) -> dict:
 
 
 def window_diameter(w: Window) -> int:
-    """Exact diameter of a window, with fast paths per kind."""
-    return set_diameter(w.space, w.points)
-
-
-def set_diameter(space: Space, pts: Sequence) -> int:
-    """Exact diameter of a finite point set under the ambient metric."""
-    pts = list(pts)
-    if len(pts) <= 1:
-        return 0
-    if isinstance(space, GridSpace):
-        coords = np.array(pts, dtype=np.int64)
-        best = 0
-        # l1 diameter via signed coordinate sums (l1 = rotated l-infinity)
-        for signs in itertools.product((1, -1), repeat=space.dim - 1):
-            proj = coords[:, 0] + sum(
-                s * coords[:, i + 1] for i, s in enumerate(signs)
-            )
-            best = max(best, int(proj.max() - proj.min()))
-        return best
-    if isinstance(space, PointLineSpace):
-        return max(pts) - min(pts)
-    if isinstance(space, (FreeGroupSpace, TreeSpace)):
-        # double sweep is exact for tree metrics
-        a = max(pts, key=lambda q: space.dist(pts[0], q))
-        b = max(pts, key=lambda q: space.dist(a, q))
-        return space.dist(a, b)
-    best = 0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = space.dist(p, q)
-            if d > best:
-                best = d
-    return best
+    """Exact diameter of a window."""
+    return w.space.diameter(w.points)

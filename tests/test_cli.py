@@ -343,3 +343,28 @@ def test_op_exact_product_raises_before_leaving_int64(specs, tmp_path):
     res = run([*base, "--a", a, "--b", b])
     assert res.exit_code == 0
     assert res.payload["entries"] == [[[0], [0], float(2**62), 0.0]]
+
+
+# -- malformed input raises MalformedSpec at the boundary ----------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["folner", "--space", "{z}", "--r", "1", "--eps", "abc"],
+    ["folner", "--space", "{z}", "--r", "1", "--eps", "1/10", "--budget", "balls:x"],
+    ["components", "--space", "{z}", "--r", "1", "--window-radius", "3", "--center", "[0"],
+    ["asdim", "witness", "--construction", "tree", "--space", "{fg2}", "--window-radius", "3",
+     "--r", "1", "--root", '"a'],
+    ["verify", "--file", "{nospace}"],
+    ["verify", "--file", "{list}"],
+    ["classify", "--space", "{z}", "--window-radius", "3", "--map", "{nopairs}",
+     "--target-space", "{z}"],
+], ids=["eps_not_a_number", "budget_not_a_number", "center_not_json", "root_not_json",
+        "payload_without_space", "payload_is_a_list", "map_without_pairs"])
+def test_malformed_input_exits_3(specs, tmp_path, argv):
+    files = dict(specs, list=_op_file(tmp_path, "list.json", [1, 2]),
+                 nopairs=_op_file(tmp_path, "map.json", {"pair": []}),
+                 nospace=_op_file(tmp_path, "nospace.json", {
+                     "schema": "coarsekit/1", "kind": "colored_cover",
+                     "window": {"ball": {"center": [0], "radius": 3}}, "r": 1, "bound": 1,
+                     "colors": []}))
+    res = run([a.format(**files) for a in argv])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import coarsekit as ck
 from coarsekit import spaces
+from coarsekit.errors import EnumerationOverflow
 from coarsekit.spaces import _pairs_bruteforce, pairwise_dist
 
 
@@ -129,3 +130,83 @@ def test_witness_and_verifier_enumerate_pairs_once(monkeypatch):
     cover = ck.witness_tree(T3, 0, 2, w)
     assert ck.verify_decomposition(cover).passed
     assert calls == [2]
+
+
+def _refuse(w, r):
+    raise AssertionError("brute-force pair enumeration")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_kind_falls_back_to_bruteforce(kind, monkeypatch):
+    monkeypatch.setattr(spaces, "_pairs_bruteforce", _refuse)
+    for as_ball in (True, False):
+        w = _window(kind, 0, as_ball)
+        for r in (1, 2, 3):
+            w.scale_graph(r)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**31 - 1), as_ball=st.booleans())
+def test_diameter_matches_largest_distance(kind, seed, as_ball):
+    w = _window(kind, seed, as_ball)
+    pts = list(w.points)
+    D = [[w.space.dist(p, q) for q in pts] for p in pts]
+    assert ck.window_diameter(w) == max(map(max, D), default=0)
+    half = len(pts) // 2
+    assert w.space.diameter(pts[:half]) == max((max(row[:half]) for row in D[:half]), default=0)
+    assert w.space.diameter(pts[:1]) == 0
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**31 - 1))
+def test_disjoint_union_block_runs_match_bruteforce(seed):
+    """Many blocks, whole blocks missing from the window, blocks wider than r,
+    and radii that span several gaps."""
+    rng = np.random.RandomState(seed)
+    n_blocks = int(rng.randint(50, 70))
+    blocks = [
+        {"kind": "point_line",
+         "coords": sorted(rng.choice(12, size=int(rng.randint(1, 5)), replace=False).tolist())}
+        if rng.rand() < 0.5 else _custom_spec(rng, int(rng.randint(1, 4)), f"b{k}_")
+        for k in range(n_blocks)
+    ]
+    space = ck.make_space({"kind": "disjoint_union", "blocks": blocks,
+                           "gaps": rng.randint(1, 4, size=n_blocks - 1).tolist()})
+    kept = rng.rand(n_blocks) < 0.7
+    w = ck.Window(space, [p for p in space.all_points() if kept[p[0]] and rng.rand() < 0.8])
+    assert max(space.diams) > 2 and not kept.all()
+    for r in (1, 2, 5, 12, 30, 60):
+        ii, jj = ck.scale_pairs(w, r)
+        bi, bj = _pairs_bruteforce(w, r)
+        assert sorted(zip(ii.tolist(), jj.tolist())) == list(zip(bi.tolist(), bj.tolist()))
+
+
+def test_growth_profile_on_trees_and_products_over_them():
+    T3 = ck.make_space({"kind": "tree", "branching": 3})
+    prod = ck.make_space({"kind": "product_finite", "base": {"kind": "tree", "branching": 3},
+                          "n": 3})
+    path = ck.make_space({"kind": "tree", "edges": [[k, k + 1] for k in range(9)]})
+    for space, x in ((T3, 5), (prod, (5, 2)), (path, 3)):
+        sizes = list(ck.growth_profile(space, x, 6).sizes)
+        assert sizes == [len(space.ball_points(space.normalize(x), n)) for n in range(7)]
+        assert list(ck.growth_profile(space, x, 6, cap=sizes[-1]).sizes) == sizes
+        with pytest.raises(EnumerationOverflow):
+            ck.growth_profile(space, x, 6, cap=sizes[-1] - 1)
+    assert ck.growth_profile(T3, 0, 6).tag == "exponential-like"
+    assert ck.growth_profile(path, 0, 6).sizes == (1, 2, 3, 4, 5, 6, 7)
+
+
+def test_tree_balls_stop_enumerating_at_cap(monkeypatch):
+    T3 = ck.make_space({"kind": "tree", "branching": 3})
+    calls = []
+    real = T3.neighbors
+    monkeypatch.setattr(T3, "neighbors", lambda x: calls.append(x) or real(x))
+    for enumerate_ball in (lambda: T3.ball_points(0, 10, cap=1000),
+                           lambda: ck.growth_profile(T3, 0, 10, cap=1000)):
+        calls.clear()
+        with pytest.raises(EnumerationOverflow):
+            enumerate_ball()
+        # each expanded vertex adds 3 children, so about cap / 3 expansions;
+        # the whole radius-10 ball has 88,573 vertices
+        assert len(calls) <= 1000

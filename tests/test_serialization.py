@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 import coarsekit as ck
 from coarsekit import serialization as ser
+from coarsekit.errors import MalformedSpec
 from coarsekit.operators import make_operator
 
 Z = ck.make_space({"kind": "grid", "dim": 1})
@@ -76,3 +79,11 @@ def test_paradox_payload_detects_tampering():
 def test_canonical_dumps_is_stable():
     payload = {"b": 1, "a": {"z": [3, 2], "y": None}}
     assert ser.canonical_dumps(payload) == ser.canonical_dumps(json.loads(ser.canonical_dumps(payload)))
+
+
+def test_operator_payload_entries_must_be_a_list():
+    payload = ser.operator_to_payload(make_operator(ck.ball(Z, (0,), 2), {((0,), (0,)): 1}))
+    for entries in ({"[0]": 1}, None):
+        payload["entries"] = entries
+        with pytest.raises(MalformedSpec, match="'entries' list"):
+            ser.operator_from_payload(payload)
