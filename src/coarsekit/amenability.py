@@ -10,7 +10,7 @@ transports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -116,19 +116,25 @@ class ParadoxicalDecomposition:
 
 def paradox_from_pairs(space, displacement, plus, minus, t_plus_pairs, t_minus_pairs, tag=""):
     """Window-materialized decomposition from explicit sets and pair lists."""
-    plus = frozenset(space.normalize(p) for p in plus)
-    minus = frozenset(space.normalize(p) for p in minus)
+    norm = space.normalize
+    t_plus = {norm(a): norm(b) for a, b in t_plus_pairs}
+    t_minus = {norm(a): norm(b) for a, b in t_minus_pairs}
+    return paradox_from_sets(space, displacement, frozenset(map(norm, plus)),
+                             frozenset(map(norm, minus)), t_plus, t_minus, tag)
+
+
+def paradox_from_sets(space, displacement, plus: frozenset, minus: frozenset,
+                      t_plus: dict, t_minus: dict, tag=""):
+    """Window-materialized decomposition from sets and maps of canonical points."""
     carrier = plus | minus
-    mp = {space.normalize(a): space.normalize(b) for a, b in t_plus_pairs}
-    mm = {space.normalize(a): space.normalize(b) for a, b in t_minus_pairs}
     return ParadoxicalDecomposition(
         space=space,
         displacement=displacement,
         in_carrier=lambda x: x in carrier,
         in_plus=lambda x: x in plus,
         in_minus=lambda x: x in minus,
-        t_plus=mp.get,
-        t_minus=mm.get,
+        t_plus=t_plus.get,
+        t_minus=t_minus.get,
         tag=tag,
     )
 
@@ -212,18 +218,7 @@ class ParadoxReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "partition_ok": self.partition_ok,
-            "injective_ok": self.injective_ok,
-            "image_ok": self.image_ok,
-            "displacement_ok": self.displacement_ok,
-            "displacement": self.displacement,
-            "disjoint_images_ok": self.disjoint_images_ok,
-            "interior_defined_ok": self.interior_defined_ok,
-            "interior_surjective_ok": self.interior_surjective_ok,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:

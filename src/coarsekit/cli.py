@@ -281,13 +281,10 @@ def _cmd_folner(args):
     budget = amenability.FolnerBudget.parse(args.budget)
     report = amenability.folner_search_report(space, args.r, args.eps, budget)
     if report.certificate is None:
-        payload = {
-            "schema": serialization.SCHEMA,
-            "kind": "folner_search_empty",
-            "space": space.to_spec(),
+        payload = serialization.envelope("folner_search_empty", space, None, {
             "best_ratio": str(report.best_ratio) if report.best_ratio is not None else None,
             "candidates_tested": report.candidates_tested,
-        }
+        })
         return CommandResult("infeasible", payload, "no certificate within budget")
     payload = serialization.folner_to_payload(report.certificate)
     payload["candidates_tested"] = report.candidates_tested
@@ -320,17 +317,12 @@ def _cmd_matching(args):
         payload = serialization.doubling_to_payload(outcome.doubling)
         payload["flow_value"] = outcome.flow_value
         return CommandResult("pass", payload, f"doubling with flow {outcome.flow_value}")
-    enc = space.point_to_json
-    payload = {
-        "schema": serialization.SCHEMA,
-        "kind": "matching_cut",
-        "space": space.to_spec(),
-        "window": w.to_json(),
+    payload = serialization.envelope("matching_cut", space, w, {
         "r": args.r,
-        "cut": [enc(p) for p in outcome.cut],
+        "cut": [space.point_to_json(p) for p in outcome.cut],
         "cut_neighborhood_size": outcome.cut_neighborhood_size,
         "flow_value": outcome.flow_value,
-    }
+    })
     return CommandResult(
         "infeasible",
         payload,

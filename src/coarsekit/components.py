@@ -8,7 +8,7 @@ dimension zero; growing classes feed the segment extraction below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,16 +134,7 @@ class SegmentConditionReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "steps_ok": self.steps_ok,
-            "anchored_ok": self.anchored_ok,
-            "lengths_ok": self.lengths_ok,
-            "separation_positive": self.separation_positive,
-            "separation_monotone": self.separation_monotone,
-            "separations": self.separations,
-            "first_violation": self.first_violation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
@@ -170,10 +161,11 @@ def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
                 break
         anchored_ok.append(ok_a)
     lens = fam.lengths
-    lengths_ok = all(a < b for a, b in zip(lens, lens[1:]))
+    # lengths rise strictly from 0, so neither the family nor a segment is empty
+    lengths_ok = bool(lens) and all(a < b for a, b in zip((0, *lens), lens))
     if not lengths_ok and violation is None:
         violation = {"condition": "lengths"}
-    seps = fam.separations()
+    seps = fam.separations() if all(lens) else []
     sep_pos = all(d > 0 for d in seps)
     sep_mono = all(a <= b for a, b in zip(seps, seps[1:]))
     if not (sep_pos and sep_mono) and violation is None:

@@ -9,7 +9,7 @@ verifier and a greedy search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,13 +60,7 @@ class CoverReport:
         return self.partition_ok and self.separation_ok and self.bound_ok
 
     def to_json(self) -> dict:
-        return {
-            "partition_ok": self.partition_ok,
-            "separation_ok": self.separation_ok,
-            "bound_ok": self.bound_ok,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_decomposition(cover: ColoredCover) -> CoverReport:

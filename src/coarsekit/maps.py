@@ -3,7 +3,7 @@ injectivity nets, and c-nets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil
 from typing import Optional
 
@@ -63,9 +63,6 @@ class ExpansionEnvelopes:
     def t_max(self) -> int:
         return len(self.rho_plus) - 1
 
-    def to_json(self) -> dict:
-        return {"rho_plus": list(self.rho_plus), "rho_minus": list(self.rho_minus)}
-
 
 def expansion_envelopes(f: CoarseMap) -> ExpansionEnvelopes:
     pts = f.source.points
@@ -105,17 +102,7 @@ class MapClassification:
     lipschitz_constant: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "uniformly_expansive": self.uniformly_expansive,
-            "envelopes": self.envelopes.to_json(),
-            "injective": self.injective,
-            "embedding_evidence": self.embedding_evidence,
-            "embedding_threshold": self.embedding_threshold,
-            "equivalence": self.equivalence,
-            "equivalence_c": self.equivalence_c,
-            "bi_lipschitz": self.bi_lipschitz,
-            "lipschitz_constant": self.lipschitz_constant,
-        }
+        return asdict(self)
 
 
 def classify(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -282,14 +282,7 @@ class ProperInfiniteReport:
         return self.xx_eq_p and self.yy_eq_p and self.psd_ok and self.orthogonal_ranges
 
     def to_json(self) -> dict:
-        return {
-            "xx_eq_p": self.xx_eq_p,
-            "yy_eq_p": self.yy_eq_p,
-            "psd_ok": self.psd_ok,
-            "orthogonal_ranges": self.orthogonal_ranges,
-            "psd_method": self.psd_method,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_properly_infinite(
@@ -512,14 +505,7 @@ class QuasiReport:
         return self.prop_ok and all(v <= self.epsilon for v in self.deviations.values())
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "deviations": self.deviations,
-            "propagation": self.propagation,
-            "prop_ok": self.prop_ok,
-            "epsilon": self.epsilon,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def quasi_check(a: BandedOperator, kind: str, r: int, eps: float = 0.125) -> QuasiReport:
@@ -596,13 +582,7 @@ class OmegaMembershipReport:
         return self.support_ok and (self.prop_ok is not False)
 
     def to_json(self) -> dict:
-        return {
-            "part": self.part,
-            "support_ok": self.support_ok,
-            "prop_ok": self.prop_ok,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def omega_membership(

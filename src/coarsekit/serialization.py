@@ -2,7 +2,8 @@
 
 Payloads are tagged {"schema": "coarsekit/1", "kind": ...} and embed the space
 spec and window so that any serialized object re-verifies standalone.
-Serialization is canonical: fixed key order, fixed separators.
+Serialization is canonical: fixed key order, fixed separators.  ``FIELDS``
+is the format, and every reader reads it through :func:`read_payload`.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from fractions import Fraction
 from .amenability import (
     FolnerCertificate,
     WindowedDoubling,
-    paradox_from_pairs,
+    neighborhood_points,
+    paradox_from_sets,
     verify_doubling,
     verify_folner,
     verify_paradox,
 )
 from .components import SegmentFamily, components_at_scale, verify_segments
 from .covers import ColoredCover, verify_decomposition
-from .errors import MalformedSpec
+from .errors import MalformedSpec, SegmentOutsideWindow
 from .operators import BandedOperator, make_operator
-from .spaces import Space, Window, make_space, window_from_json
+from .spaces import Space, Window, is_nat, make_space, window_from_json
 
 SCHEMA = "coarsekit/1"
 
@@ -39,15 +41,6 @@ def payload_field(data, key: str, kind: type = object, need: str | None = None):
     return data[key]
 
 
-def _space(data) -> Space:
-    return make_space(payload_field(data, "space"))
-
-
-def _space_window(data) -> tuple[Space, Window]:
-    space = _space(data)
-    return space, window_from_json(space, payload_field(data, "window"))
-
-
 def envelope(kind: str, space: Space, window: Window | None, body: dict) -> dict:
     out = {"schema": SCHEMA, "kind": kind, "space": space.to_spec()}
     if window is not None:
@@ -56,19 +49,112 @@ def envelope(kind: str, space: Space, window: Window | None, body: dict) -> dict
     return out
 
 
-# -- builders ---------------------------------------------------------------
+# -- the payload format -----------------------------------------------------
+# A normaliser maps (space, JSON value, or None if absent) to the checked value,
+# normalising each point once; a point the space rejects raises its own error.
+
+class _Mistyped(MalformedSpec):
+    """A normaliser's verdict on a value of the wrong JSON type: what it wants."""
+
+
+def _nat(space, v) -> int:
+    if not is_nat(v):
+        raise _Mistyped("int >= 0")
+    return v
+
+
+def _rational(space, v) -> Fraction:
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _Mistyped("rational string such as '1/10'")
+
+
+def _list(space, v) -> list:
+    if not isinstance(v, list):
+        raise _Mistyped("list")
+    return v
+
+
+def _nested(depth: int, noun: str):
+    """The normaliser of points nested in ``depth`` levels of lists, as tuples."""
+    def read(space, v, depth=depth):
+        if not isinstance(v, list):
+            raise _Mistyped(noun)
+        if depth == 1:
+            return tuple(map(space.normalize, v))
+        return tuple(read(space, x, depth - 1) for x in v)
+    return read
+
+
+def _point_map(space, v) -> dict:
+    """[[a, b], ...] as {a: b}."""
+    if not (isinstance(v, list) and all(isinstance(ab, list) and len(ab) == 2 for ab in v)):
+        raise _Mistyped("list of [a, b] point pairs")
+    norm = space.normalize
+    return {norm(a): norm(b) for a, b in v}
+
+
+def _window(space, v) -> Window:
+    if v is None:
+        raise _Mistyped("window spec")
+    return window_from_json(space, v)
+
+
+def _budget(space, v) -> Window | None:
+    return None if v is None else window_from_json(space, v)
+
+
+_POINTS = _nested(1, "list of points")
+_POINT_LISTS = _nested(2, "list of point lists")
+
+# Per kind, the fields its reader reads besides "schema", "kind", "space" and
+# paradox_window's optional "tag".  What a payload carries beyond these (folner
+# "ratio", paradox "carrier", the CLI's "verification", "flow_value" and
+# "candidates_tested") is derived from them and never read back.
+FIELDS = {
+    "colored_cover": {
+        "window": _window, "r": _nat, "bound": _nat,
+        "colors": _nested(3, "list of colors, each a list of point lists"),
+    },
+    "scale_partition": {"window": _window, "r": _nat, "classes": _POINT_LISTS},
+    "segment_family": {"window": _budget, "r": _nat, "segments": _POINT_LISTS},
+    "folner_certificate": {"F": _POINTS, "r": _nat, "eps": _rational, "neighborhood_size": _nat},
+    "windowed_doubling": {
+        "window": _window, "r": _nat, "interior": _POINTS, "u_plus": _point_map, "u_minus": _point_map,
+    },
+    "paradox_window": {
+        "window": _window, "displacement": _nat, "plus": _POINTS, "minus": _POINTS,
+        "t_plus": _point_map, "t_minus": _point_map,
+    },
+    "matching_cut": {"window": _window, "r": _nat, "cut": _POINTS, "cut_neighborhood_size": _nat},
+    "banded_operator": {"window": _window, "entries": _list},
+}
+
+
+def read_payload(data, kind: str) -> tuple[Space, dict]:
+    """The space of a payload of the given kind, and its FIELDS normalised.  A
+    missing or mistyped field raises MalformedSpec naming the kind and field."""
+    space = make_space(payload_field(data, "space"))
+    fields = {}
+    for name, read in FIELDS[kind].items():
+        try:
+            fields[name] = read(space, data.get(name))
+        except _Mistyped as exc:
+            raise MalformedSpec(f"a {kind} payload needs a {name!r} {exc}") from None
+    return space, fields
+
+
+# -- builders and readers ---------------------------------------------------
 
 def cover_to_payload(cover: ColoredCover) -> dict:
     return envelope("colored_cover", cover.window.space, cover.window, cover.to_json())
 
 
 def cover_from_payload(data: dict) -> ColoredCover:
-    space, w = _space_window(data)
-    colors = tuple(
-        tuple(tuple(space.normalize(p) for p in piece) for piece in fam)
-        for fam in data["colors"]
-    )
-    return ColoredCover(w, data["r"], data["bound"], colors)
+    return ColoredCover(**read_payload(data, "colored_cover")[1])
 
 
 def partition_to_payload(part) -> dict:
@@ -80,11 +166,13 @@ def segments_to_payload(fam: SegmentFamily, budget: Window | None = None) -> dic
 
 
 def segments_from_payload(data: dict) -> SegmentFamily:
-    space = _space(data)
-    segs = tuple(
-        tuple(space.normalize(p) for p in seg) for seg in data["segments"]
-    )
-    return SegmentFamily(space, data["r"], segs)
+    """The family; a point outside the payload's budget window raises SegmentOutsideWindow."""
+    space, f = read_payload(data, "segment_family")
+    w = f["window"]
+    outside = [] if w is None else [p for s in f["segments"] for p in s if p not in w]
+    if outside:
+        raise SegmentOutsideWindow(f"segment point {outside[0]!r} is outside the budget window")
+    return SegmentFamily(space, f["r"], f["segments"])
 
 
 def folner_to_payload(cert: FolnerCertificate) -> dict:
@@ -92,14 +180,8 @@ def folner_to_payload(cert: FolnerCertificate) -> dict:
 
 
 def folner_from_payload(data: dict) -> FolnerCertificate:
-    space = _space(data)
-    return FolnerCertificate(
-        space,
-        tuple(space.normalize(p) for p in data["F"]),
-        data["r"],
-        Fraction(data["eps"]),
-        data["neighborhood_size"],
-    )
+    space, f = read_payload(data, "folner_certificate")
+    return FolnerCertificate(space, **f)
 
 
 def doubling_to_payload(d: WindowedDoubling) -> dict:
@@ -107,15 +189,7 @@ def doubling_to_payload(d: WindowedDoubling) -> dict:
 
 
 def doubling_from_payload(data: dict) -> WindowedDoubling:
-    space, w = _space_window(data)
-    norm = space.normalize
-    return WindowedDoubling(
-        w,
-        data["r"],
-        tuple(norm(p) for p in data["interior"]),
-        {norm(a): norm(b) for a, b in data["u_plus"]},
-        {norm(a): norm(b) for a, b in data["u_minus"]},
-    )
+    return WindowedDoubling(**read_payload(data, "windowed_doubling")[1])
 
 
 def paradox_to_payload(p, w: Window) -> dict:
@@ -123,16 +197,14 @@ def paradox_to_payload(p, w: Window) -> dict:
 
 
 def paradox_from_payload(data: dict):
-    space = _space(data)
-    return paradox_from_pairs(
-        space,
-        data["displacement"],
-        data["plus"],
-        data["minus"],
-        data["t_plus"],
-        data["t_minus"],
-        tag=data.get("tag", ""),
-    )
+    return _paradox_and_window(data)[0]
+
+
+def _paradox_and_window(data: dict):
+    space, f = read_payload(data, "paradox_window")
+    p = paradox_from_sets(space, f["displacement"], frozenset(f["plus"]), frozenset(f["minus"]),
+                          f["t_plus"], f["t_minus"], data.get("tag", ""))
+    return p, f["window"]
 
 
 def operator_to_payload(a: BandedOperator) -> dict:
@@ -140,11 +212,50 @@ def operator_to_payload(a: BandedOperator) -> dict:
 
 
 def operator_from_payload(data: dict) -> BandedOperator:
-    _, w = _space_window(data)
-    return make_operator(w, payload_field(data, "entries", list, "an operator payload needs an 'entries' list"))
+    _, f = read_payload(data, "banded_operator")
+    return make_operator(f["window"], f["entries"])
 
 
 # -- re-verification --------------------------------------------------------
+
+def _verify_partition(data) -> tuple[bool, dict]:
+    _, f = read_payload(data, "scale_partition")
+    have = {frozenset(c) for c in components_at_scale(f["window"], f["r"]).classes}
+    ok = have == {frozenset(c) for c in f["classes"]}
+    return ok, {"matches_recomputation": ok}
+
+
+def _verify_matching_cut(data) -> tuple[bool, dict]:
+    space, f = read_payload(data, "matching_cut")
+    w, r, F = f["window"], f["r"], f["cut"]
+    in_interior = set(F) <= set(w.interior(r))
+    nbrs = {q for q in neighborhood_points(space, F, r) if q in w}
+    violating = len(nbrs) < 2 * len(F) if F else False
+    ok = in_interior and violating and len(nbrs) == f["cut_neighborhood_size"]
+    return ok, {
+        "cut_in_interior": in_interior,
+        "neighborhood_size": len(nbrs),
+        "violates_doubling": violating,
+    }
+
+
+def _result(report) -> tuple[bool, dict]:
+    if isinstance(report, dict):
+        return report["ok"], report
+    return report.passed, report.to_json()
+
+
+# payload -> (passed, report) per certificate kind; no other kind re-verifies
+VERIFIERS = {
+    "colored_cover": lambda data: _result(verify_decomposition(cover_from_payload(data))),
+    "scale_partition": _verify_partition,
+    "segment_family": lambda data: _result(verify_segments(segments_from_payload(data))),
+    "folner_certificate": lambda data: _result(verify_folner(folner_from_payload(data))),
+    "windowed_doubling": lambda data: _result(verify_doubling(doubling_from_payload(data))),
+    "paradox_window": lambda data: _result(verify_paradox(*_paradox_and_window(data))),
+    "matching_cut": _verify_matching_cut,
+}
+
 
 def verify_payload(data: dict) -> tuple[bool, dict]:
     """Re-check a serialized certificate from scratch.  Returns (passed, report)."""
@@ -153,43 +264,6 @@ def verify_payload(data: dict) -> tuple[bool, dict]:
     if data.get("schema") != SCHEMA:
         raise MalformedSpec(f"unknown schema {data.get('schema')!r}")
     kind = data.get("kind")
-    if kind == "colored_cover":
-        report = verify_decomposition(cover_from_payload(data))
-        return report.passed, report.to_json()
-    if kind == "scale_partition":
-        space, w = _space_window(data)
-        part = components_at_scale(w, data["r"])
-        want = {frozenset(space.normalize(p) for p in c) for c in data["classes"]}
-        have = {frozenset(c) for c in part.classes}
-        ok = want == have
-        return ok, {"matches_recomputation": ok}
-    if kind == "segment_family":
-        report = verify_segments(segments_from_payload(data))
-        return report.passed, report.to_json()
-    if kind == "folner_certificate":
-        report = verify_folner(folner_from_payload(data))
-        return report["ok"], report
-    if kind == "windowed_doubling":
-        report = verify_doubling(doubling_from_payload(data))
-        return report["ok"], report
-    if kind == "paradox_window":
-        _, w = _space_window(data)
-        report = verify_paradox(paradox_from_payload(data), w)
-        return report.passed, report.to_json()
-    if kind == "matching_cut":
-        space, w = _space_window(data)
-        r = data["r"]
-        F = [space.normalize(p) for p in data["cut"]]
-        interior = set(w.interior(r))
-        in_interior = all(p in interior for p in F)
-        nbrs = {
-            q for p in F for q in space.ball_points(p, r) if q in w
-        }
-        violating = len(nbrs) < 2 * len(F) if F else False
-        ok = in_interior and violating and len(nbrs) == data["cut_neighborhood_size"]
-        return ok, {
-            "cut_in_interior": in_interior,
-            "neighborhood_size": len(nbrs),
-            "violates_doubling": violating,
-        }
-    raise MalformedSpec(f"cannot verify payload of kind {kind!r}")
+    if not isinstance(kind, str) or kind not in VERIFIERS:
+        raise MalformedSpec(f"cannot verify payload of kind {kind!r}")
+    return VERIFIERS[kind](data)

@@ -1013,13 +1013,24 @@ def ball(space: Space, x, r: int, cap: int = BALL_CAP_DEFAULT) -> Window:
     return Window(space, pts, ball_center=x, ball_radius=r)
 
 
+def is_nat(v) -> bool:
+    """Whether a JSON value is an int >= 0 (a bool is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def window_from_json(space: Space, data: dict) -> Window:
+    """The window of a JSON spec, {"ball": {"center": x, "radius": r}} or
+    {"points": [...]}; a spec of any other shape raises MalformedSpec."""
+    if not isinstance(data, dict):
+        raise MalformedSpec(f"a window spec is a JSON object, got {type(data).__name__}")
     if "ball" in data:
         b = data["ball"]
+        if not (isinstance(b, dict) and "center" in b and is_nat(b.get("radius"))):
+            raise MalformedSpec(f"a ball window needs a 'center' and an int 'radius' >= 0, got {b!r}")
         return ball(space, b["center"], b["radius"])
-    if "points" in data:
+    if isinstance(data.get("points"), list):
         return Window(space, data["points"])
-    raise MalformedSpec(f"window spec needs 'ball' or 'points', got {data!r}")
+    raise MalformedSpec(f"window spec needs 'ball' or a 'points' list, got {data!r}")
 
 
 def dist(space: Space, x, y) -> int:

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+import coarsekit as ck
 from coarsekit import serialization
 from coarsekit.cli import run
+
+Z = ck.make_space({"kind": "grid", "dim": 1})
 
 
 @pytest.fixture
@@ -347,6 +350,15 @@ def test_op_exact_product_raises_before_leaving_int64(specs, tmp_path):
 
 # -- malformed input raises MalformedSpec at the boundary ----------------------------
 
+BAD_WINDOWS = {
+    "ball_without_radius": {"ball": {"center": [0]}},
+    "radius_a_string": {"ball": {"center": [0], "radius": "3"}},
+    "radius_a_bool": {"ball": {"center": [0], "radius": True}},
+    "radius_negative": {"ball": {"center": [0], "radius": -1}},
+    "points_not_a_list": {"points": 5},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["folner", "--space", "{z}", "--r", "1", "--eps", "abc"],
     ["folner", "--space", "{z}", "--r", "1", "--eps", "1/10", "--budget", "balls:x"],
@@ -357,10 +369,13 @@ def test_op_exact_product_raises_before_leaving_int64(specs, tmp_path):
     ["verify", "--file", "{list}"],
     ["classify", "--space", "{z}", "--window-radius", "3", "--map", "{nopairs}",
      "--target-space", "{z}"],
+    *(["components", "--space", "{z}", "--r", "1", "--window-file", "{%s}" % name]
+      for name in BAD_WINDOWS),
 ], ids=["eps_not_a_number", "budget_not_a_number", "center_not_json", "root_not_json",
-        "payload_without_space", "payload_is_a_list", "map_without_pairs"])
+        "payload_without_space", "payload_is_a_list", "map_without_pairs", *BAD_WINDOWS])
 def test_malformed_input_exits_3(specs, tmp_path, argv):
     files = dict(specs, list=_op_file(tmp_path, "list.json", [1, 2]),
+                 **{name: _op_file(tmp_path, f"{name}.json", w) for name, w in BAD_WINDOWS.items()},
                  nopairs=_op_file(tmp_path, "map.json", {"pair": []}),
                  nospace=_op_file(tmp_path, "nospace.json", {
                      "schema": "coarsekit/1", "kind": "colored_cover",
@@ -368,3 +383,34 @@ def test_malformed_input_exits_3(specs, tmp_path, argv):
                      "colors": []}))
     res = run([a.format(**files) for a in argv])
     assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+
+
+# -- verify refuses degenerate and mistyped certificates ------------------------------
+
+def _segments_payload(**changes):
+    fam = ck.extract_segments(Z, 1, 3, ck.ball(Z, (0,), 40))
+    return dict(serialization.segments_to_payload(fam, ck.ball(Z, (0,), 40)), **changes)
+
+
+def _cover_payload(**changes):
+    cover = ck.witness_line(1, ck.ball(Z, (0,), 10))
+    return dict(serialization.cover_to_payload(cover), **changes)
+
+
+def _folner_payload(**changes):
+    cert = ck.folner_search_report(Z, 1, "1/2").certificate
+    return dict(serialization.folner_to_payload(cert), **changes)
+
+
+@pytest.mark.parametrize("payload, code, error", [
+    (lambda: _segments_payload(segments=[]), 1, None),
+    (lambda: _segments_payload(window={"ball": {"center": [0], "radius": 2}}), 3, "SegmentOutsideWindow"),
+    (lambda: _cover_payload(r=True), 3, "MalformedSpec"),
+    (lambda: _cover_payload(r=-1), 3, "MalformedSpec"),
+    (lambda: _folner_payload(eps=1.5), 3, "MalformedSpec"),
+], ids=["empty_segment_family", "segments_outside_budget", "r_a_bool", "r_negative", "eps_a_float"])
+def test_verify_refuses_degenerate_certificates(tmp_path, payload, code, error):
+    path = _op_file(tmp_path, "cert.json", payload())
+    res = run(["verify", "--file", path])
+    assert res.exit_code == code
+    assert res.payload.get("error") == error
