@@ -371,10 +371,7 @@ def transport_paradox(
 
 def neighborhood_points(space: Space, F, r: int) -> set:
     """The ambient r-neighborhood {x : d(x, F) <= r} as a point set."""
-    out = set()
-    for p in F:
-        out.update(space.ball_points(p, r))
-    return out
+    return space.neighborhood(F, r)
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,7 @@ class FolnerCertificate:
 
 def verify_folner(cert: FolnerCertificate) -> dict:
     """Recompute |N_r(F)| from F alone and re-check the ratio bound."""
-    n = len(neighborhood_points(cert.space, cert.F, cert.r))
+    n = cert.space.neighborhood_size(cert.F, cert.r)
     if not cert.F:
         return {"recomputed": n, "declared": cert.neighborhood_size, "ok": False,
                 "reason": "empty_F"}
@@ -447,7 +444,7 @@ class FolnerSearchReport:
 
 
 def _ratio_of(space, F, r) -> Fraction:
-    return Fraction(len(neighborhood_points(space, F, r)), len(F))
+    return Fraction(space.neighborhood_size(F, r), len(F))
 
 
 def folner_search_report(
@@ -480,14 +477,13 @@ def folner_search_report(
         if prev_pts is not None and len(F) == len(prev_pts):
             break  # space exhausted around the basepoint
         prev_pts = F
-        ratio = _ratio_of(space, F, r)
+        n = space.neighborhood_size(F, r)
+        ratio = Fraction(n, len(F))
         tested += 1
         if best is None or ratio < best:
             best, best_set = ratio, F
         if ratio <= bound:
-            cert = FolnerCertificate(
-                space, F, r, eps, len(neighborhood_points(space, F, r))
-            )
+            cert = FolnerCertificate(space, F, r, eps, n)
             break
 
     if cert is None and budget.local_rounds > 0 and best_set is not None:
@@ -517,14 +513,8 @@ def folner_search_report(
                     break
             if not improved:
                 break
-        if best is not None and best <= bound:
-            cert = FolnerCertificate(
-                space,
-                best_set,
-                r,
-                eps,
-                len(neighborhood_points(space, best_set, r)),
-            )
+        if best <= bound:  # best = |N_r(best_set)| / |best_set|
+            cert = FolnerCertificate(space, best_set, r, eps, int(best * len(best_set)))
     return FolnerSearchReport(cert, best, best_set, tested)
 
 
@@ -555,20 +545,18 @@ def _folner_exhaustive(space, r, eps, base, ball_radius) -> FolnerSearchReport:
     best_n, best_f, best_mask = None, None, None
     bound_num = (eps + 1).numerator
     bound_den = (eps + 1).denominator
-    cert_mask = None
+    cert_mask = cert_n = None
     for mask, nsize in enumerate(_subset_neighborhood_sizes(space, ground, r), 1):
         fsize = mask.bit_count()
         if best_n is None or nsize * best_f < best_n * fsize:
             best_n, best_f, best_mask = nsize, fsize, mask
         if cert_mask is None and nsize * bound_den <= bound_num * fsize:
-            cert_mask = mask
+            cert_mask, cert_n = mask, nsize
     best_set = tuple(ground[i] for i in range(m) if best_mask >> i & 1)
     cert = None
     if cert_mask is not None:
         F = tuple(ground[i] for i in range(m) if cert_mask >> i & 1)
-        cert = FolnerCertificate(
-            space, F, r, eps, len(neighborhood_points(space, F, r))
-        )
+        cert = FolnerCertificate(space, F, r, eps, cert_n)
     return FolnerSearchReport(cert, Fraction(best_n, best_f), best_set, total - 1)
 
 
@@ -615,7 +603,7 @@ def isoperimetric_profile(w: Window, r: int, mode: str = "greedy", size_cap: Opt
         remaining = [p for p in w.points[1:]]
         while remaining and len(F) < size_cap:
             scored = [
-                (len(neighborhood_points(space, F + [q], r)), space.canonical_key(q), q)
+                (space.neighborhood_size(F + [q], r), space.canonical_key(q), q)
                 for q in remaining
             ]
             _, _, q = min(scored)

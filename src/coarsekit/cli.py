@@ -317,15 +317,9 @@ def _cmd_matching(args):
         payload = serialization.doubling_to_payload(outcome.doubling)
         payload["flow_value"] = outcome.flow_value
         return CommandResult("pass", payload, f"doubling with flow {outcome.flow_value}")
-    payload = serialization.envelope("matching_cut", space, w, {
-        "r": args.r,
-        "cut": [space.point_to_json(p) for p in outcome.cut],
-        "cut_neighborhood_size": outcome.cut_neighborhood_size,
-        "flow_value": outcome.flow_value,
-    })
     return CommandResult(
         "infeasible",
-        payload,
+        serialization.matching_cut_to_payload(w, args.r, outcome),
         f"infeasible: |N({len(outcome.cut)} pts)| = {outcome.cut_neighborhood_size} < {2 * len(outcome.cut)}",
     )
 

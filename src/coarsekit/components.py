@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import MalformedSpec, NoSegments
 from .spaces import Space, Window, pairwise_dist
@@ -175,41 +175,17 @@ def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
     )
 
 
-def _bfs_tree(space: Space, allowed: set, start, r: int):
-    """BFS within ``allowed``; unit steps when the space is graph-like,
-    r-ball steps otherwise.  Returns (order, parents)."""
-    parents = {start: None}
-    order = [start]
-    frontier = [start]
-    unit = space.graph_like
-    while frontier:
-        nxt = []
-        for p in frontier:
-            if unit:
-                cand = space.neighbors(p)
-            else:
-                cand = space.ball_points(p, r)
-            for q in sorted(
-                (q for q in cand if q in allowed and q not in parents),
-                key=space.canonical_key,
-            ):
-                parents[q] = p
-                order.append(q)
-                nxt.append(q)
-        frontier = nxt
-    return order, parents
-
-
-def _select_segment(space, r, start, path):
-    """First-entry selection along a chain whose steps are <= r: pick the
-    first point entering each anchored interval [i*r, (i+1)*r)."""
-    sel = [start]
-    nxt = 1
-    for p in path[1:]:
-        d = space.dist(start, p)
-        if d >= nxt * r:
-            sel.append(p)
-            nxt += 1
+def _select_segment(space, r, pts, path, d, need_m):
+    """First-entry selection along a chain of indices into pts whose steps are
+    <= r (d[k] is the distance from pts[path[0]] to pts[k]): pick the first
+    point entering each anchored interval [i*r, (i+1)*r), up to need_m points."""
+    sel = [path[0]]
+    for k in path[1:]:
+        if len(sel) == need_m:
+            break
+        if d[k] >= len(sel) * r:
+            sel.append(k)
+    sel = [pts[k] for k in sel]
     # a-posteriori step bound; trim at the first violation
     for i in range(len(sel) - 1):
         if space.dist(sel[i], sel[i + 1]) > 2 * r:
@@ -217,26 +193,40 @@ def _select_segment(space, r, start, path):
     return sel
 
 
-def _grow_from(space, r, allowed, start, need_m):
-    order, parents = _bfs_tree(space, allowed, start, r)
-    need = (need_m - 1) * r
-    # farthest reachable point in ambient distance, ties broken canonically
-    best, best_d = None, -1
-    for p in order:
-        d = space.dist(start, p)
-        if d > best_d or (d == best_d and space.canonical_key(p) < space.canonical_key(best)):
-            best, best_d = p, d
-    if best_d < need:
+def _grow_from(space, r, pts, steps, start, need_m):
+    """A segment of need_m points along a BFS tree of ``steps`` from start
+    towards its farthest point (ties broken canonically), or None."""
+    order, parents = breadth_first_order(steps, start, return_predecessors=True)
+    d = np.zeros(len(pts), dtype=np.int64)
+    d[order] = pairwise_dist(space, [pts[start]], [pts[i] for i in order])[0]
+    best_d = int(d[order].max())
+    if best_d < (need_m - 1) * r:
         return None
-    node = best
+    node = int(order[d[order] == best_d].min())
     path = []
-    while node is not None:
+    while node >= 0:
         path.append(node)
         node = parents[node]
-    path.reverse()
-    sel = _select_segment(space, r, start, path)
-    if len(sel) >= need_m:
-        return tuple(sel[:need_m])
+    sel = _select_segment(space, r, pts, path[::-1], d, need_m)
+    return tuple(sel) if len(sel) == need_m else None
+
+
+def _segment_in(space, r, pts, reach, steps, need_m):
+    """The first segment of need_m points grown in a ~_r class of pts, classes
+    in canonical order, from the class's first point, then its farthest."""
+    _, labels = connected_components(reach, directed=False)
+    _, firsts, sizes = np.unique(labels, return_index=True, return_counts=True)
+    for c in np.argsort(firsts):
+        if sizes[c] < need_m:
+            continue
+        members = np.flatnonzero(labels == c)
+        s0 = int(members[0])
+        d0 = pairwise_dist(space, [pts[s0]], [pts[i] for i in members])[0]
+        far = int(members[len(d0) - 1 - np.argmax(d0[::-1])])
+        for start in (s0, far) if far != s0 else (s0,):
+            seg = _grow_from(space, r, pts, steps, start, need_m)
+            if seg is not None:
+                return seg
     return None
 
 
@@ -255,35 +245,21 @@ def extract_segments(space: Space, r: int, count: int, budget: Window) -> Segmen
         raise MalformedSpec("scale must be >= 1")
     if budget.space is not space:
         raise MalformedSpec("budget window must live in the target space")
+    pts = budget.points
+    reach = budget.scale_graph(r)
+    steps = budget.scale_graph(1) if space.graph_like else reach  # graph-like BFS takes unit steps
+    keep = np.arange(len(pts))
     chosen: list[tuple] = []
     while len(chosen) < count:
-        n_sofar = len(chosen)
-        if n_sofar == 0:
-            remaining = list(budget.points)
-        else:
+        if chosen:
             fam = SegmentFamily(space, r, tuple(chosen))
-            seps = fam.separations()
-            radius = max(n_sofar, max(seps, default=0))
-            near = pairwise_dist(space, budget.points, fam.all_points()).min(axis=1)
-            remaining = [p for p, d in zip(budget.points, near.tolist()) if d > radius]
+            radius = max(len(chosen), max(fam.separations(), default=0))
+            near = pairwise_dist(space, pts, fam.all_points()).min(axis=1)
+            keep = np.flatnonzero(near > radius)
         need_m = (len(chosen[-1]) + 1) if chosen else 2
-        part = components_at_scale(budget.subwindow(remaining), r) if remaining else None
-        seg = None
-        if part is not None:
-            for cls in part.classes:
-                if len(cls) < need_m:
-                    continue
-                allowed = set(cls)
-                starts = [cls[0]]
-                far = max(cls, key=lambda q: (space.dist(cls[0], q), space.canonical_key(q)))
-                if far != cls[0]:
-                    starts.append(far)
-                for start in starts:
-                    seg = _grow_from(space, r, allowed, start, need_m)
-                    if seg is not None:
-                        break
-                if seg is not None:
-                    break
+        # the breadth-first search visits neighbours in the order of the row indices
+        seg = _segment_in(space, r, [pts[i] for i in keep], reach[keep][:, keep],
+                          steps[keep][:, keep].sorted_indices(), need_m)
         if seg is None:
             raise NoSegments(
                 f"after {len(chosen)} segments, no remaining chain class within the "

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .amenability import PartialTranslation
 from .components import SegmentFamily, components_at_scale
@@ -236,13 +237,42 @@ class NormEstimate:
 
 
 def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_000) -> NormEstimate:
-    n = len(a.window.points)
-    if a.matrix.nnz == 0:
-        return NormEstimate(0.0, True, 0, "trivial")
-    if n <= DENSE_NORM_LIMIT:
-        return NormEstimate(float(np.linalg.norm(a.to_dense(), 2)), True, 0, "dense")
+    """The largest block norm over the components of the support of A and A* taken
+    together: exact up to DENSE_NORM_LIMIT points (batched SVDs of blocks of one
+    size, 2^20 cells at a time), power iteration on B*B for each larger block B."""
     A = a.to_sparse()
+    if A.nnz == 0:
+        return NormEstimate(0.0, True, 0, "trivial")
+    _, labels = connected_components(A != 0, directed=False)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")  # component-major, window order inside
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    C = A.tocoo()
+    size_of = sizes[labels[C.row]]
+    best, power = 0.0, []
+    for s in np.unique(size_of):
+        hit = size_of == s
+        comps, slot = np.unique(labels[C.row[hit]], return_inverse=True)
+        if s > DENSE_NORM_LIMIT:
+            power += [_power_norm(A, np.flatnonzero(labels == c), tol, max_iter) for c in comps]
+            continue
+        rows, cols, vals = pos[C.row[hit]], pos[C.col[hit]], C.data[hit]
+        step = max(1, (1 << 20) // (s * s))  # blocks per SVD: at most 16 MB of cells
+        for lo in range(0, len(comps), step):
+            k = (slot >= lo) & (slot < lo + step)
+            B = np.zeros((min(step, len(comps) - lo), s, s), dtype=np.complex128)
+            B[slot[k] - lo, rows[k], cols[k]] = vals[k]
+            best = max(best, float(np.linalg.svd(B, compute_uv=False)[:, 0].max()))
+    return NormEstimate(max([best] + [e.value for e in power]), all(e.converged for e in power),
+                        max([0] + [e.iterations for e in power]), "power" if power else "dense")
+
+
+def _power_norm(A, idx, tol, max_iter) -> NormEstimate:
+    """Power iteration on B*B for the block B of A on the indices idx."""
+    A = A[idx][:, idx]
     AH = A.conj().T.tocsr()
+    n = len(idx)
     rng = np.random.RandomState(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .amenability import (
     FolnerCertificate,
+    MatchingOutcome,
     WindowedDoubling,
     neighborhood_points,
     paradox_from_sets,
@@ -111,9 +112,9 @@ _POINTS = _nested(1, "list of points")
 _POINT_LISTS = _nested(2, "list of point lists")
 
 # Per kind, the fields its reader reads besides "schema", "kind", "space" and
-# paradox_window's optional "tag".  What a payload carries beyond these (folner
-# "ratio", paradox "carrier", the CLI's "verification", "flow_value" and
-# "candidates_tested") is derived from them and never read back.
+# paradox_window's optional "tag"; verify checks the derived folner "ratio" and paradox
+# "carrier" against their recomputation.  The CLI's "verification", "flow_value"
+# and "candidates_tested" are derived too and never read back.
 FIELDS = {
     "colored_cover": {
         "window": _window, "r": _nat, "bound": _nat,
@@ -121,12 +122,13 @@ FIELDS = {
     },
     "scale_partition": {"window": _window, "r": _nat, "classes": _POINT_LISTS},
     "segment_family": {"window": _budget, "r": _nat, "segments": _POINT_LISTS},
-    "folner_certificate": {"F": _POINTS, "r": _nat, "eps": _rational, "neighborhood_size": _nat},
+    "folner_certificate": {"F": _POINTS, "r": _nat, "eps": _rational, "neighborhood_size": _nat,
+                           "ratio": _rational},
     "windowed_doubling": {
         "window": _window, "r": _nat, "interior": _POINTS, "u_plus": _point_map, "u_minus": _point_map,
     },
     "paradox_window": {
-        "window": _window, "displacement": _nat, "plus": _POINTS, "minus": _POINTS,
+        "window": _window, "displacement": _nat, "carrier": _list, "plus": _POINTS, "minus": _POINTS,
         "t_plus": _point_map, "t_minus": _point_map,
     },
     "matching_cut": {"window": _window, "r": _nat, "cut": _POINTS, "cut_neighborhood_size": _nat},
@@ -180,8 +182,13 @@ def folner_to_payload(cert: FolnerCertificate) -> dict:
 
 
 def folner_from_payload(data: dict) -> FolnerCertificate:
+    return _folner_and_ratio(data)[0]
+
+
+def _folner_and_ratio(data: dict):
     space, f = read_payload(data, "folner_certificate")
-    return FolnerCertificate(space, **f)
+    ratio = f.pop("ratio")
+    return FolnerCertificate(space, **f), ratio
 
 
 def doubling_to_payload(d: WindowedDoubling) -> dict:
@@ -204,7 +211,13 @@ def _paradox_and_window(data: dict):
     space, f = read_payload(data, "paradox_window")
     p = paradox_from_sets(space, f["displacement"], frozenset(f["plus"]), frozenset(f["minus"]),
                           f["t_plus"], f["t_minus"], data.get("tag", ""))
-    return p, f["window"]
+    return p, f["window"], f["carrier"]
+
+
+def matching_cut_to_payload(w: Window, r: int, outcome: MatchingOutcome) -> dict:
+    return envelope("matching_cut", w.space, w, {
+        "r": r, "cut": [w.space.point_to_json(p) for p in outcome.cut],
+        "cut_neighborhood_size": outcome.cut_neighborhood_size, "flow_value": outcome.flow_value})
 
 
 def operator_to_payload(a: BandedOperator) -> dict:
@@ -245,14 +258,30 @@ def _result(report) -> tuple[bool, dict]:
     return report.passed, report.to_json()
 
 
+def _verify_folner(data) -> tuple[bool, dict]:
+    cert, ratio = _folner_and_ratio(data)
+    report = verify_folner(cert)
+    if report["ok"] and ratio != cert.ratio:  # ok: declared size = |N_r(F)|
+        report.update(ok=False, reason="ratio")
+    return _result(report)
+
+
+def _verify_paradox(data) -> tuple[bool, dict]:
+    p, w, carrier = _paradox_and_window(data)
+    ok, report = _result(verify_paradox(p, w))
+    if ok and carrier != [p.space.point_to_json(x) for x in w.points if p.in_carrier(x)]:
+        report.update(passed=False, witness={"kind": "stated_carrier"})
+    return report["passed"], report
+
+
 # payload -> (passed, report) per certificate kind; no other kind re-verifies
 VERIFIERS = {
     "colored_cover": lambda data: _result(verify_decomposition(cover_from_payload(data))),
     "scale_partition": _verify_partition,
     "segment_family": lambda data: _result(verify_segments(segments_from_payload(data))),
-    "folner_certificate": lambda data: _result(verify_folner(folner_from_payload(data))),
+    "folner_certificate": _verify_folner,
     "windowed_doubling": lambda data: _result(verify_doubling(doubling_from_payload(data))),
-    "paradox_window": lambda data: _result(verify_paradox(*_paradox_and_window(data))),
+    "paradox_window": _verify_paradox,
     "matching_cut": _verify_matching_cut,
 }
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Any, Iterable, Optional, Sequence
 
@@ -93,6 +93,13 @@ class Space:
     def ball_size(self, x, r: int) -> int:
         return len(self.ball_points(x, r))
 
+    def neighborhood(self, F, r: int) -> set:
+        """The ambient r-neighbourhood {x : d(x, F) <= r} of finitely many points."""
+        return {q for p in F for q in self.ball_points(p, r)}
+
+    def neighborhood_size(self, F, r: int) -> int:
+        return len(self.neighborhood(F, r))
+
     def neighbors(self, x) -> list:
         """Unit-distance neighbors; only meaningful when ``graph_like``."""
         raise NotImplementedError(f"{self.kind} has no unit-step structure")
@@ -151,6 +158,17 @@ class Space:
         return f"<{type(self).__name__} {self.to_spec()}>"
 
 
+@lru_cache(maxsize=16)
+def _l1_offsets(dim: int, r: int) -> np.ndarray:
+    off = np.arange(-r, r + 1, dtype=np.int64)[:, None]
+    for _ in range(dim - 1):  # each row o extends by -left..left: 2 left + 1 reps, left = r - |o|
+        reps = 2 * (r - np.abs(off).sum(axis=1)) + 1
+        last = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - (reps + 1) // 2, reps)
+        off = np.column_stack([np.repeat(off, reps, axis=0), last])
+    off.flags.writeable = False
+    return off
+
+
 class GridSpace(Space):
     """Z^dim with the l1 word metric."""
 
@@ -185,21 +203,43 @@ class GridSpace(Space):
         # l1 ball cardinality in Z^d
         return sum((1 << k) * comb(self.dim, k) * comb(r, k) for k in range(min(self.dim, r) + 1))
 
-    def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
-        if self.ball_size(x, r) > cap:
+    def _ball_offsets(self, r, cap=BALL_CAP_DEFAULT) -> np.ndarray:
+        """The l1 r-ball around 0 as read-only int64 rows in canonical order (cached up to 2^16)."""
+        size = self.ball_size(None, r)
+        if size > cap:
             raise EnumerationOverflow(f"l1 ball of radius {r} in Z^{self.dim} exceeds cap {cap}")
-        out = []
+        return (_l1_offsets if size <= 1 << 16 else _l1_offsets.__wrapped__)(self.dim, r)
 
-        def rec(i, budget, acc):
-            if i == self.dim - 1:
-                for o in range(-budget, budget + 1):
-                    out.append(acc + (x[i] + o,))
-                return
-            for o in range(-budget, budget + 1):
-                rec(i + 1, budget - abs(o), acc + (x[i] + o,))
+    def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
+        # offsets are added in Python ints: coordinates may lie outside int64
+        cols = self._ball_offsets(r, cap).T.tolist()
+        return list(zip(*([c + o for o in col] for c, col in zip(x, cols))))
 
-        rec(0, r, ())
-        return out
+    def _box(self, points, pad: int):
+        """Mixed-radix codes of points in their bounding box grown by pad
+        on each side, as (strides, codes); codes order as points do.  None when there
+        are no points, or a coordinate or the cell count of the box reaches 2^62,
+        where int64 codes could wrap."""
+        if not points or max(abs(c) for p in points for c in p) + pad >= 1 << 62:
+            return None
+        coords = np.array(points, dtype=np.int64).reshape(len(points), self.dim)
+        mins, spans = coords.min(axis=0), np.ptp(coords, axis=0) + 2 * pad + 1
+        if np.prod(spans.astype(float)) >= 2.0**62:
+            return None
+        strides = np.append(np.cumprod(spans[:0:-1])[::-1], 1)
+        return strides, (coords - mins + pad) @ strides
+
+    def neighborhood_size(self, F, r):
+        # the r-ball offsets added to the codes of F, deduplicated
+        box = self._box(list(F), r)
+        if box is None:
+            return super().neighborhood_size(F, r)
+        (strides, codes), off = box, self._ball_offsets(r)
+        u = np.empty(0, dtype=np.int64)
+        step = max(1, (1 << 22) // len(off))  # rows at a time: memory stays near |N_r(F)|
+        for lo in range(0, len(codes), step):
+            u = np.union1d(u, codes[lo:lo + step, None] + off @ strides)
+        return len(u)
 
     def neighbors(self, x):
         out = []
@@ -230,23 +270,16 @@ class GridSpace(Space):
     def scale_pairs(self, w, r):
         # each offset in the r-ball is one sorted lookup of shifted box codes
         n = len(w.points)
-        if self.ball_size(w.points[0], r) > max(64, 4 * n):
+        box = self._box(w.points, r)
+        if box is None or self.ball_size(w.points[0], r) > max(64, 4 * n):
             return super().scale_pairs(w, r)
-        coords = np.array(w.points, dtype=np.int64)
-        mins = coords.min(axis=0)
-        spans = coords.max(axis=0) - mins + 2 * r + 1
-        strides = np.ones(self.dim, dtype=np.int64)
-        for i in range(self.dim - 2, -1, -1):
-            strides[i] = strides[i + 1] * spans[i + 1]
-        codes = (coords - mins + r) @ strides
+        strides, codes = box
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
-        zero = (0,) * self.dim
         out_i, out_j = [], []
-        for o in self.ball_points(zero, r):
-            if o <= zero:
-                continue
-            targets = codes + np.asarray(o, dtype=np.int64) @ strides
+        off = self._ball_offsets(r)
+        for oc in off[len(off) // 2 + 1:] @ strides:  # the offsets after the origin
+            targets = codes + oc
             pos = np.clip(np.searchsorted(sorted_codes, targets), 0, n - 1)
             hit = sorted_codes[pos] == targets
             src = np.nonzero(hit)[0]

@@ -2,6 +2,7 @@
 per subcommand."""
 
 import json
+import math
 
 import pytest
 
@@ -157,6 +158,19 @@ def test_op_commands(specs, tmp_path):
     res3 = run(["op", "--space", specs["z"], "--window-radius", "1", "--a", str(half),
                 "--action", "quasi-projection", "--r", "0"])
     assert res3.exit_code == 1
+
+
+def test_quasi_projection_fails_on_one_large_deviation(specs, tmp_path):
+    # one point of 801 at |a^2 - a| = 0.12500125, the rest at 0.1249875; a
+    # norm by power iteration over the whole window read 0.1249875 and exited 0
+    root = lambda v: (1 - math.sqrt(1 - 4 * v)) / 2  # a - a^2 = v
+    op_file = tmp_path / "a.json"
+    op_file.write_text(json.dumps({"entries": [
+        [[x], [x], root(0.12500125 if x == 0 else 0.1249875), 0] for x in range(-400, 401)]}))
+    res = run(["op", "--space", specs["z"], "--window-radius", "400", "--a", str(op_file),
+               "--action", "quasi-projection", "--r", "0", "--eps", "0.125"])
+    assert res.exit_code == 1
+    assert res.payload["deviations"]["idempotent"] > 0.125
 
 
 def test_op_arithmetic_actions(specs, tmp_path):
@@ -402,13 +416,22 @@ def _folner_payload(**changes):
     return dict(serialization.folner_to_payload(cert), **changes)
 
 
+def _paradox_payload(**changes):
+    F2 = ck.make_space({"kind": "free_group", "rank": 2})
+    return dict(serialization.paradox_to_payload(ck.paradox_free_group(2), ck.ball(F2, "", 3)), **changes)
+
+
 @pytest.mark.parametrize("payload, code, error", [
     (lambda: _segments_payload(segments=[]), 1, None),
     (lambda: _segments_payload(window={"ball": {"center": [0], "radius": 2}}), 3, "SegmentOutsideWindow"),
     (lambda: _cover_payload(r=True), 3, "MalformedSpec"),
     (lambda: _cover_payload(r=-1), 3, "MalformedSpec"),
     (lambda: _folner_payload(eps=1.5), 3, "MalformedSpec"),
-], ids=["empty_segment_family", "segments_outside_budget", "r_a_bool", "r_negative", "eps_a_float"])
+    (lambda: _folner_payload(ratio="x"), 3, "MalformedSpec"),
+    (lambda: _folner_payload(ratio="1/7"), 1, None),
+    (lambda: _paradox_payload(carrier=[]), 1, None),
+], ids=["empty_segment_family", "segments_outside_budget", "r_a_bool", "r_negative", "eps_a_float",
+        "ratio_not_rational", "ratio_false", "carrier_empty"])
 def test_verify_refuses_degenerate_certificates(tmp_path, payload, code, error):
     path = _op_file(tmp_path, "cert.json", payload())
     res = run(["verify", "--file", path])

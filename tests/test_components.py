@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
 import coarsekit as ck
 from coarsekit.errors import MalformedSpec, NoSegments
+from coarsekit.spaces import pairwise_dist
 
 
 class UnionFind:
@@ -166,6 +169,115 @@ def test_extract_segments_branching_tree():
     fam = ck.extract_segments(t3, 1, 3, ck.ball(t3, 0, 8))
     assert ck.verify_segments(fam).passed
     assert fam.lengths == (2, 3, 4)
+
+
+# The extraction as it ran point by point before the scale-graph rewrite: the
+# oracle that the array version must match segment for segment.
+
+def _bfs_tree(space, allowed, start, r):
+    parents, order, frontier = {start: None}, [start], [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            cand = space.neighbors(p) if space.graph_like else space.ball_points(p, r)
+            for q in sorted((q for q in cand if q in allowed and q not in parents),
+                            key=space.canonical_key):
+                parents[q] = p
+                order.append(q)
+                nxt.append(q)
+        frontier = nxt
+    return order, parents
+
+
+def _grow_oracle(space, r, allowed, start, need_m):
+    order, parents = _bfs_tree(space, allowed, start, r)
+    best, best_d = None, -1
+    for p in order:
+        d = space.dist(start, p)
+        if d > best_d or (d == best_d and space.canonical_key(p) < space.canonical_key(best)):
+            best, best_d = p, d
+    if best_d < (need_m - 1) * r:
+        return None
+    path = []
+    while best is not None:
+        path.append(best)
+        best = parents[best]
+    sel = [start]
+    for p in reversed(path[:-1]):
+        if space.dist(start, p) >= len(sel) * r:
+            sel.append(p)
+    for i in range(len(sel) - 1):
+        if space.dist(sel[i], sel[i + 1]) > 2 * r:
+            sel = sel[: i + 1]
+            break
+    return tuple(sel[:need_m]) if len(sel) >= need_m else None
+
+
+def _segments_oracle(space, r, count, budget):
+    chosen = []
+    while len(chosen) < count:
+        remaining = list(budget.points)
+        if chosen:
+            fam = ck.SegmentFamily(space, r, tuple(chosen))
+            radius = max(len(chosen), max(fam.separations(), default=0))
+            near = pairwise_dist(space, budget.points, fam.all_points()).min(axis=1)
+            remaining = [p for p, d in zip(budget.points, near.tolist()) if d > radius]
+        need_m = len(chosen[-1]) + 1 if chosen else 2
+        seg = None
+        classes = ck.components_at_scale(ck.Window(space, remaining), r).classes if remaining else ()
+        for cls in (c for c in classes if len(c) >= need_m):
+            far = max(cls, key=lambda q: (space.dist(cls[0], q), space.canonical_key(q)))
+            for start in [cls[0]] + ([far] if far != cls[0] else []):
+                seg = _grow_oracle(space, r, set(cls), start, need_m)
+                if seg is not None:
+                    break
+            if seg is not None:
+                break
+        if seg is None:
+            return (f"after {len(chosen)} segments, no remaining chain class within the "
+                    f"budget supports a segment of {need_m} points at scale {r}")
+        chosen.append(seg)
+    return tuple(chosen)
+
+
+SEGMENT_SPACES = {
+    "Z": ({"kind": "grid", "dim": 1}, (0,), 150),
+    "Z2": ({"kind": "grid", "dim": 2}, (0, 0), 8),
+    "F2": ({"kind": "free_group", "rank": 2}, "", 5),
+    "T3": ({"kind": "tree", "branching": 3}, 0, 5),
+    "PL": ({"kind": "point_line", "coords": [0, 1, 2, 3, 5, 8, 9, 10, 11, 12, 13, 20, 21, 23, 24]},
+           0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_SPACES))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**31 - 1), as_ball=st.booleans(), r=st.integers(1, 3),
+       count=st.integers(1, 5))
+def test_extract_segments_matches_point_by_point_oracle(name, seed, as_ball, r, count):
+    spec, center, radius = SEGMENT_SPACES[name]
+    space = ck.make_space(spec)
+    w = ck.ball(space, center, radius) if radius else ck.Window(space, space.all_points())
+    if not as_ball:
+        keep = np.random.RandomState(seed).rand(len(w.points)) < 0.85
+        w = ck.Window(space, [p for p, k in zip(w.points, keep) if k])
+    want = _segments_oracle(space, r, count, w)
+    try:
+        got = ck.extract_segments(space, r, count, w).segments
+    except NoSegments as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_extract_segments_builds_at_most_two_scale_graphs(monkeypatch):
+    from coarsekit import spaces
+
+    calls = []
+    orig = spaces.scale_pairs
+    monkeypatch.setattr(spaces, "scale_pairs", lambda w, r: calls.append(r) or orig(w, r))
+    Z = ck.make_space({"kind": "grid", "dim": 1})
+    assert len(ck.extract_segments(Z, 2, 6, ck.ball(Z, (0,), 400)).segments) == 6
+    assert sorted(calls) == [1, 2]
 
 
 def test_verify_segments_quadratic_family():

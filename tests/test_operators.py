@@ -108,14 +108,72 @@ def test_norm_simple_cases():
 
 
 def test_norm_power_iteration_matches_dense():
-    # force the sparse path with a window above the dense cutoff
+    # force the sparse path with a connected support above the dense cutoff:
+    # the unit shift joins the 601 points into one component
     rng = np.random.RandomState(5)
     w = line_window(0, 600)
-    a = random_banded(w, rng, 2)
+    a = random_banded(w, rng, 2).add(shift_operator(w))
     est = ck.op_norm_detailed(a)
     assert est.method == "power" and est.converged
     dense = np.linalg.norm(a.to_dense(), 2)
     assert est.value == pytest.approx(dense, rel=1e-6)
+
+
+def _block_diagonal(rng, n):
+    """A random operator on n points of Z made of blocks of 1 to 8 points."""
+    w = line_window(0, n - 1)
+    entries, lo = {}, 0
+    while lo < n:
+        m = min(n - lo, int(rng.randint(1, 9)))
+        for i in range(lo, lo + m):
+            for j in range(lo, lo + m):
+                if rng.rand() < 0.7:
+                    entries[(i, j)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        lo += m
+    return BandedOperator(w, entries, exact=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 600), banded=st.booleans())
+def test_norm_by_components_matches_dense(seed, n, banded):
+    rng = np.random.RandomState(seed)
+    a = random_banded(line_window(0, n - 1), rng, 2) if banded else _block_diagonal(rng, n)
+    est = ck.op_norm_detailed(a)
+    dense = np.linalg.norm(a.to_dense(), 2)
+    # exact on components up to the dense limit; larger ones run power iteration
+    assert est.value == pytest.approx(dense, rel=1e-12 if est.method != "power" else 1e-6, abs=1e-300)
+
+
+def test_norm_batches_of_mid_size_blocks_stay_bounded(monkeypatch):
+    # 24 tridiagonal blocks of 300 points: one batch of all of them would hold
+    # 24 * 300^2 cells; each SVD batch must stay within 2^20
+    rng = np.random.RandomState(3)
+    s, k = 300, 24
+    blocks = [np.diag(rng.uniform(-1, 1, s)) + np.diag(rng.uniform(-1, 1, s - 1), 1)
+              + np.diag(rng.uniform(-1, 1, s - 1), -1) for _ in range(k)]
+    entries = {(b * s + i, b * s + j): B[i, j] for b, B in enumerate(blocks)
+               for i, j in zip(*np.nonzero(B))}
+    a = BandedOperator(line_window(0, s * k - 1), entries, exact=False)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: shapes.append(M.shape) or svd(M, **kw))
+    est = ck.op_norm_detailed(a)
+    assert est.method == "dense"
+    assert est.value == pytest.approx(max(np.linalg.norm(B, 2) for B in blocks), rel=1e-12)
+    assert sum(n for n, _, _ in shapes) == k and len(shapes) > 1
+    assert all(np.prod(shape) <= 1 << 20 for shape in shapes)
+
+
+def test_quasi_check_sees_one_large_deviation_among_many():
+    # diagonal a on ball(Z, 0, 400): |a^2 - a| is 0.12500125 at the centre and
+    # 0.1249875 at the other 800 points; power iteration over the whole window
+    # stopped at 0.1249875 and passed it
+    w = ck.ball(Z, (0,), 400)
+    root = lambda v: (1 - np.sqrt(1 - 4 * v)) / 2  # a - a^2 = v
+    a = make_operator(w, {(p, p): root(0.12500125 if p == (0,) else 0.1249875) for p in w.points})
+    q = ck.quasi_check(a, "projection", 0)
+    assert q.deviations["idempotent"] == pytest.approx(0.12500125, rel=1e-12)
+    assert not q.passed
 
 
 # -- characteristic projections and partial translations ---------------------------

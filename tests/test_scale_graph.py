@@ -210,3 +210,61 @@ def test_tree_balls_stop_enumerating_at_cap(monkeypatch):
         # each expanded vertex adds 3 children, so about cap / 3 expansions;
         # the whole radius-10 ball has 88,573 vertices
         assert len(calls) <= 1000
+
+
+# -- grid neighbourhoods: ball offsets added to box codes -----------------------
+
+GRIDS = {d: ck.make_space({"kind": "grid", "dim": d}) for d in (1, 2, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), r=st.integers(0, 4),
+       F=st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), max_size=25))
+def test_grid_neighborhood_matches_union_of_balls(dim, r, F):
+    space = GRIDS[dim]
+    F = [tuple(p[:dim]) for p in F]
+    union = spaces.Space.neighborhood(space, F, r)
+    assert union == space.neighborhood(F, r)
+    assert space.neighborhood_size(F, r) == len(union)
+
+
+def test_grid_neighborhood_overflows_where_balls_do():
+    space = GRIDS[3]
+    r = next(r for r in range(100, 200) if space.ball_size(None, r) > spaces.BALL_CAP_DEFAULT)
+    for size in (space.neighborhood_size, lambda F, r: spaces.Space.neighborhood_size(space, F, r)):
+        with pytest.raises(EnumerationOverflow):
+            size([(0, 0, 0)], r)
+        assert size([], r) == 0  # no ball is enumerated
+
+
+def test_grid_folner_ball_search_enumerates_no_neighbourhood_ball(monkeypatch):
+    calls = []
+    orig = spaces.GridSpace.ball_points
+    monkeypatch.setattr(spaces.GridSpace, "ball_points",
+                        lambda self, x, r, cap=spaces.BALL_CAP_DEFAULT: calls.append(r) or orig(self, x, r, cap))
+    from fractions import Fraction
+
+    rep = ck.folner_search_report(GRIDS[2], 1, Fraction(1, 10), ck.FolnerBudget())
+    assert rep.certificate is not None and ck.verify_folner(rep.certificate)["ok"]
+    # one ball per candidate F, none for the neighbourhoods N_1(F)
+    assert calls == list(range(rep.candidates_tested))
+
+
+def test_grid_codes_never_wrap_on_a_huge_bounding_box():
+    # the box of these points has about 2^64 cells; int64 codes wrapped there
+    # and (0, 11) looked one step from (4, 0)
+    pts = [(0, 0), (0, 2**62), (4, 0), (0, 11)]
+    w = ck.Window(GRIDS[2], pts)
+    assert [a.tolist() for a in ck.scale_pairs(w, 1)] == [a.tolist() for a in _pairs_bruteforce(w, 1)]
+    assert GRIDS[2].neighborhood_size(pts, 1) == len(GRIDS[2].neighborhood(pts, 1)) == 20
+
+
+@pytest.mark.parametrize("c", [2**70, 2**63 + 5, 2**63 - 1, -2**63])
+def test_grid_balls_and_neighborhoods_beyond_int64(c):
+    # numpy would hold 2^63 + 5 as uint64 and mix it with int64 into floats,
+    # and would wrap 2^63 - 1 + 1 to -2^63; coordinates are Python ints
+    assert GRIDS[1].ball_points((c,), 1) == [(c - 1,), (c,), (c + 1,)]
+    assert GRIDS[2].ball_points((c, 0), 1) == [(c - 1, 0), (c, -1), (c, 0), (c, 1), (c + 1, 0)]
+    assert list(ck.ball(GRIDS[1], [c], 1).points) == [(c - 1,), (c,), (c + 1,)]
+    pts = [(c,), (c + 1,), (5,)]
+    assert GRIDS[1].neighborhood_size(pts, 1) == len(GRIDS[1].neighborhood(pts, 1)) == 7

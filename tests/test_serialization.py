@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit import serialization as ser
+from coarsekit.amenability import MatchingOutcome
 from coarsekit.errors import CoarseKitError, MalformedSpec, SegmentOutsideWindow
 from coarsekit.operators import make_operator
 from coarsekit.spaces import FreeGroupSpace, GridSpace
@@ -117,9 +118,7 @@ def _valid_payloads() -> dict:
         "folner_certificate": ser.folner_to_payload(cert),
         "windowed_doubling": ser.doubling_to_payload(ck.matching_certificate(b3, 1).doubling),
         "paradox_window": ser.paradox_to_payload(ck.paradox_free_group(2), b3),
-        "matching_cut": ser.envelope("matching_cut", Z, z_ball, {
-            "r": 1, "cut": [list(p) for p in cut.cut],
-            "cut_neighborhood_size": cut.cut_neighborhood_size, "flow_value": cut.flow_value}),
+        "matching_cut": ser.matching_cut_to_payload(z_ball, 1, cut),
         "banded_operator": ser.operator_to_payload(
             make_operator(z_ball, {((1,), (0,)): 1, ((0,), (0,)): complex(0.5, -0.25)})),
     }
@@ -182,15 +181,21 @@ def test_valid_payloads_verify_and_round_trip():
         "windowed_doubling": lambda d: ser.doubling_to_payload(ser.doubling_from_payload(d)),
         "paradox_window": lambda d: ser.paradox_to_payload(
             ser.paradox_from_payload(d), ser.read_payload(d, "paradox_window")[1]["window"]),
+        "matching_cut": _matching_cut_round_trip,
         "banded_operator": lambda d: ser.operator_to_payload(ser.operator_from_payload(d)),
     }
-    assert set(VALID) == set(ser.FIELDS)
+    assert set(VALID) == set(ser.FIELDS) == set(readers)
     for kind, payload in VALID.items():
         if kind in ser.VERIFIERS:
             assert ser.verify_payload(payload)[0], kind
-        if kind in readers:  # matching_cut has no writer: the CLI builds it
-            text = ser.canonical_dumps(payload)
-            assert ser.canonical_dumps(readers[kind](json.loads(text))) == text, kind
+        text = ser.canonical_dumps(payload)
+        assert ser.canonical_dumps(readers[kind](json.loads(text))) == text, kind
+
+
+def _matching_cut_round_trip(d):
+    f = ser.read_payload(d, "matching_cut")[1]
+    outcome = MatchingOutcome(False, None, f["cut"], f["cut_neighborhood_size"], d["flow_value"])
+    return ser.matching_cut_to_payload(f["window"], f["r"], outcome)
 
 
 def test_field_mutations_raise_only_coarsekit_errors():
@@ -268,6 +273,33 @@ def test_empty_segment_family_fails():
     for segments in ([], [[], [[0], [1]]]):
         ok, report = ser.verify_payload(dict(VALID["segment_family"], segments=segments))
         assert not ok and report["first_violation"] == {"condition": "lengths"}
+
+
+def test_stated_folner_ratio_must_match_recomputation():
+    cert = VALID["folner_certificate"]
+    assert cert["ratio"] != "2"
+    ok, report = ser.verify_payload(dict(cert, ratio="2"))
+    assert not ok and report["reason"] == "ratio"
+    # an empty F fails by name before any ratio is formed
+    ok, report = ser.verify_payload(dict(cert, F=[], neighborhood_size=0, ratio="0"))
+    assert not ok and report["reason"] == "empty_F"
+
+
+@pytest.mark.parametrize("c", [2**63 + 5, 2**63 - 1])
+def test_folner_neighbourhoods_beyond_int64_are_counted_exactly(c):
+    # |N_1({c})| = 3 in Z; a float or wrapped int64 coordinate miscounts it
+    cert = {"schema": "coarsekit/1", "kind": "folner_certificate", "space": {"kind": "grid", "dim": 1},
+            "F": [[c]], "r": 1, "eps": "1/2", "neighborhood_size": 1, "ratio": "1"}
+    ok, report = ser.verify_payload(cert)
+    assert not ok and report["recomputed"] == 3
+    assert ser.verify_payload(dict(cert, eps="2", neighborhood_size=3, ratio="3"))[0]
+
+
+def test_stated_paradox_carrier_must_match_recomputation():
+    payload = VALID["paradox_window"]
+    for carrier in ([], payload["carrier"][1:], payload["carrier"][::-1]):
+        ok, report = ser.verify_payload(dict(payload, carrier=carrier))
+        assert not ok and report["witness"] == {"kind": "stated_carrier"}
 
 
 def test_segments_outside_their_budget_window_are_refused():
