@@ -590,13 +590,9 @@ def isoperimetric_profile(w: Window, r: int, mode: str = "greedy", size_cap: Opt
                     best[k] = ratio
     elif mode == "balls":
         for x in w.points:
-            j = 0
-            while True:
-                F = tuple(q for q in w.points if space.dist(x, q) <= j)
-                record(F)
-                if len(F) == n:
-                    break
-                j += 1
+            d = space.pairwise_dist([x], w.points)[0].tolist()
+            for j in sorted(set(d)):  # a radius between two distances repeats a ball
+                record(tuple(q for q, dq in zip(w.points, d) if dq <= j))
     elif mode == "greedy":
         F: list = [w.points[0]]
         record(tuple(F))

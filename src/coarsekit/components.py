@@ -28,12 +28,6 @@ class ScalePartition:
     def max_class_size(self) -> int:
         return max((len(c) for c in self.classes), default=0)
 
-    def class_of(self, p):
-        for c in self.classes:
-            if p in c:
-                return c
-        return None
-
     def labels(self) -> np.ndarray:
         lab = np.empty(len(self.window.points), dtype=np.int64)
         for ci, cls in enumerate(self.classes):
@@ -88,16 +82,8 @@ class SegmentFamily:
 
     def separations(self) -> list[int]:
         """For each segment, min distance to any other segment in the family."""
-        segs = self.segments
-        if len(segs) < 2:
-            return []
-        ends = np.cumsum([len(s) for s in segs]).tolist()
-        rows = [slice(e - len(s), e) for s, e in zip(segs, ends)]
-        D = pairwise_dist(self.space, self.all_points(), self.all_points())
-        return [
-            min(int(D[a, b].min()) for m, b in enumerate(rows) if m != n)
-            for n, a in enumerate(rows)
-        ]
+        pts = self.all_points()
+        return _separations(self.segments, pairwise_dist(self.space, pts, pts))
 
     def basepoints(self) -> tuple:
         return tuple(s[0] for s in self.segments)
@@ -111,6 +97,24 @@ class SegmentFamily:
     def to_json(self) -> dict:
         enc = self.space.point_to_json
         return {"r": self.r, "segments": [[enc(p) for p in s] for s in self.segments]}
+
+
+def _segment_rows(segs) -> list:
+    """The run of rows of each segment in a matrix over the family's points."""
+    ends = np.cumsum([len(s) for s in segs]).tolist()
+    return [slice(e - len(s), e) for s, e in zip(segs, ends)]
+
+
+def _separations(segs, D) -> list[int]:
+    """For each nonempty segment, min distance to any other segment, read
+    from the distance matrix D over the family's points."""
+    if len(segs) < 2:
+        return []
+    rows = _segment_rows(segs)
+    return [
+        min(int(D[a, b].min()) for m, b in enumerate(rows) if m != n)
+        for n, a in enumerate(rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -138,34 +142,30 @@ class SegmentConditionReport:
 
 
 def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
-    """Check the four segment-family conditions, reporting per segment."""
-    s, r = fam.space, fam.r
+    """Check the four segment-family conditions, reporting per segment; every
+    distance is read from one matrix over the family's points."""
+    r, pts = fam.r, fam.all_points()
+    D = pairwise_dist(fam.space, pts, pts)
     steps_ok, anchored_ok = [], []
     violation = None
-    for n, seg in enumerate(fam.segments):
-        ok_s = True
-        for i in range(len(seg) - 1):
-            if s.dist(seg[i], seg[i + 1]) > 2 * r:
-                ok_s = False
-                if violation is None:
-                    violation = {"segment": n, "condition": "step", "index": i}
-                break
-        steps_ok.append(ok_s)
-        ok_a = True
-        for i in range(1, len(seg)):
-            d = s.dist(seg[0], seg[i])
-            if not i * r <= d < (i + 1) * r:
-                ok_a = False
-                if violation is None:
-                    violation = {"segment": n, "condition": "anchored", "index": i}
-                break
-        anchored_ok.append(ok_a)
+    for n, rows in enumerate(_segment_rows(fam.segments)):
+        block = D[rows, rows]
+        steps = block.diagonal(1).tolist()
+        anchors = block[0].tolist() if len(block) else []
+        bad = {"step": next((i for i, d in enumerate(steps) if d > 2 * r), None),
+               "anchored": next((i for i, d in enumerate(anchors)
+                                 if i and not i * r <= d < (i + 1) * r), None)}
+        steps_ok.append(bad["step"] is None)
+        anchored_ok.append(bad["anchored"] is None)
+        for condition, i in bad.items():
+            if i is not None and violation is None:
+                violation = {"segment": n, "condition": condition, "index": i}
     lens = fam.lengths
     # lengths rise strictly from 0, so neither the family nor a segment is empty
     lengths_ok = bool(lens) and all(a < b for a, b in zip((0, *lens), lens))
     if not lengths_ok and violation is None:
         violation = {"condition": "lengths"}
-    seps = fam.separations() if all(lens) else []
+    seps = _separations(fam.segments, D) if all(lens) else []
     sep_pos = all(d > 0 for d in seps)
     sep_mono = all(a <= b for a, b in zip(seps, seps[1:]))
     if not (sep_pos and sep_mono) and violation is None:

@@ -219,7 +219,8 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
         raise MalformedSpec("window must live in the given space")
     root = space.normalize(root)
     n = len(w.points)
-    annulus = np.array([space.dist(root, p) // (2 * r) for p in w.points], dtype=np.int64)
+    from_root = space.pairwise_dist([root], w.points)[0].tolist()
+    annulus = np.array([d // (2 * r) for d in from_root], dtype=np.int64)
 
     # r-chain components inside each annulus
     g = w.scale_graph(r).tocoo()
@@ -255,24 +256,13 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
         cover = ColoredCover(w, r, B, (pieces,))
         return cover if verify_decomposition(cover).passed else None
 
-    # chunk the window into pieces of radius <= B // 2 around canonical seeds;
-    # every point before a seed is already assigned
-    half = w.scale_graph(B // 2)
-    unassigned = np.ones(len(w.points), dtype=bool)
-    chunks = []
-    for i in range(len(w.points)):
-        if unassigned[i]:
-            row = half.indices[half.indptr[i]:half.indptr[i + 1]]
-            chunk = np.concatenate(([i], row[unassigned[row]]))
-            unassigned[chunk] = False
-            chunks.append(chunk)
-
-    # first color not taken by a window point within r of the chunk; only
-    # earlier chunks are colored yet
+    # chunk the window into pieces of radius <= B // 2 around the seeds of
+    # net_extract(w, B // 2); give each chunk the first color not taken by a
+    # window point within r of it (only earlier chunks are colored yet)
     near = w.scale_graph(r)
     color_of = np.full(len(w.points), -1, dtype=np.int64)
     families = [[] for _ in range(d + 1)]
-    for chunk in chunks:
+    for chunk in w.net_chunks(B // 2):
         nbrs = np.concatenate([near.indices[near.indptr[i]:near.indptr[i + 1]] for i in chunk])
         taken = set(color_of[nbrs].tolist())
         c = next((c for c in range(d + 1) if c not in taken), None)

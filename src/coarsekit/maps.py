@@ -189,14 +189,7 @@ def net_extract(w: Window, c: int) -> Window:
     """Greedy maximal c-separated subset; maximality makes it c-dense."""
     if c < 0:
         raise MalformedSpec("c must be >= 0")
-    g = w.scale_graph(c)
-    blocked = np.zeros(len(w.points), dtype=bool)
-    chosen: list = []
-    for i, p in enumerate(w.points):
-        if not blocked[i]:
-            chosen.append(p)
-            blocked[g.indices[g.indptr[i]:g.indptr[i + 1]]] = True
-    return w.subwindow(chosen)
+    return w.subwindow([w.points[chunk[0]] for chunk in w.net_chunks(c)])
 
 
 def compose(f: CoarseMap, g: CoarseMap) -> CoarseMap:

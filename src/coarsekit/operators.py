@@ -506,11 +506,8 @@ def cancellation_witness(fam: SegmentFamily, w: Window, s: int) -> CancellationW
     p_op = char_projection(sorted(A, key=w.space.canonical_key) + rest, w)
     q_op = char_projection(sorted(B, key=w.space.canonical_key) + rest, w)
     lasts = fam.endpoints()
-    probe = None
-    for bp in fam.basepoints():
-        if min(w.space.dist(bp, e) for e in lasts) > s:
-            probe = bp
-            break
+    D = w.space.pairwise_dist(fam.basepoints(), lasts)
+    probe = next((bp for bp, row in zip(fam.basepoints(), D) if row.min() > s), None)
     if probe is None:
         raise NoProbe(
             f"every basepoint is within {s} of a segment endpoint; enlarge the family"

@@ -18,6 +18,7 @@ from scipy import sparse
 
 from .errors import (
     EnumerationOverflow,
+    IntegerOverflow,
     MalformedSpec,
     MetricViolation,
     UnknownPoint,
@@ -43,10 +44,6 @@ def word_mul(u: str, v: str) -> str:
         i -= 1
         j += 1
     return u[:i] + v[j:]
-
-
-def word_inv(u: str) -> str:
-    return u[::-1].swapcase()
 
 
 def word_dist(u: str, v: str) -> int:
@@ -119,10 +116,15 @@ class Space:
     # -- metric on finite sets: kinds override these where they have a faster
     # exact path ---------------------------------------------------------------
     def pairwise_dist(self, A: Sequence, B: Sequence) -> np.ndarray:
-        """The |A| x |B| int64 matrix of distances between canonical points."""
-        return np.array(
-            [[self.dist(a, b) for b in B] for a in A], dtype=np.int64
-        ).reshape(len(A), len(B))
+        """The |A| x |B| int64 matrix of distances between canonical points;
+        raises IntegerOverflow when a distance lies outside int64."""
+        D = [[self.dist(a, b) for b in B] for a in A]
+        try:
+            return np.array(D, dtype=np.int64).reshape(len(A), len(B))
+        except OverflowError:
+            i, j = next((i, j) for i, row in enumerate(D)
+                        for j, d in enumerate(row) if d >= 1 << 63)
+            raise IntegerOverflow(f"d({A[i]!r}, {B[j]!r}) = {D[i][j]} lies outside int64") from None
 
     def diameter(self, pts: Sequence) -> int:
         """Exact diameter of a finite point set."""
@@ -156,6 +158,21 @@ class Space:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_spec()}>"
+
+
+def _int64_coords(points, dim: int, pad: int = 0) -> Optional[np.ndarray]:
+    """The one entry of integer coordinates into int64: the points as an
+    (n, dim) int64 array, or None when a coordinate leaves int64 or
+    |coordinate| + pad reaches 2^62 / dim.  Below that bound no coordinate
+    difference grown by 2 pad, l1 sum of dim differences or box span can wrap;
+    on None the caller takes its exact Python-int path."""
+    try:
+        a = np.array(points, dtype=np.int64).reshape(len(points), dim)
+    except OverflowError:
+        return None
+    if len(a) and max(int(a.max()), -int(a.min())) + pad >= (1 << 62) // dim:
+        return None
+    return a
 
 
 @lru_cache(maxsize=16)
@@ -218,11 +235,11 @@ class GridSpace(Space):
     def _box(self, points, pad: int):
         """Mixed-radix codes of points in their bounding box grown by pad
         on each side, as (strides, codes); codes order as points do.  None when there
-        are no points, or a coordinate or the cell count of the box reaches 2^62,
-        where int64 codes could wrap."""
-        if not points or max(abs(c) for p in points for c in p) + pad >= 1 << 62:
+        are no points, when :func:`_int64_coords` refuses them, or when the cell
+        count of the box reaches 2^62, where int64 codes could wrap."""
+        coords = _int64_coords(points, self.dim, pad)
+        if coords is None or not len(coords):
             return None
-        coords = np.array(points, dtype=np.int64).reshape(len(points), self.dim)
         mins, spans = coords.min(axis=0), np.ptp(coords, axis=0) + 2 * pad + 1
         if np.prod(spans.astype(float)) >= 2.0**62:
             return None
@@ -249,8 +266,9 @@ class GridSpace(Space):
         return out
 
     def pairwise_dist(self, A, B):
-        a = np.array(A, dtype=np.int64).reshape(len(A), self.dim)
-        b = np.array(B, dtype=np.int64).reshape(len(B), self.dim)
+        a, b = _int64_coords(A, self.dim), _int64_coords(B, self.dim)
+        if a is None or b is None:
+            return Space.pairwise_dist(self, A, B)
         return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
 
     @cached_property
@@ -264,7 +282,10 @@ class GridSpace(Space):
             return 0
         if self.dim == 1:  # one-coordinate tuples compare as their coordinate
             return max(pts)[0] - min(pts)[0]
-        proj = np.array(pts, dtype=np.int64) @ self._signs
+        coords = _int64_coords(pts, self.dim)
+        if coords is None:
+            return super().diameter(pts)
+        proj = coords @ self._signs
         return int(max(proj.max(axis=0) - proj.min(axis=0)))
 
     def scale_pairs(self, w, r):
@@ -300,12 +321,32 @@ class TreeMetricSpace(Space):
 
     graph_like = True
 
+    def _bfs(self, src, cutoff: int, cap: Optional[int] = None) -> dict:
+        """Distances from src out to radius cutoff, in breadth-first order with
+        neighbours in ``neighbors`` order; raises EnumerationOverflow as soon as
+        more than cap points are reached."""
+        lengths = {src: 0}
+        frontier = [src]
+        level = 0
+        while frontier and level < cutoff:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for u in self.neighbors(v):
+                    if u not in lengths:
+                        lengths[u] = level
+                        nxt.append(u)
+                if cap is not None and len(lengths) > cap:
+                    raise EnumerationOverflow(f"{self.kind} ball around {src!r} exceeds cap {cap}")
+            frontier = nxt
+        return lengths
+
     def diameter(self, pts):
         # a double sweep is exact for tree metrics
-        if not pts:
+        if len(pts) < 2:
             return 0
-        a = max(pts, key=lambda q: self.dist(pts[0], q))
-        return max(self.dist(a, q) for q in pts)
+        far = pts[self.pairwise_dist(pts[:1], pts).argmax()]
+        return max(self.pairwise_dist([far], pts)[0].tolist())
 
     def scale_pairs(self, w, r):
         if w.is_ball:
@@ -395,23 +436,12 @@ class FreeGroupSpace(TreeMetricSpace):
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         if self.ball_size(x, r) > cap:
             raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {cap}")
-        seen = {x}
-        frontier = [x]
-        out = [x]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for s in self.letters:
-                    y = word_mul(w, s)
-                    if y not in seen:
-                        seen.add(y)
-                        out.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
+        return list(self._bfs(x, r))
 
     def neighbors(self, x):
-        return [word_mul(x, s) for s in self.letters]
+        # x * s for each letter s: it cancels the last letter of x, or appends s
+        last = x[-1:].swapcase()
+        return [x[:-1] if s == last else x + s for s in self.letters]
 
     def to_spec(self):
         return {"kind": "free_group", "rank": self.rank}
@@ -446,32 +476,34 @@ class TreeSpace(TreeMetricSpace):
                     raise MalformedSpec(f"bad edge {(a, b)!r}")
                 adj[a].append(b)
                 adj[b].append(a)
-            # connectivity check
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
+            # a breadth-first search from 0 checks connectivity and roots the tree there
+            self._depth, self._par = [-1] * n, [0] * n
+            self._depth[0] = 0
+            order = [0]
+            for v in order:
                 for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != n:
+                    if self._depth[u] < 0:
+                        self._depth[u], self._par[u] = self._depth[v] + 1, v
+                        order.append(u)
+            if len(order) != n:
                 raise MalformedSpec("edge list is not connected")
             self.branching = None
             self.edges = edges
             self.n_vertices = n
             self._adj = [sorted(a) for a in adj]
             self.finite = True
-            self._dist_cache: dict[int, dict[int, int]] = {}
 
-    # -- infinite b-ary helpers
+    # -- rooted structure: the b-ary tree is rooted at 0 by its numbering, a
+    # finite tree at 0 by the breadth-first search in __init__
     def _parent(self, v):
-        return (v - 1) // self.branching
+        return self._par[v] if self.branching is None else (v - 1) // self.branching
 
     def depth(self, v):
-        d = 0
+        if self.branching is None:
+            return self._depth[v]
+        d, b = 0, self.branching
         while v > 0:
-            v = self._parent(v)
+            v = (v - 1) // b
             d += 1
         return d
 
@@ -490,54 +522,30 @@ class TreeSpace(TreeMetricSpace):
         return 0
 
     def dist(self, x, y):
-        if self.branching is not None:
-            d = 0
-            dx, dy = self.depth(x), self.depth(y)
-            while dx > dy:
-                x = self._parent(x)
-                dx -= 1
-                d += 1
-            while dy > dx:
-                y = self._parent(y)
-                dy -= 1
-                d += 1
-            while x != y:
-                x = self._parent(x)
-                y = self._parent(y)
-                d += 2
-            return d
-        lengths = self._bfs(x)
-        return lengths[y]
+        # climb to equal depth, then both sides to the lowest common ancestor
+        dx, dy = self.depth(x), self.depth(y)
+        for _ in range(dx - dy):
+            x = self._parent(x)
+        for _ in range(dy - dx):
+            y = self._parent(y)
+        d = abs(dx - dy)
+        while x != y:
+            x, y = self._parent(x), self._parent(y)
+            d += 2
+        return d
 
-    def _bfs(self, src, cutoff=None, cap=None):
-        """Distances from src out to radius cutoff; raises EnumerationOverflow
-        as soon as more than cap vertices are reached."""
-        if cutoff is None:
-            cached = self._dist_cache.get(src)
-            if cached is not None:
-                return cached
-        lengths = {src: 0}
-        frontier = [src]
-        level = 0
-        while frontier and (cutoff is None or level < cutoff):
-            level += 1
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in lengths:
-                        lengths[u] = level
-                        nxt.append(u)
-                if cap is not None and len(lengths) > cap:
-                    raise EnumerationOverflow(f"tree ball around {src} exceeds cap {cap}")
-            frontier = nxt
-        if cutoff is None:
-            self._dist_cache[src] = lengths
-        return lengths
+    def pairwise_dist(self, A, B):
+        if self.branching is not None:
+            return super().pairwise_dist(A, B)
+        # one breadth-first search per row, over the whole tree, kept for that row only
+        rows = (self._bfs(a, self.n_vertices) for a in A)
+        D = [[row[b] for b in B] for row in rows]
+        return np.array(D, dtype=np.int64).reshape(len(A), len(B))
 
     def neighbors(self, x):
         if self.branching is not None:
             b = self.branching
-            out = [] if x == 0 else [self._parent(x)]
+            out = [] if x == 0 else [(x - 1) // b]
             out.extend(b * x + i for i in range(1, b + 1))
             return out
         return list(self._adj[x])
@@ -602,9 +610,9 @@ class PointLineSpace(Space):
     def all_points(self):
         return list(self.coords)
 
-    def pairwise_dist(self, A, B):
-        a, b = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-        return np.abs(a[:, None] - b[None, :])
+    # the points are coordinates in Z, so distances are those of one-dimensional grid points
+    dim = 1
+    pairwise_dist = GridSpace.pairwise_dist
 
     def diameter(self, pts):
         return max(pts) - min(pts) if len(pts) else 0
@@ -981,9 +989,6 @@ class Window:
         except KeyError:
             raise UnknownPoint(f"{p!r} is not in this window") from None
 
-    def dist(self, x, y) -> int:
-        return self.space.dist(x, y)
-
     @property
     def is_ball(self) -> bool:
         return self.ball_center is not None and self.ball_radius is not None
@@ -1010,6 +1015,21 @@ class Window:
             self._graphs[r] = g
         return g
 
+    def net_chunks(self, c: int) -> list:
+        """Greedy pass over the scale-c graph in canonical order: each point not
+        yet taken seeds a chunk, the index array of itself and its neighbours
+        not yet taken.  The seeds form a maximal c-separated subset."""
+        g = self.scale_graph(c)
+        free = np.ones(len(self.points), dtype=bool)
+        chunks = []
+        for i in range(len(self.points)):
+            if free[i]:
+                row = g.indices[g.indptr[i]:g.indptr[i + 1]]
+                chunk = np.concatenate(([i], row[free[row]]))
+                free[chunk] = False
+                chunks.append(chunk)
+        return chunks
+
     def interior(self, r: int) -> tuple:
         """Points whose ambient r-ball lies entirely inside the window."""
         if r <= 0:
@@ -1018,8 +1038,8 @@ class Window:
         if self.is_ball and s.geodesic_extension:
             if self.ball_radius < r:
                 return ()
-            c = self.ball_center
-            return tuple(p for p in self.points if s.dist(c, p) <= self.ball_radius - r)
+            near = s.pairwise_dist([self.ball_center], self.points)[0] <= self.ball_radius - r
+            return tuple(itertools.compress(self.points, near.tolist()))
         degree = np.diff(self.scale_graph(r).indptr).tolist()
         return tuple(p for p, k in zip(self.points, degree) if k + 1 == s.ball_size(p, r))
 

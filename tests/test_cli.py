@@ -3,12 +3,16 @@ per subcommand."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import coarsekit as ck
 from coarsekit import serialization
 from coarsekit.cli import run
+from coarsekit.errors import IntegerOverflow
 
 Z = ck.make_space({"kind": "grid", "dim": 1})
 
@@ -437,3 +441,79 @@ def test_verify_refuses_degenerate_certificates(tmp_path, payload, code, error):
     res = run(["verify", "--file", path])
     assert res.exit_code == code
     assert res.payload.get("error") == error
+
+
+# -- grid coordinates near and beyond int64 -----------------------------------
+
+def _cli_process(argv):
+    """The real entry point in a child process: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+_FAR2 = [[-2**62, 0], [2**62, 0]]  # l1 distance 2^63: int64 differences wrap to -2^63
+_FAR3 = [[-2**61] * 3, [2**61] * 3]  # l1 distance 3 * 2^62
+
+
+def _forged(tmp_path, name):
+    """A forged input that wrapped at int64, and the CLI command that reads it."""
+    z2, z3 = {"kind": "grid", "dim": 2}, {"kind": "grid", "dim": 3}
+    head = {"schema": "coarsekit/1", "r": 1, "window": {"points": _FAR2}}
+    if name == "cover_bound_0":
+        data = dict(head, kind="colored_cover", space=z2, bound=0, colors=[[_FAR2]])
+    elif name == "partition_one_class":
+        data = dict(head, kind="scale_partition", space=z2, classes=[_FAR2])
+    else:
+        space = _op_file(tmp_path, "z3.json", z3)
+        window = _op_file(tmp_path, "w3.json", {"points": _FAR3})
+        return ["components", "--space", space, "--window-file", window, "--r", "1"]
+    return ["verify", "--file", _op_file(tmp_path, f"{name}.json", data)]
+
+
+@pytest.mark.parametrize("name", ["cover_bound_0", "partition_one_class", "z3_components"])
+def test_wrapped_grid_distances_never_pass(tmp_path, name):
+    # each of these exited 0: the two points looked 0 or -2^63 apart
+    argv = _forged(tmp_path, name)
+    res = run(argv)
+    assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
+    code, err = _cli_process(argv)
+    assert code == 3 and "Traceback" not in err and "IntegerOverflow" in err
+
+
+def test_wrapped_grid_distances_in_the_library():
+    Z2, Z3 = (ck.make_space({"kind": "grid", "dim": d}) for d in (2, 3))
+    far2 = tuple(map(tuple, _FAR2))
+    cover = ck.ColoredCover(ck.Window(Z2, far2), 1, 0, ((far2,),))
+    with pytest.raises(IntegerOverflow):
+        ck.verify_decomposition(cover)
+    with pytest.raises(IntegerOverflow):
+        Z2.diameter(far2)
+    with pytest.raises(IntegerOverflow):
+        ck.components_at_scale(ck.Window(Z3, _FAR3), 1)
+
+
+@pytest.mark.parametrize("command", ["components", "space"])
+def test_ball_beyond_int64_is_exact(specs, command):
+    # exited 1 with an OverflowError traceback
+    argv = [command, "--space", specs["z"], "--window-radius", "2", "--center", json.dumps([2**70]),
+            "--r", "1"]
+    res = run(argv)
+    assert res.exit_code == 0
+    if command == "components":
+        assert len(res.payload["classes"]) == 1
+    else:
+        assert res.payload["bounded_geometry_profile"] == 3 and res.payload["metric_check"]["ok"]
+    code, err = _cli_process(argv)
+    assert code == 0 and "Traceback" not in err
+
+
+def test_window_spanning_beyond_int64_exits_3(specs, tmp_path):
+    window = _op_file(tmp_path, "w.json", {"points": [[2**70], [2**70 + 1], [5]]})
+    argv = ["components", "--space", specs["z"], "--window-file", window, "--r", "1"]
+    res = run(argv)
+    assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
+    code, err = _cli_process(argv)
+    assert code == 3 and "Traceback" not in err

@@ -1,12 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarsekit as ck
 from coarsekit.errors import (
     EnumerationOverflow,
+    IntegerOverflow,
     MalformedSpec,
     MetricViolation,
     UnknownPoint,
 )
+from coarsekit.spaces import word_mul
 
 
 def test_grid_line_distance():
@@ -325,3 +331,117 @@ def test_make_space_rejects_bad_specs():
     ):
         with pytest.raises(MalformedSpec):
             ck.make_space(bad)
+
+
+
+# -- one metric path per kind: oracles ----------------------------------------
+
+def _near_int64(dim):
+    """Coordinates near 0 and near each magnitude where int64 arithmetic on
+    dim-dimensional l1 distances starts to wrap."""
+    centers = [0, 2**61 // dim, 2**62, 2**63, 2**70]
+    return st.builds(lambda c, s, o: s * c + o, st.sampled_from(centers),
+                     st.sampled_from([1, -1]), st.integers(-3, 3))
+
+
+def _l1(p, q):
+    return sum(abs(a - b) for a, b in zip(p, q))
+
+
+def _exact_or_overflow(compute, want, top):
+    """compute() is exact whenever top, the largest distance involved, fits
+    int64; beyond that it is exact or raises IntegerOverflow, never wrong."""
+    try:
+        got = compute()
+    except IntegerOverflow:
+        assert top >= 2**63
+        return
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_grid_and_point_line_distances_are_exact_or_overflow(data):
+    dim = data.draw(st.integers(1, 3))
+    G = ck.make_space({"kind": "grid", "dim": dim})
+    points = st.lists(st.tuples(*[_near_int64(dim)] * dim), min_size=1, max_size=4)
+    A, B = data.draw(points), data.draw(points)
+    want = [[_l1(p, q) for q in B] for p in A]
+    _exact_or_overflow(lambda: G.pairwise_dist(A, B).tolist(), want, max(map(max, want)))
+    diam = max(_l1(p, q) for p in A + B for q in A + B)
+    _exact_or_overflow(lambda: G.diameter(A + B), diam, diam)
+
+    coords = sorted({p[0] for p in A + B})
+    L = ck.make_space({"kind": "point_line", "coords": coords})
+    a, b = [p[0] for p in A], [q[0] for q in B]
+    want = [[abs(x - y) for y in b] for x in a]
+    _exact_or_overflow(lambda: L.pairwise_dist(a, b).tolist(), want, max(map(max, want)))
+    _exact_or_overflow(lambda: L.diameter(coords), coords[-1] - coords[0], coords[-1] - coords[0])
+
+
+def _random_tree_edges(rng, n):
+    """A tree on 0..n-1: each vertex but one joins an earlier one of a random
+    relabelling, so vertex 0 need not be a leaf or a hub."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return [[label[k], label[rng.randrange(k)]] for k in range(1, n)]
+
+
+def _bfs_lengths(edges, n, src):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    lengths = {src: 0}
+    queue = [src]
+    for v in queue:
+        for u in adj[v]:
+            if u not in lengths:
+                lengths[u] = lengths[v] + 1
+                queue.append(u)
+    return [lengths[v] for v in range(n)]
+
+
+def _attribute_sizes(obj):
+    return {k: len(v) for k, v in vars(obj).items() if hasattr(v, "__len__")}
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_finite_tree_distances_match_bfs(case):
+    rng = random.Random(case)
+    n = rng.randint(1, 40)
+    edges = _random_tree_edges(rng, n) if case % 3 else [[k, k + 1] for k in range(n - 1)]
+    T = ck.make_space({"kind": "tree", "edges": edges})
+    before = _attribute_sizes(T)
+    want = [_bfs_lengths(edges, n, v) for v in range(n)]
+    assert [[T.dist(x, y) for y in range(n)] for x in range(n)] == want
+    assert T.pairwise_dist(list(range(n)), list(range(n))).tolist() == want
+    rows = rng.sample(range(n), min(n, 5))
+    assert T.pairwise_dist(rows, list(range(n))[::-1]).tolist() == [want[x][::-1] for x in rows]
+    assert T.diameter(list(range(n))) == max(map(max, want))
+    # no per-query state: nothing the space holds grows with the queries
+    assert _attribute_sizes(T) == before
+
+
+def _free_group_ball_old(space, x, r):
+    """The free-group ball loop before it moved onto the shared tree BFS."""
+    seen, frontier, out = {x}, [x], [x]
+    for _ in range(r):
+        nxt = []
+        for w in frontier:
+            for s in space.letters:
+                y = word_mul(w, s)
+                if y not in seen:
+                    seen.add(y)
+                    out.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_group_ball_order_is_unchanged(rank):
+    F = ck.make_space({"kind": "free_group", "rank": rank})
+    for x in ["", "a", "aB" if rank > 1 else "aa"]:
+        for r in range(5):
+            assert F.ball_points(x, r) == _free_group_ball_old(F, x, r)
