@@ -93,23 +93,18 @@ class ParadoxicalDecomposition:
         carrier = [p for p in w.points if self.in_carrier(p)]
         plus = [p for p in carrier if self.in_plus(p)]
         minus = [p for p in carrier if self.in_minus(p)]
-        tp = [
-            (p, self.t_plus(p))
-            for p in carrier
-            if self.t_plus(p) is not None and self.t_plus(p) in w
-        ]
-        tm = [
-            (p, self.t_minus(p))
-            for p in carrier
-            if self.t_minus(p) is not None and self.t_minus(p) in w
-        ]
+
+        def pairs(t):  # one call of t per carrier point
+            images = ((p, t(p)) for p in carrier)
+            return [[enc(a), enc(b)] for a, b in images if b is not None and b in w]
+
         return {
             "displacement": self.displacement,
             "carrier": [enc(p) for p in carrier],
             "plus": [enc(p) for p in plus],
             "minus": [enc(p) for p in minus],
-            "t_plus": [[enc(a), enc(b)] for a, b in tp],
-            "t_minus": [[enc(a), enc(b)] for a, b in tm],
+            "t_plus": pairs(self.t_plus),
+            "t_minus": pairs(self.t_minus),
             "tag": self.tag,
         }
 

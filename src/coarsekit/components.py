@@ -9,6 +9,7 @@ dimension zero; growing classes feed the segment extraction below.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,19 +41,40 @@ class ScalePartition:
         return {"r": self.r, "classes": [[enc(p) for p in c] for c in self.classes]}
 
 
-def components_at_scale(w: Window, r: int) -> ScalePartition:
-    """Exact ~_r classes of a window, sorted canonically."""
+class ClassLayout:
+    """The classes of a labelling of indices 0..n-1 numbered in first-occurrence
+    order, as ``connected_components`` numbers them: class c holds the indices
+    labelled c, ascending, so the classes run in the order of their first
+    indices.  ``sizes`` has the size of each class and ``pos`` the position of
+    each index inside its class."""
+
+    def __init__(self, labels: np.ndarray):
+        self.labels = labels
+        self.sizes = np.bincount(labels)
+        self._order = np.argsort(labels, kind="stable")
+        self._starts = np.cumsum(self.sizes) - self.sizes
+        self.pos = np.empty_like(self._order)
+        self.pos[self._order] = np.arange(len(labels)) - np.repeat(self._starts, self.sizes)
+
+    @cached_property
+    def classes(self) -> list:
+        """Each class as an ascending list of indices."""
+        flat = self._order.tolist()
+        return [flat[a:a + s] for a, s in zip(self._starts.tolist(), self.sizes.tolist())]
+
+
+def scale_layout(w: Window, r: int) -> ClassLayout:
+    """The ~_r classes of a window as a class layout over its indices."""
     if r < 0:
         raise MalformedSpec("scale must be >= 0")
-    if not w.points:
-        return ScalePartition(w, r, ())
-    _, labels = connected_components(w.scale_graph(r), directed=False)
-    groups: dict[int, list] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(i)
-    classes = sorted(groups.values(), key=lambda g: g[0])
+    return ClassLayout(connected_components(w.scale_graph(r), directed=False)[1])
+
+
+def components_at_scale(w: Window, r: int) -> ScalePartition:
+    """Exact ~_r classes of a window, sorted canonically."""
     pts = w.points
-    return ScalePartition(w, r, tuple(tuple(pts[i] for i in g) for g in classes))
+    classes = scale_layout(w, r).classes
+    return ScalePartition(w, r, tuple(tuple(pts[i] for i in c) for c in classes))
 
 
 def class_size_profile(space: Space, r: int, windows: Sequence[Window]) -> list[int]:
@@ -214,15 +236,12 @@ def _grow_from(space, r, pts, steps, start, need_m):
 def _segment_in(space, r, pts, reach, steps, need_m):
     """The first segment of need_m points grown in a ~_r class of pts, classes
     in canonical order, from the class's first point, then its farthest."""
-    _, labels = connected_components(reach, directed=False)
-    _, firsts, sizes = np.unique(labels, return_index=True, return_counts=True)
-    for c in np.argsort(firsts):
-        if sizes[c] < need_m:
+    for members in ClassLayout(connected_components(reach, directed=False)[1]).classes:
+        if len(members) < need_m:
             continue
-        members = np.flatnonzero(labels == c)
-        s0 = int(members[0])
+        s0 = members[0]
         d0 = pairwise_dist(space, [pts[s0]], [pts[i] for i in members])[0]
-        far = int(members[len(d0) - 1 - np.argmax(d0[::-1])])
+        far = members[len(d0) - 1 - int(np.argmax(d0[::-1]))]
         for start in (s0, far) if far != s0 else (s0,):
             seg = _grow_from(space, r, pts, steps, start, need_m)
             if seg is not None:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .components import components_at_scale
+from .components import ClassLayout, components_at_scale
 from .errors import MalformedSpec, NotTreelike
 from .spaces import GridSpace, Space, TreeMetricSpace, Window
 
@@ -226,15 +226,9 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     g = w.scale_graph(r).tocoo()
     inside = annulus[g.row] == annulus[g.col]
     chains = sparse.csr_matrix((g.data[inside], (g.row[inside], g.col[inside])), shape=(n, n))
-    _, labels = connected_components(chains, directed=False)
-
-    groups: dict[int, list] = {}
-    for i, lab in enumerate(labels.tolist()):
-        groups.setdefault(lab, []).append(i)
-    families: dict[int, list] = {0: [], 1: []}
-    for idxs in groups.values():
-        c = int(annulus[idxs[0]] % 2)
-        families[c].append(tuple(w.points[i] for i in idxs))
+    families = ([], [])
+    for idxs in ClassLayout(connected_components(chains, directed=False)[1]).classes:
+        families[annulus[idxs[0]] % 2].append(tuple(w.points[i] for i in idxs))
     colors = (tuple(families[0]), tuple(families[1]))
     bound = max(
         (space.diameter(piece) for fam in colors for piece in fam), default=0

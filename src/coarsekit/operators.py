@@ -21,7 +21,7 @@ from scipy import sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .amenability import PartialTranslation
-from .components import SegmentFamily, components_at_scale
+from .components import ClassLayout, SegmentFamily, scale_layout
 from .covers import ColoredCover
 from .errors import (
     ClassTooLarge,
@@ -243,29 +243,38 @@ def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_00
     A = a.to_sparse()
     if A.nnz == 0:
         return NormEstimate(0.0, True, 0, "trivial")
-    _, labels = connected_components(A != 0, directed=False)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")  # component-major, window order inside
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    lay = ClassLayout(connected_components(A != 0, directed=False)[1])
     C = A.tocoo()
-    size_of = sizes[labels[C.row]]
-    best, power = 0.0, []
-    for s in np.unique(size_of):
-        hit = size_of == s
-        comps, slot = np.unique(labels[C.row[hit]], return_inverse=True)
-        if s > DENSE_NORM_LIMIT:
-            power += [_power_norm(A, np.flatnonzero(labels == c), tol, max_iter) for c in comps]
-            continue
-        rows, cols, vals = pos[C.row[hit]], pos[C.col[hit]], C.data[hit]
-        step = max(1, (1 << 20) // (s * s))  # blocks per SVD: at most 16 MB of cells
-        for lo in range(0, len(comps), step):
-            k = (slot >= lo) & (slot < lo + step)
-            B = np.zeros((min(step, len(comps) - lo), s, s), dtype=np.complex128)
-            B[slot[k] - lo, rows[k], cols[k]] = vals[k]
-            best = max(best, float(np.linalg.svd(B, compute_uv=False)[:, 0].max()))
+    # the components that hold entries; the rest are single points
+    held = np.flatnonzero(np.bincount(lay.labels[C.row], minlength=len(lay.sizes)))
+    large = lay.sizes[held] > DENSE_NORM_LIMIT
+    power = [_power_norm(A, lay.classes[c], tol, max_iter) for c in held[large].tolist()]
+    best = 0.0
+    for _, _, B in _dense_blocks(C, lay, held[~large]):
+        best = max(best, float(np.linalg.svd(B, compute_uv=False)[:, 0].max()))
     return NormEstimate(max([best] + [e.value for e in power]), all(e.converged for e in power),
                         max([0] + [e.iterations for e in power]), "power" if power else "dense")
+
+
+def _dense_blocks(C, lay: ClassLayout, ids):
+    """The dense blocks of the COO matrix C on the classes ids (ascending) of a
+    layout that holds each entry of C inside one class: (size, batch of ids,
+    blocks) by class size, ascending, at most 2^20 cells (16 MB) per batch."""
+    of_entry = lay.labels[C.row]
+    rows, cols = lay.pos[C.row], lay.pos[C.col]
+    slot = np.full(len(lay.sizes), -1)
+    for s in np.unique(lay.sizes[ids]).tolist():
+        same = ids[lay.sizes[ids] == s]
+        step = max(1, (1 << 20) // (s * s))
+        for lo in range(0, len(same), step):
+            batch = same[lo:lo + step]
+            slot[batch] = np.arange(len(batch))
+            k = slot[of_entry]
+            hit = k >= 0
+            B = np.zeros((len(batch), s, s), dtype=np.complex128)
+            B[k[hit], rows[hit], cols[hit]] = C.data[hit]
+            slot[batch] = -1
+            yield s, batch, B
 
 
 def _power_norm(A, idx, tol, max_iter) -> NormEstimate:
@@ -402,50 +411,40 @@ def af_approximate(
     lattice of spacing eps / (2 n sqrt 2); the model of each color is the
     block of its first class, so the approximation error is at most eps/2 and
     families that are already block-constant are reproduced exactly."""
-    if eps <= 0:
-        raise MalformedSpec("eps must be > 0")
+    if not eps > 0:
+        raise MalformedSpec(f"eps must be > 0, got {eps}")
     if a.propagation > r:
         raise PropagationTooLarge(
             f"operator propagation {a.propagation} exceeds scale {r}"
         )
     w = a.window
-    part = components_at_scale(w, r)
-    for cls in part.classes:
-        if len(cls) > class_cap:
-            raise ClassTooLarge(
-                f"chain class of size {len(cls)} exceeds cap {class_cap}", cls=cls
-            )
+    lay = scale_layout(w, r)
+    classes = tuple(tuple(w.points[i] for i in c) for c in lay.classes)
+    big = np.flatnonzero(lay.sizes > class_cap)
+    if len(big):
+        cls = classes[big[0]]
+        raise ClassTooLarge(f"chain class of size {len(cls)} exceeds cap {class_cap}", cls=cls)
 
-    # one dense block per class; propagation <= r keeps every entry inside one
-    blocks = [np.zeros((len(cls), len(cls)), dtype=np.complex128) for cls in part.classes]
-    where = {w.index(p): (c, k) for c, cls in enumerate(part.classes) for k, p in enumerate(cls)}
-    A = a.matrix.tocoo()
-    for i, j, v in zip(A.row.tolist(), A.col.tolist(), A.data.tolist()):
-        c, k = where[i]
-        blocks[c][k, where[j][1]] = v
-
-    color_key_to_id: dict = {}
-    color_of_class = []
-    models: list = []
-    for M in blocks:
-        n = len(M)
-        delta = eps / (2 * n * math.sqrt(2))
-        lattice = tuple(
-            (int(round(z.real / delta)), int(round(z.imag / delta)))
-            for z in M.flat
-        )
-        key = (n, lattice)
-        if key not in color_key_to_id:
-            color_key_to_id[key] = len(models)
-            models.append(M.copy())
-        color_of_class.append(color_key_to_id[key])
-
-    err = 0.0
-    for M, color in zip(blocks, color_of_class):
-        diff = M - models[color]
-        if diff.any():
-            err = max(err, float(np.linalg.norm(diff, 2)))
-    coloring = BlockColoring(r, part.classes, tuple(color_of_class), tuple(models))
+    # propagation <= r keeps every entry inside one class's block; a key is the
+    # size and the lattice point of the block, with -0.0 read as 0.0
+    key_of, model_of, err = [None] * len(classes), {}, 0.0
+    for n, batch, B in _dense_blocks(a.matrix.tocoo(), lay, np.arange(len(classes))):
+        with np.errstate(all="ignore"):  # a coordinate out of float range is refused below
+            lattice = np.rint(B.view(np.float64) / (eps / (2 * n * math.sqrt(2)))) + 0.0
+        if not np.isfinite(lattice).all():
+            raise MalformedSpec(
+                f"eps {eps} is too fine for the entries: a lattice coordinate leaves float range")
+        for c, M, x in zip(batch.tolist(), B, lattice):
+            key_of[c] = (n, x.tobytes())
+            model_of.setdefault(key_of[c], M)
+        diff = B - np.array([model_of[key_of[c]] for c in batch.tolist()])
+        off = diff.reshape(len(B), -1).any(axis=1)
+        if off.any():
+            err = max(err, float(np.linalg.svd(diff[off], compute_uv=False)[:, 0].max()))
+    color_id: dict = {}
+    color_of_class = tuple(color_id.setdefault(k, len(color_id)) for k in key_of)
+    models = tuple(model_of[k].copy() for k in color_id)
+    coloring = BlockColoring(r, classes, color_of_class, models)
     return AFApproximation(coloring, rebuild_from_coloring(w, coloring), err, eps)
 
 
@@ -538,6 +537,8 @@ class QuasiReport:
 def quasi_check(a: BandedOperator, kind: str, r: int, eps: float = 0.125) -> QuasiReport:
     """Projection mode: |a^2 - a| and |a - a*| within eps; unitary mode:
     |a*a - 1| and |aa* - 1| within eps; both with propagation <= r."""
+    if not eps >= 0:
+        raise MalformedSpec(f"eps must be >= 0, got {eps}")
     one = identity_operator(a.window)
     if kind == "projection":
         devs = {
@@ -570,31 +571,22 @@ class OmegaDecomposition:
         self.r0 = cover.r
         self.u_pieces = cover.colors[0]
         self.v_pieces = cover.colors[1]
+        self.u_incidence, self.v_incidence = (
+            _incidence(self.window, pieces) for pieces in (self.u_pieces, self.v_pieces))
 
-    def piece_sets(self, r: int):
-        """For each window point, the ids of U pieces / V pieces whose
-        r-neighborhood contains it."""
-        w = self.window
-        n = len(w.points)
-        u_of = [set() for _ in range(n)]
-        v_of = [set() for _ in range(n)]
-        piece_u = {}
-        piece_v = {}
-        for pid, piece in enumerate(self.u_pieces):
-            for p in piece:
-                piece_u[w.index(p)] = pid
-                u_of[w.index(p)].add(pid)
-        for pid, piece in enumerate(self.v_pieces):
-            for p in piece:
-                piece_v[w.index(p)] = pid
-                v_of[w.index(p)].add(pid)
-        g = w.scale_graph(r).tocoo()
-        for x, y in zip(g.row.tolist(), g.col.tolist()):
-            if y in piece_u:
-                u_of[x].add(piece_u[y])
-            if y in piece_v:
-                v_of[x].add(piece_v[y])
-        return u_of, v_of
+    def near(self, r: int):
+        """Bool CSR incidences, window points by U pieces and by V pieces, of
+        "the point lies within r of the piece"."""
+        g = self.window.scale_graph(r).astype(bool)  # bool products OR, where int8 ones wrap
+        return tuple(P + g @ P for P in (self.u_incidence, self.v_incidence))
+
+
+def _incidence(w: Window, pieces):
+    """Bool CSR incidence of window points (rows) in pieces (columns)."""
+    rows = [w.index(p) for piece in pieces for p in piece]
+    cols = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
+    return sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                         shape=(len(w.points), len(pieces)))
 
 
 @dataclass(frozen=True)
@@ -620,25 +612,19 @@ def omega_membership(
     intersections (part 'intersection', no propagation constraint)."""
     if a.window is not omega.window and a.window.points != omega.window.points:
         raise WindowMismatch("operator and decomposition windows differ")
-    u_of, v_of = omega.piece_sets(r)
-    enc = a.window.space.point_to_json
-    pts = a.window.points
+    families = {"I": (0,), "J": (1,), "intersection": (0, 1)}.get(part)
+    if families is None:
+        raise MalformedSpec(f"part must be 'I', 'J' or 'intersection', got {part!r}")
+    near, A = omega.near(r), a.matrix.tocoo()
+    ok = np.ones(A.nnz, dtype=bool)
+    for f in families:  # an entry is kept when its row and column lie near one piece
+        ok &= near[f][A.row].multiply(near[f][A.col]).getnnz(axis=1) > 0
+    bad = np.flatnonzero(~ok)
     witness = None
-    support_ok = True
-    A = a.matrix.tocoo()
-    for i, j in zip(A.row.tolist(), A.col.tolist()):
-        if part == "I":
-            ok = bool(u_of[i] & u_of[j])
-        elif part == "J":
-            ok = bool(v_of[i] & v_of[j])
-        elif part == "intersection":
-            ok = bool(u_of[i] & u_of[j]) and bool(v_of[i] & v_of[j])
-        else:
-            raise MalformedSpec(f"part must be 'I', 'J' or 'intersection', got {part!r}")
-        if not ok:
-            support_ok = False
-            witness = {"pair": [enc(pts[i]), enc(pts[j])]}
-            break
+    if len(bad):
+        enc, pts = a.window.space.point_to_json, a.window.points
+        witness = {"pair": [enc(pts[A.row[bad[0]]]), enc(pts[A.col[bad[0]]])]}
+    support_ok = witness is None
     prop_ok = None if part == "intersection" else a.propagation <= r
     return OmegaMembershipReport(part, support_ok, prop_ok, witness)
 
@@ -648,8 +634,7 @@ def mv_split(a: BandedOperator, omega: OmegaDecomposition):
     if a.window is not omega.window and a.window.points != omega.window.points:
         raise WindowMismatch("operator and decomposition windows differ")
     w = a.window
-    u_rows = np.zeros(len(w.points), dtype=bool)
-    u_rows[[w.index(p) for piece in omega.u_pieces for p in piece]] = True
+    u_rows = np.diff(omega.u_incidence.indptr) > 0
     in_u = np.repeat(u_rows, np.diff(a.matrix.indptr))  # per stored entry
     b, c = a.matrix.copy(), a.matrix.copy()
     b.data[~in_u] = 0

@@ -119,6 +119,28 @@ def test_rule_rank_three():
     assert p.t_plus("cb") == "cba" and p.in_minus("cb")
 
 
+def test_materialize_calls_each_translation_once_per_point():
+    w = ck.ball(Z, (0,), 4)
+    calls = {"plus": [], "minus": []}
+
+    def counted(name, t):
+        def call(x):
+            calls[name].append(x)
+            return t(x)
+        return call
+
+    shift = lambda k: (lambda x: (x[0] + k,) if x[0] % 2 == 0 else None)
+    rule = ck.ParadoxicalDecomposition(
+        Z, 3, in_carrier=lambda x: True, in_plus=lambda x: x[0] >= 0,
+        in_minus=lambda x: x[0] < 0, t_plus=counted("plus", shift(1)),
+        t_minus=counted("minus", shift(3)))
+    out = rule.materialize(w)
+    assert calls["plus"] == calls["minus"] == list(w.points)
+    # images outside the window or undefined are dropped
+    assert out["t_plus"] == [[[x], [x + 1]] for x in (-4, -2, 0, 2)]
+    assert out["t_minus"] == [[[x], [x + 3]] for x in (-4, -2, 0)]
+
+
 def test_verify_flags_overlapping_parts():
     pts = ["", "a", "A", "b", "B"]
     broken = paradox_from_pairs(

@@ -329,6 +329,28 @@ def test_af_approx_and_mv_split_without_entries_exit_3(specs, tmp_path):
     assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
 
 
+@pytest.mark.parametrize("entry, eps", [
+    ([[0], [0], 1, 0], "nan"),
+    ([[0], [0], 1e308, 1], "0.1"),  # the lattice coordinate leaves float range
+])
+def test_af_approx_bad_eps_exits_3(specs, tmp_path, entry, eps):
+    a = _op_file(tmp_path, "a.json", {"entries": [entry]})
+    res = run(["af-approx", "--space", specs["z"], "--window-radius", "2", "--a", a,
+               "--r", "1", "--eps", eps])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+
+
+@pytest.mark.parametrize("action", ["quasi-projection", "quasi-unitary"])
+def test_op_quasi_eps_nan_or_negative_exits_3(specs, tmp_path, action):
+    a = _op_file(tmp_path, "a.json", {"entries": [[[x], [x], 1, 0] for x in range(-2, 3)]})
+    base = ["op", "--space", specs["z"], "--window-radius", "2", "--a", a, "--action", action,
+            "--r", "0", "--eps"]
+    for eps in ("nan", "-1"):
+        res = run([*base, eps])
+        assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec"
+    assert run([*base, "0"]).exit_code == 0
+
+
 @pytest.mark.parametrize("entries", [
     [[[0], [0], 1]],            # three fields
     [[[0], [0], "x", 0]],       # a string coefficient

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 import coarsekit as ck
+from coarsekit.components import ClassLayout
 from coarsekit.errors import MalformedSpec, NoSegments
 from coarsekit.spaces import pairwise_dist
 
@@ -80,6 +81,37 @@ def test_components_match_union_find_oracle():
                 oracle.setdefault(uf.find(i), set()).add(i)
             got = {frozenset(c) for c in ck.components_at_scale(w, r).classes}
             assert got == {frozenset(v) for v in oracle.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.lists(st.integers(0, 9), max_size=40))
+def test_class_layout_matches_dict_grouping(raw):
+    # renumber in first-occurrence order, as connected_components numbers classes
+    first = {}
+    labels = np.array([first.setdefault(x, len(first)) for x in raw], dtype=np.int32)
+    groups: dict = {}
+    for i, c in enumerate(labels.tolist()):
+        groups.setdefault(c, []).append(i)
+    lay = ClassLayout(labels)
+    assert lay.classes == [groups[c] for c in range(len(groups))]
+    assert lay.sizes.tolist() == [len(groups[c]) for c in range(len(groups))]
+    assert lay.pos.tolist() == [groups[c].index(i) for i, c in enumerate(labels.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), density=st.floats(0, 0.3), seed=st.integers(0, 2**31 - 1),
+       symmetric=st.booleans())
+def test_connected_components_numbers_in_first_occurrence_order(n, density, seed, symmetric):
+    # ClassLayout and so every class order in coarsekit rely on this numbering:
+    # a scipy that numbers components otherwise fails here first
+    A = sparse.random(n, n, density=density, format="csr", random_state=seed)
+    if symmetric:
+        A = A + A.T
+    _, labels = connected_components(A, directed=False)
+    seen = -1
+    for c in labels.tolist():
+        assert c <= seen + 1
+        seen = max(seen, c)
 
 
 def test_partition_refines_as_scale_drops():

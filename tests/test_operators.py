@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -311,6 +314,92 @@ def test_af_class_cap():
         ck.af_approximate(identity_operator(w), 1, 0.1, class_cap=10)
 
 
+def test_af_refuses_nan_eps_and_lattice_overflow():
+    w = line_window(-2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a numpy warning first
+        with pytest.raises(MalformedSpec):
+            ck.af_approximate(identity_operator(w), 1, float("nan"))
+        # 1e308 / (0.1 / (2 sqrt 2)) leaves float range
+        with pytest.raises(MalformedSpec):
+            ck.af_approximate(make_operator(w, {((0,), (0,)): complex(1e308, 1)}), 1, 0.1)
+
+
+def _af_reference(a, r, eps):
+    """Colours, models and error of af_approximate as the per-cell code
+    computed them: a dict of window positions and an int(round()) key per cell."""
+    w = a.window
+    part = ck.components_at_scale(w, r)
+    blocks = [np.zeros((len(c), len(c)), dtype=np.complex128) for c in part.classes]
+    where = {w.index(p): (c, k) for c, cls in enumerate(part.classes) for k, p in enumerate(cls)}
+    A = a.matrix.tocoo()
+    for i, j, v in zip(A.row.tolist(), A.col.tolist(), A.data.tolist()):
+        c, k = where[i]
+        blocks[c][k, where[j][1]] = v
+    ids, colors, models = {}, [], []
+    for M in blocks:
+        delta = eps / (2 * len(M) * math.sqrt(2))
+        key = (len(M), tuple((int(round(z.real / delta)), int(round(z.imag / delta))) for z in M.flat))
+        if key not in ids:
+            ids[key] = len(models)
+            models.append(M.copy())
+        colors.append(ids[key])
+    diffs = [M - models[c] for M, c in zip(blocks, colors)]
+    err = max((float(np.linalg.norm(d, 2)) for d in diffs if d.any()), default=0.0)
+    return tuple(colors), models, err
+
+
+# on a class of 2 points this eps puts the lattice at spacing exactly 1/8, so
+# (k + 1/2) / 8 is a tie; 2^60 / (1/8) is far above 2^53
+_EPS_EIGHTH = 2 * 2 * math.sqrt(2) / 8
+_AF_PARTS = [0.0, -0.0, 0.01, -0.01, 1 / 16, -1 / 16, 3 / 16, -3 / 16, 5 / 16, 1 / 8,
+             2.0**60, 2.0**60 + 256, -(2.0**61), 1e300]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sizes=st.lists(st.sampled_from([1, 2, 2, 3]), min_size=1, max_size=12),
+       parts=st.lists(st.tuples(st.sampled_from(_AF_PARTS), st.sampled_from(_AF_PARTS)),
+                      min_size=36, max_size=36),
+       eps=st.sampled_from([_EPS_EIGHTH, 0.1, 0.5, 1e-3]))
+def test_af_matches_per_cell_rounding(sizes, parts, eps):
+    space = ck.make_space({"kind": "disjoint_union",
+                           "blocks": [{"kind": "point_line", "coords": list(range(m))} for m in sizes],
+                           "gaps": [10] * (len(sizes) - 1)})
+    w = ck.Window(space, space.all_points())
+    # parts * 3 covers the 108 cells of 12 classes of 3 points
+    cells = [(i, j) for i, p in enumerate(w.points) for j, q in enumerate(w.points) if p[0] == q[0]]
+    entries = {ij: complex(*z) for ij, z in zip(cells, parts * 3) if z != (0.0, 0.0)}
+    a = BandedOperator(w, entries, exact=False)
+    approx = ck.af_approximate(a, 2, eps)
+    colors, models, err = _af_reference(a, 2, eps)
+    assert approx.coloring.color_of_class == colors
+    assert [m.tobytes() for m in approx.coloring.models] == [m.tobytes() for m in models]
+    assert approx.error == err
+    assert ck.rebuild_from_coloring(w, approx.coloring).equals(approx.b, tol=0)
+
+
+@pytest.mark.parametrize("diag, colors", [
+    # -0.0, and values that round to -0.0, key as 0.0
+    ([complex(-0.0, 1), complex(0.0, 1), complex(-0.01, 1), complex(0.01, 1)], (0, 0, 0, 0)),
+    # ties at .5 round to even: 0, 0.5, -0.5, 1.5, 2, 2.5, -1.5 eighths
+    ([complex(v, 1) for v in (0, 1 / 16, -1 / 16, 3 / 16, 2 / 8, 5 / 16, -3 / 16)],
+     (0, 0, 0, 1, 1, 1, 2)),
+    # above 2^53 lattice units every double is its own lattice point
+    ([2.0**60 + 0.5j, 2.0**60 + 256 + 0.5j, 2.0**60 + 0.5j], (0, 1, 0)),
+    # exact int64 entries: 2^60 + 1 becomes the double 2^60
+    ([2**60, 2**60 + 1, 2**60 + 512, -(2**62)], (0, 0, 1, 2)),
+])
+def test_af_keys_match_per_cell_rounding(diag, colors):
+    w = line_window(0, len(diag) - 1)
+    a = BandedOperator(w, {(i, i): v for i, v in enumerate(diag)})
+    eps = 2 * math.sqrt(2) / 8  # lattice spacing exactly 1/8 on classes of one point
+    approx = ck.af_approximate(a, 0, eps)
+    ref_colors, models, err = _af_reference(a, 0, eps)
+    assert approx.coloring.color_of_class == ref_colors == colors
+    assert [m.tobytes() for m in approx.coloring.models] == [m.tobytes() for m in models]
+    assert approx.error == err
+
+
 # -- segment shift and cancellation ---------------------------------------------------
 
 def quadratic_family(n_max):
@@ -422,6 +511,14 @@ def test_quasi_exact_projection():
     assert rep.passed and max(rep.deviations.values()) == 0
 
 
+def test_quasi_check_refuses_nan_and_negative_eps():
+    one = identity_operator(line_window(0, 3))
+    for eps in (float("nan"), -1.0, -1e-300):
+        with pytest.raises(MalformedSpec):
+            ck.quasi_check(one, "projection", 0, eps=eps)
+    assert ck.quasi_check(one, "unitary", 0, eps=0).passed
+
+
 def test_quasi_unitary():
     w = line_window(0, 10)
     assert ck.quasi_check(identity_operator(w), "unitary", 0).passed
@@ -485,6 +582,89 @@ def test_mv_split_diagonal_and_zero():
     z = zero_operator(w)
     zb, zc = ck.mv_split(z, omega)
     assert not zb.entries and not zc.entries
+
+
+def test_omega_membership_checks_part_before_any_entry():
+    w = line_window(-20, 20)
+    omega = OmegaDecomposition(ck.witness_line(2, w))
+    for a in (zero_operator(w), identity_operator(w)):
+        with pytest.raises(MalformedSpec):
+            ck.omega_membership(a, omega, 1, "K")
+
+
+def _omega_reference(a, omega, r, part):
+    """(support_ok, witness) of omega_membership as the per-point set code
+    computed them, for covers whose pieces partition the window."""
+    w = omega.window
+    u_of = [set() for _ in w.points]
+    v_of = [set() for _ in w.points]
+    piece_u, piece_v = {}, {}
+    for pieces, of, piece_of in ((omega.u_pieces, u_of, piece_u), (omega.v_pieces, v_of, piece_v)):
+        for pid, piece in enumerate(pieces):
+            for p in piece:
+                piece_of[w.index(p)] = pid
+                of[w.index(p)].add(pid)
+    g = w.scale_graph(r).tocoo()
+    for x, y in zip(g.row.tolist(), g.col.tolist()):
+        if y in piece_u:
+            u_of[x].add(piece_u[y])
+        if y in piece_v:
+            v_of[x].add(piece_v[y])
+    A = a.matrix.tocoo()
+    for i, j in zip(A.row.tolist(), A.col.tolist()):
+        ok_u, ok_v = bool(u_of[i] & u_of[j]), bool(v_of[i] & v_of[j])
+        ok = {"I": ok_u, "J": ok_v, "intersection": ok_u and ok_v}[part]
+        if not ok:
+            enc = w.space.point_to_json
+            return False, {"pair": [enc(w.points[i]), enc(w.points[j])]}
+    return True, None
+
+
+def _mv_reference(a, omega):
+    w = a.window
+    in_u = {p for piece in omega.u_pieces for p in piece}
+    b = {ij: v for ij, v in a.entries.items() if w.points[ij[0]] in in_u}
+    c = {ij: v for ij, v in a.entries.items() if w.points[ij[0]] not in in_u}
+    return BandedOperator(w, b, exact=a.exact), BandedOperator(w, c, exact=a.exact)
+
+
+def _omega_cases():
+    w = line_window(-60, 60)
+    yield w, ck.witness_line(2, w)
+    yield w, ck.witness_line(5, w)
+    yield w, ck.greedy_cover(w, 1, 1, 6)
+    tree = ck.make_space({"kind": "tree", "branching": 3})
+    wt = ck.ball(tree, 0, 5)
+    yield wt, ck.witness_tree(tree, 0, 2, wt)
+
+
+def test_omega_membership_and_mv_split_match_set_code():
+    rng = np.random.RandomState(4)
+    for w, cover in _omega_cases():
+        omega = OmegaDecomposition(cover)
+        for prop in (0, 1, 3):
+            a = random_banded(w, rng, prop)
+            b, c = ck.mv_split(a, omega)
+            rb, rc = _mv_reference(a, omega)
+            assert b.equals(rb, tol=0) and c.equals(rc, tol=0)
+            for op in (a, b, c):
+                for r in (0, 1, 2, 4):
+                    for part in ("I", "J", "intersection"):
+                        rep = ck.omega_membership(op, omega, r, part)
+                        assert (rep.support_ok, rep.witness) == _omega_reference(op, omega, r, part)
+
+
+def test_omega_membership_counts_no_neighbours_in_int8():
+    # U piece [0, 256) lies wholly within 300 of -10: 256 scale-graph neighbours
+    # in one piece, which an int8 count wraps to 0; it is the only U piece near
+    # both -10 and 200
+    w = line_window(-300, 300)
+    omega = OmegaDecomposition(ck.witness_line(128, w))
+    assert [(0,), (255,)] == [omega.u_pieces[1][0], omega.u_pieces[1][-1]]
+    e = make_operator(w, {((-10,), (200,)): 1})
+    rep = ck.omega_membership(e, omega, 300, "I")
+    assert rep.support_ok
+    assert (rep.support_ok, rep.witness) == _omega_reference(e, omega, 300, "I")
 
 
 # -- the shift tower over Z^2 ----------------------------------------------------------------
