@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from .errors import (
     ExpansionUnbounded,
     CapExceeded,
+    IntegerOverflow,
     MalformedSpec,
     NotInjective,
     RankTooSmall,
@@ -56,7 +57,7 @@ class PartialTranslation:
 
     @property
     def displacement(self) -> int:
-        return max((self.space.dist(a, b) for a, b in self.pairs), default=0)
+        return _max_dist(Window(self.space, self.domain + self.codomain), self.domain, self.codomain)
 
     def __call__(self, x):
         return self._map[x]
@@ -135,10 +136,7 @@ def paradox_from_sets(space, displacement, plus: frozenset, minus: frozenset,
 
 
 def _ab_suffix(word: str) -> str:
-    i = len(word)
-    while i > 0 and word[i - 1] in "aAbB":
-        i -= 1
-    return word[i:]
+    return word[len(word.rstrip("aAbB")):]
 
 
 def paradox_free_group(rank: int) -> ParadoxicalDecomposition:
@@ -216,89 +214,125 @@ class ParadoxReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _max_dist(w: Window, xs, ys) -> int:
+    """The largest d(xs[k], ys[k]), 0 for no pairs: pairs inside the window in
+    one kernel call over window indices, the others one ``dist`` call each.
+    Where a distance lies outside int64 every pair takes ``dist``, so the
+    maximum is the exact Python int."""
+    index, space = w._index, w.space
+    I = np.array([index.get(x, -1) for x in xs], dtype=np.int64)
+    J = np.array([index.get(y, -1) for y in ys], dtype=np.int64)
+    inside = (I >= 0) & (J >= 0)
+    try:
+        d = space.paired_dist(w, I[inside], J[inside])
+    except IntegerOverflow:
+        return max(map(space.dist, xs, ys))
+    return max([int(d.max()) if len(d) else 0,
+                *(space.dist(xs[k], ys[k]) for k in np.flatnonzero(~inside).tolist())])
+
+
+def _image_id(w: Window, outside: dict, y) -> int:
+    """-1 for no image, the window index of an image in the window, and
+    len(w) + k for the k-th distinct image outside it."""
+    if y is None:
+        return -1
+    j = w._index.get(y)
+    return outside.setdefault(y, len(w.points) + len(outside)) if j is None else j
+
+
+def _first(mask) -> Optional[int]:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
 def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
-    """Re-check a decomposition on a window and its displacement-interior."""
+    """Re-check a decomposition on a window and its displacement-interior.
+
+    Each membership predicate and translation is called once per carrier
+    point; the checks then run on window index arrays.  Where several points
+    break one check, the witness is the first in window order."""
     space = p.space
     enc = space.point_to_json
+    pts, n = w.points, len(w.points)
     witness = None
-    carrier = [x for x in w.points if p.in_carrier(x)]
-    covered = set(carrier)
-    plus = {x for x in carrier if p.in_plus(x)}
-    minus = {x for x in carrier if p.in_minus(x)}
-    partition_ok = not (plus & minus) and (plus | minus) == covered
+    in_carrier = np.fromiter(map(p.in_carrier, pts), dtype=bool, count=n)
+    cidx = np.flatnonzero(in_carrier)
+    carrier = [pts[i] for i in cidx.tolist()]
+    member = {name: np.fromiter(map(test, carrier), dtype=bool, count=len(carrier))
+              for name, test in (("plus", p.in_plus), ("minus", p.in_minus))}
+    # a carrier point in both parts, else one in neither
+    k = _first(member["plus"] & member["minus"])
+    k = _first(~(member["plus"] | member["minus"])) if k is None else k
+    partition_ok = k is None
     if not partition_ok:
-        overlap = plus & minus
-        missed = covered - (plus | minus)
-        witness = {
-            "kind": "partition",
-            "point": enc(next(iter(overlap or missed))),
-        }
+        witness = {"kind": "partition", "point": enc(carrier[k])}
     # an empty carrier makes every check below vacuous
-    interior = w.interior(p.displacement)
-    uncovered = [x for x in interior if x not in covered]
+    interior = w.interior_mask(p.displacement)
+    uncovered = _first(interior & ~in_carrier)
     if not carrier:
         partition_ok = False
         if witness is None:
             witness = {"kind": "empty_carrier"}
-    elif uncovered:
+    elif uncovered is not None:
         partition_ok = False
         if witness is None:
-            witness = {"kind": "interior_outside_carrier", "point": enc(uncovered[0])}
-    interior = set(interior)
+            witness = {"kind": "interior_outside_carrier", "point": enc(pts[uncovered])}
+    inner = interior[cidx]
 
     injective_ok, image_ok, disp_ok, disp_val = {}, {}, {}, {}
     interior_defined_ok, interior_surjective_ok = {}, {}
     images = {}
-    for name, t, part in (("plus", p.t_plus, plus), ("minus", p.t_minus, minus)):
-        seen = {}
-        inj = True
-        img_ok = True
-        dmax = 0
-        defined_ok = True
-        for x in carrier:
-            y = t(x)
-            if y is None:
-                if x in interior:
-                    defined_ok = False
-                    if witness is None:
-                        witness = {"kind": f"undefined_{name}", "point": enc(x)}
-                continue
-            y = space.normalize(y)
-            if y in seen:
-                inj = False
-                if witness is None:
-                    witness = {"kind": f"collision_{name}", "pair": [enc(seen[y]), enc(x)]}
-            seen[y] = x
-            in_part = p.in_plus(y) if name == "plus" else p.in_minus(y)
-            if not in_part:
-                img_ok = False
-                if witness is None:
-                    witness = {"kind": f"image_{name}", "pair": [enc(x), enc(y)]}
-            d = space.dist(x, y)
-            dmax = max(dmax, d)
-        injective_ok[name] = inj
-        image_ok[name] = img_ok
+    outside: dict = {}  # images outside the window, numbered n, n + 1, ... in both maps
+    for name, t, test in (("plus", p.t_plus, p.in_plus), ("minus", p.t_minus, p.in_minus)):
+        ys = [None if y is None else space.normalize(y) for y in map(t, carrier)]
+        ids = np.array([_image_id(w, outside, y) for y in ys], dtype=np.int64)
+        defined = ids >= 0
+        # the first earlier carrier point with the same image, where there is one
+        dk = np.flatnonzero(defined)
+        _, first, inv = np.unique(ids[dk], return_index=True, return_inverse=True)
+        earlier = np.full(len(carrier), -1, dtype=np.int64)
+        repeat = first[inv] < np.arange(len(dk))
+        earlier[dk[repeat]] = dk[first[inv][repeat]]
+        # an image in the carrier is tested on the membership array, any
+        # other by the predicate
+        in_part, carried = np.zeros((2, n + len(outside)), dtype=bool)
+        in_part[cidx], carried[cidx] = member[name], True
+        img_bad = np.zeros(len(carrier), dtype=bool)
+        img_bad[dk] = ~in_part[ids[dk]]
+        for k in dk[~carried[ids[dk]]].tolist():
+            img_bad[k] = not test(ys[k])
+        undefined_bad = ~defined & inner
+        k = _first(undefined_bad | (earlier >= 0) | img_bad)
+        if k is not None and witness is None:
+            if undefined_bad[k]:
+                witness = {"kind": f"undefined_{name}", "point": enc(carrier[k])}
+            elif earlier[k] >= 0:
+                witness = {"kind": f"collision_{name}", "pair": [enc(carrier[earlier[k]]), enc(carrier[k])]}
+            else:
+                witness = {"kind": f"image_{name}", "pair": [enc(carrier[k]), enc(ys[k])]}
+        injective_ok[name] = not (earlier >= 0).any()
+        image_ok[name] = not img_bad.any()
+        dmax = _max_dist(w, [carrier[k] for k in dk.tolist()], [ys[k] for k in dk.tolist()])
         disp_val[name] = dmax
         disp_ok[name] = dmax <= p.displacement
         if not disp_ok[name] and witness is None:
             witness = {"kind": f"displacement_{name}", "value": dmax}
-        interior_defined_ok[name] = defined_ok
-        images[name] = set(seen)
-        surj = True
-        for y in part & interior:
-            if y not in seen:
-                surj = False
-                if witness is None:
-                    witness = {"kind": f"not_covered_{name}", "point": enc(y)}
-                break
-        interior_surjective_ok[name] = surj
+        interior_defined_ok[name] = not undefined_bad.any()
+        images[name] = ids[dk]
+        hit = np.zeros(n, dtype=bool)
+        hit[ids[dk][ids[dk] < n]] = True
+        missed = np.zeros(n, dtype=bool)
+        missed[cidx] = member[name] & inner
+        k = _first(missed & ~hit)
+        interior_surjective_ok[name] = k is None
+        if k is not None and witness is None:
+            witness = {"kind": f"not_covered_{name}", "point": enc(pts[k])}
 
-    disjoint = not (images["plus"] & images["minus"])
+    both = np.intersect1d(images["plus"], images["minus"])
+    disjoint = not len(both)
     if not disjoint and witness is None:
-        witness = {
-            "kind": "images_overlap",
-            "point": enc(next(iter(images["plus"] & images["minus"]))),
-        }
+        point = pts[both[0]] if both[0] < n else list(outside)[both[0] - n]
+        witness = {"kind": "images_overlap", "point": enc(point)}
     return ParadoxReport(
         partition_ok,
         injective_ok,
@@ -635,18 +669,14 @@ class WindowedDoubling:
 def verify_doubling(d: WindowedDoubling) -> dict:
     """Recheck injectivity, image disjointness, displacement, and domains."""
     w = d.window
-    space = w.space
     interior = set(d.interior)
+    pairs = [*d.u_plus.items(), *d.u_minus.items()]
     report = {
         "domains_ok": set(d.u_plus) == interior and set(d.u_minus) == interior,
         "injective_ok": len(set(d.u_plus.values())) == len(d.u_plus)
         and len(set(d.u_minus.values())) == len(d.u_minus),
         "disjoint_ok": not (set(d.u_plus.values()) & set(d.u_minus.values())),
-        "displacement_ok": all(
-            space.dist(a, b) <= d.r
-            for m in (d.u_plus, d.u_minus)
-            for a, b in m.items()
-        ),
+        "displacement_ok": not pairs or _max_dist(w, *zip(*pairs)) <= d.r,
         "range_ok": all(
             b in w for m in (d.u_plus, d.u_minus) for b in m.values()
         ),
@@ -673,13 +703,13 @@ def matching_certificate(w: Window, r: int) -> MatchingOutcome:
     |N_r(F) ∩ w| < 2 |F|."""
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
-    interior = w.interior(r)
+    int_idx = np.flatnonzero(w.interior_mask(r))
+    interior = [w.points[i] for i in int_idx.tolist()]
     n_int = len(interior)
     if n_int == 0:
         return MatchingOutcome(True, WindowedDoubling(w, r, (), {}, {}), None, None, 0)
 
     # adjacency: window points within r of each interior point (self included)
-    int_idx = np.array([w.index(p) for p in interior], dtype=np.int64)
     adj = w.scale_graph(r)[int_idx] + sparse.csr_matrix(
         (np.ones(n_int, dtype=np.int8), (np.arange(n_int), int_idx)), shape=(n_int, len(w.points))
     )

@@ -45,21 +45,21 @@ class ClassLayout:
     """The classes of a labelling of indices 0..n-1 numbered in first-occurrence
     order, as ``connected_components`` numbers them: class c holds the indices
     labelled c, ascending, so the classes run in the order of their first
-    indices.  ``sizes`` has the size of each class and ``pos`` the position of
-    each index inside its class."""
+    indices.  ``sizes`` has the size of each class, ``order`` the indices
+    class by class, and ``pos`` the position of each index inside its class."""
 
     def __init__(self, labels: np.ndarray):
         self.labels = labels
         self.sizes = np.bincount(labels)
-        self._order = np.argsort(labels, kind="stable")
+        self.order = np.argsort(labels, kind="stable")
         self._starts = np.cumsum(self.sizes) - self.sizes
-        self.pos = np.empty_like(self._order)
-        self.pos[self._order] = np.arange(len(labels)) - np.repeat(self._starts, self.sizes)
+        self.pos = np.empty_like(self.order)
+        self.pos[self.order] = np.arange(len(labels)) - np.repeat(self._starts, self.sizes)
 
     @cached_property
     def classes(self) -> list:
         """Each class as an ascending list of indices."""
-        flat = self._order.tolist()
+        flat = self.order.tolist()
         return [flat[a:a + s] for a, s in zip(self._starts.tolist(), self.sizes.tolist())]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .components import ClassLayout, components_at_scale
+from .components import ClassLayout, scale_layout
 from .errors import MalformedSpec, NotTreelike
 from .spaces import GridSpace, Space, TreeMetricSpace, Window
 
@@ -70,20 +70,21 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
     witness = None
 
     n = len(w.points)
+    pieces = list(cover.pieces())
+    sizes = [len(piece) for _, _, piece in pieces]
+    # the pieces' window indices end to end; raises UnknownPoint outside the window
+    idx = np.array([w.index(p) for _, _, piece in pieces for p in piece], dtype=np.int64)
+    repeat = np.ones(len(idx), dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    partition_ok = not repeat.any()
+    if not partition_ok:
+        witness = {"kind": "overlap", "point": enc(w.points[idx[repeat.argmax()]])}
+    # each point keeps the colour and piece of its last piece
+    last = len(idx) - 1 - np.unique(idx[::-1], return_index=True)[1]
     color_of = np.full(n, -1, dtype=np.int64)
     piece_of = np.full(n, -1, dtype=np.int64)
-    partition_ok = True
-    pid = 0
-    for c, _, piece in cover.pieces():
-        for p in piece:
-            i = w.index(p)  # raises UnknownPoint if outside the window
-            if color_of[i] != -1:
-                partition_ok = False
-                if witness is None:
-                    witness = {"kind": "overlap", "point": enc(p)}
-            color_of[i] = c
-            piece_of[i] = pid
-        pid += 1
+    color_of[idx[last]] = np.repeat([c for c, _, _ in pieces], sizes)[last]
+    piece_of[idx[last]] = np.repeat(np.arange(len(pieces)), sizes)[last]
     if partition_ok and np.any(color_of == -1):
         partition_ok = False
         i = int(np.nonzero(color_of == -1)[0][0])
@@ -111,19 +112,12 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
                     "distance": w.space.dist(a, b),
                 }
 
-    bound_ok = True
-    for c, k, piece in cover.pieces():
-        diam = w.space.diameter(piece)
-        if diam > cover.bound:
-            bound_ok = False
-            if witness is None:
-                witness = {
-                    "kind": "bound",
-                    "color": c,
-                    "piece": k,
-                    "diameter": diam,
-                }
-            break
+    diams = w.space.piece_diameters(w, idx, sizes)
+    over = next((pid for pid, diam in enumerate(diams) if diam > cover.bound), None)
+    bound_ok = over is None
+    if not bound_ok and witness is None:
+        c, k, _ = pieces[over]
+        witness = {"kind": "bound", "color": c, "piece": k, "diameter": diams[over]}
 
     return CoverReport(partition_ok, separation_ok, bound_ok, witness)
 
@@ -219,20 +213,22 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
         raise MalformedSpec("window must live in the given space")
     root = space.normalize(root)
     n = len(w.points)
-    from_root = space.pairwise_dist([root], w.points)[0].tolist()
-    annulus = np.array([d // (2 * r) for d in from_root], dtype=np.int64)
+    if root in w:
+        from_root = space.paired_dist(w, np.full(n, w.index(root)), np.arange(n))
+    else:
+        from_root = space.pairwise_dist([root], w.points)[0]
+    annulus = from_root // min(2 * r, 1 << 62)  # a wider annulus than that holds every point
 
     # r-chain components inside each annulus
     g = w.scale_graph(r).tocoo()
     inside = annulus[g.row] == annulus[g.col]
     chains = sparse.csr_matrix((g.data[inside], (g.row[inside], g.col[inside])), shape=(n, n))
+    lay = ClassLayout(connected_components(chains, directed=False)[1])
     families = ([], [])
-    for idxs in ClassLayout(connected_components(chains, directed=False)[1]).classes:
+    for idxs in lay.classes:
         families[annulus[idxs[0]] % 2].append(tuple(w.points[i] for i in idxs))
     colors = (tuple(families[0]), tuple(families[1]))
-    bound = max(
-        (space.diameter(piece) for fam in colors for piece in fam), default=0
-    )
+    bound = max(space.piece_diameters(w, lay.order, lay.sizes), default=0)
     return ColoredCover(w, r, bound, colors)
 
 
@@ -243,11 +239,10 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
         raise MalformedSpec("need d >= 0 and B >= 0")
     space = w.space
     if d == 0:
-        part = components_at_scale(w, r)
-        pieces = part.classes
-        if any(space.diameter(c) > B for c in pieces):
+        lay = scale_layout(w, r)
+        if any(diam > B for diam in space.piece_diameters(w, lay.order, lay.sizes)):
             return None
-        cover = ColoredCover(w, r, B, (pieces,))
+        cover = ColoredCover(w, r, B, (tuple(tuple(w.points[i] for i in c) for c in lay.classes),))
         return cover if verify_decomposition(cover).passed else None
 
     # chunk the window into pieces of radius <= B // 2 around the seeds of

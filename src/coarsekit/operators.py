@@ -102,9 +102,10 @@ class BandedOperator:
     @property
     def propagation(self) -> int:
         if self._prop is None:
-            A, pts, d = self.matrix.tocoo(), self.window.points, self.window.space.dist
-            pairs = zip(A.row.tolist(), A.col.tolist())
-            self._prop = max((d(pts[i], pts[j]) for i, j in pairs if i != j), default=0)
+            A = self.matrix.tocoo()
+            off = A.row != A.col
+            d = self.window.space.paired_dist(self.window, A.row[off], A.col[off])
+            self._prop = int(d.max()) if len(d) else 0
         return self._prop
 
     def entry(self, x, y):

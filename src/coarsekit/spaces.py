@@ -8,6 +8,7 @@ carrying ambient distances; it is the universe for all downstream computations.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 from math import comb
@@ -90,6 +91,14 @@ class Space:
     def ball_size(self, x, r: int) -> int:
         return len(self.ball_points(x, r))
 
+    def ball_count(self, x, r: int, cap: int) -> int:
+        """|B_r(x)| when it is at most cap, else cap + 1; enumerates no ball
+        past cap + 1 points."""
+        try:
+            return min(len(self.ball_points(x, r, cap=cap)), cap + 1)
+        except EnumerationOverflow:
+            return cap + 1
+
     def neighborhood(self, F, r: int) -> set:
         """The ambient r-neighbourhood {x : d(x, F) <= r} of finitely many points."""
         return {q for p in F for q in self.ball_points(p, r)}
@@ -126,11 +135,38 @@ class Space:
                         for j, d in enumerate(row) if d >= 1 << 63)
             raise IntegerOverflow(f"d({A[i]!r}, {B[j]!r}) = {D[i][j]} lies outside int64") from None
 
+    def paired_dist(self, w: "Window", I, J) -> np.ndarray:
+        """The elementwise kernel: d(points[I[k]], points[J[k]]) over two equally
+        long index arrays into the window, as int64; raises IntegerOverflow
+        when a distance lies outside int64.  Kinds with a window layout
+        override it."""
+        pts = w.points
+        D = [self.dist(pts[i], pts[j]) for i, j in zip(np.asarray(I).tolist(), np.asarray(J).tolist())]
+        try:
+            return np.array(D, dtype=np.int64)
+        except OverflowError:
+            k = next(k for k, d in enumerate(D) if d >= 1 << 63)
+            raise IntegerOverflow(f"d({pts[I[k]]!r}, {pts[J[k]]!r}) = {D[k]} lies outside int64") from None
+
+    def layout(self, w: "Window"):
+        """The index structure of a window that this kind's window methods read,
+        built once per window (:attr:`Window.layout`); None when there is none."""
+        return None
+
     def diameter(self, pts: Sequence) -> int:
         """Exact diameter of a finite point set."""
         pts = list(pts)
         return max((int(self.pairwise_dist(pts[lo:lo + _ROW_BLOCK], pts[lo:]).max())
                     for lo in range(0, len(pts), _ROW_BLOCK)), default=0)
+
+    def piece_diameters(self, w: "Window", idx, sizes) -> list:
+        """Exact diameters of pieces of a window, given as their window indices
+        laid end to end (idx) and their lengths (sizes)."""
+        pts, idx, out, lo = w.points, np.asarray(idx).tolist(), [], 0
+        for size in np.asarray(sizes).tolist():
+            out.append(self.diameter([pts[i] for i in idx[lo:lo + size]]))
+            lo += size
+        return out
 
     def scale_pairs(self, w: "Window", r: int):
         """Index pairs (i, j), i < j, of window points at distance <= r, as two
@@ -220,6 +256,9 @@ class GridSpace(Space):
         # l1 ball cardinality in Z^d
         return sum((1 << k) * comb(self.dim, k) * comb(r, k) for k in range(min(self.dim, r) + 1))
 
+    def ball_count(self, x, r, cap):
+        return min(self.ball_size(x, r), cap + 1)
+
     def _ball_offsets(self, r, cap=BALL_CAP_DEFAULT) -> np.ndarray:
         """The l1 r-ball around 0 as read-only int64 rows in canonical order (cached up to 2^16)."""
         size = self.ball_size(None, r)
@@ -271,6 +310,16 @@ class GridSpace(Space):
             return Space.pairwise_dist(self, A, B)
         return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
 
+    def layout(self, w):
+        # the window's coordinates, or None where they leave the int64 guard
+        return _int64_coords(w.points, self.dim)
+
+    def paired_dist(self, w, I, J):
+        c = w.layout
+        if c is None:
+            return Space.paired_dist(self, w, I, J)
+        return np.abs(c[I] - c[J]).sum(axis=1)
+
     @cached_property
     def _signs(self) -> np.ndarray:
         # l1 is l-infinity after projecting onto these 2^(dim-1) sign vectors
@@ -316,6 +365,171 @@ class GridSpace(Space):
         return list(x)
 
 
+def _runs(a):
+    """(start, length) of each run of equal values in a nonempty array."""
+    start = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    return start, np.diff(np.concatenate((start, [len(a)])))
+
+
+def _lift(parent):
+    """(level, up) of a rooted forest given by parent links (-1 at a root):
+    the number of links above each node, and its 2^j-th ancestors (capped at
+    the root) by pointer jumping."""
+    anc = np.where(parent >= 0, parent, np.arange(len(parent)))
+    level = (parent >= 0).astype(np.int64)
+    up = [anc]
+    while True:  # level[k] counts the links from k to anc[k]
+        level += level[anc]
+        anc = anc[anc]
+        if np.array_equal(anc, up[-1]):  # every node reached the root
+            return level, up
+        up.append(anc)
+
+
+class TreeLayout:
+    """The geodesic hull of finitely many points of a tree-metric space, as
+    read-only int64 arrays.  Its nodes are a root, the laid-out points and
+    the branch points between them; a run of other vertices is one link.
+    Node k has parent ``parent[k]`` (-1 at the root), ``depth[k]`` (its
+    distance to the root), ``level[k]`` links above it and 2^j-th ancestor
+    ``up[j][k]`` (capped at the root); ``node[i]`` is the node of the i-th
+    laid-out point.  The hull holds the geodesic between any two of its
+    nodes, so d(u, v) = depth[u] + depth[v] - 2 depth[lca(u, v)]."""
+
+    def __init__(self, parent, node, depth=None):
+        """Without depth, parent is an ancestor closure with unit links: its
+        other vertices are contracted away and depth counts the links."""
+        parent = np.asarray(parent, dtype=np.int64)
+        node = np.asarray(node, dtype=np.int64)
+        level, up = _lift(parent)
+        if depth is None:
+            depth = level
+            keep = parent < 0
+            keep[node] = True
+            keep |= np.bincount(parent[parent >= 0], minlength=len(parent)) >= 2
+            if not keep.all():
+                near = np.where(keep, np.arange(len(parent)), parent)
+                while True:  # pointer jumping to the nearest kept ancestor-or-self
+                    nxt = near[near]
+                    if np.array_equal(nxt, near):
+                        break
+                    near = nxt
+                new = np.cumsum(keep) - 1
+                p = parent[keep]
+                parent = np.where(p >= 0, new[near[p]], -1)
+                node, depth = new[node], depth[keep]
+                level, up = _lift(parent)
+        self.parent, self.node, self.level, self.up = parent, node, level, up
+        self.depth = np.asarray(depth, dtype=np.int64)
+        for a in (self.parent, self.node, self.depth, self.level, *self.up):
+            a.flags.writeable = False
+
+    def dist(self, u, v) -> np.ndarray:
+        """Elementwise distances between two broadcastable arrays of nodes."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
+        lu, lv = self.level[u], self.level[v]
+        # lift the lower end to the other's level, then both to just below the lca
+        swap = lu < lv
+        a, b = np.where(swap, v, u), np.where(swap, u, v)
+        diff = np.abs(lu - lv)
+        for j, anc in enumerate(self.up):
+            a = np.where(((diff >> j) & 1).astype(bool), anc[a], a)
+        for anc in reversed(self.up):
+            pa, pb = anc[a], anc[b]
+            split = pa != pb
+            a, b = np.where(split, pa, a), np.where(split, pb, b)
+        lca = np.where(a == b, a, self.up[0][a])
+        return self.depth[u] + self.depth[v] - 2 * self.depth[lca]
+
+    def pairs(self, r: int):
+        """Index pairs (i, j), i < j, of laid-out points at distance <= r, as
+        two int64 arrays.  Entries are a point, an ancestor z at most r above
+        it, and its branch at z (the child of z on the way up).  A pair is a
+        point and an ancestor, or two entries of one z in different branches
+        with heights summing to at most r.  The work is linear in the entries
+        plus the pairs returned."""
+        n, m = len(self.node), len(self.parent)
+        z, src, entries = self.node, np.arange(n), []
+        # no two nodes lie farther apart; a ray's hull may reach 2^63 - 1 deep
+        r = min(r, 2 * int(self.depth.max(initial=0)), (1 << 63) - 1)
+        while len(z):
+            up = self.parent[z] >= 0
+            br, src = z[up], src[up]
+            z = self.parent[br]
+            h = self.depth[self.node[src]] - self.depth[z]
+            close = h <= r
+            z, br, src, h = z[close], br[close], src[close], h[close]
+            entries.append((br, src, h))
+        br, src, h = (np.concatenate(a) for a in zip(*entries)) if entries else [np.zeros(0, dtype=np.int64)] * 3
+        del entries
+        at = np.full(m, -1)
+        at[self.node] = np.arange(n)
+        anc = at[self.parent[br]]
+        below = anc >= 0
+        I, J = [anc[below]], [src[below]]
+        # only a z with two branches or more takes cross pairs, each side at
+        # least 1 below it
+        fork = np.bincount(self.parent[self.parent >= 0], minlength=m) >= 2
+        cross = fork[self.parent[br]] & (h < r)
+        if not cross.any():
+            return np.minimum(*I, *J), np.maximum(*I, *J)
+        br, src, h = br[cross], src[cross], h[cross]
+        # heights as ranks (hk), so that (branch, height) packs into one
+        # int64; room[a] counts the ranks of heights <= r - h[a]
+        if r < len(h):
+            top, hk, room = r + 1, h, r + 1 - h
+        else:
+            hs = np.unique(h)
+            top, hk, room = len(hs), np.searchsorted(hs, h), np.searchsorted(hs, r - h, side="right")
+        o = np.argsort(br * top + hk)
+        br, src, hk, room = br[o], src[o], hk[o], room[o]
+        first, size = _runs(br)
+        # branches in order of z, then of least height; entries follow by height
+        z = self.parent[br[first]]
+        bkey = z * top + hk[first]
+        ob = np.argsort(bkey)
+        rank = np.empty_like(ob)
+        rank[ob] = np.arange(len(ob))
+        start = np.cumsum(size[ob]) - size[ob]
+        pos = np.repeat(start[rank] - first, size) + np.arange(len(br))
+        g = np.repeat(np.arange(len(ob)), size[ob])
+        for a in (src, hk, room):
+            a[pos] = a.copy()
+        bkey, z = bkey[ob], z[ob]
+        # entry a pairs with the entries of height <= r - h[a] in the earlier
+        # branches of its z whose least height is <= r - h[a]: a run of
+        # branches, each giving at least one pair
+        lo = np.repeat(*_runs(z))[g]
+        hi = np.searchsorted(bkey, z[g] * top + room - 1, side="right")
+        cnt = np.maximum(np.minimum(hi, g) - lo, 0)
+        a = np.repeat(np.arange(len(g)), cnt)
+        u = np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+        cnt = np.searchsorted(g * top + hk, u * top + room[a]) - start[u]
+        b = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt - start[u], cnt)
+        I.append(src[np.repeat(a, cnt)])
+        J.append(src[b])
+        i, j = np.concatenate(I), np.concatenate(J)
+        return np.minimum(i, j), np.maximum(i, j)
+
+    def diameters(self, idx, sizes) -> np.ndarray:
+        """Exact diameters of pieces given as laid-out indices end to end (idx)
+        and their lengths (sizes): two batched sweeps, from each piece's first
+        point to its farthest point, then from there."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        out = np.zeros(len(sizes), dtype=np.int64)
+        full = sizes > 0
+        if not full.any():
+            return out
+        nd = self.node[np.asarray(idx, dtype=np.int64)]
+        piece = np.repeat(np.arange(int(full.sum())), sizes[full])
+        starts = (np.cumsum(sizes) - sizes)[full]
+        d = self.dist(nd[starts][piece], nd)
+        at_max = np.flatnonzero(d == np.maximum.reduceat(d, starts)[piece])
+        far = at_max[np.unique(piece[at_max], return_index=True)[1]]
+        out[full] = np.maximum.reduceat(self.dist(nd[far][piece], nd), starts)
+        return out
+
+
 class TreeMetricSpace(Space):
     """A space whose metric is the path metric of a tree (free groups, trees)."""
 
@@ -341,50 +555,33 @@ class TreeMetricSpace(Space):
             frontier = nxt
         return lengths
 
+    def _closure(self, points) -> tuple:
+        """The arguments of :class:`TreeLayout` for points: (parent, node) of
+        their ancestor closure, or (parent, node, depth) of their hull."""
+        raise NotImplementedError
+
+    def layout(self, w):
+        return TreeLayout(*self._closure(w.points))
+
+    def pairwise_dist(self, A, B):
+        lay = TreeLayout(*self._closure(list(A) + list(B)))
+        return lay.dist(lay.node[:len(A), None], lay.node[None, len(A):])
+
+    def paired_dist(self, w, I, J):
+        node = w.layout.node
+        return w.layout.dist(node[I], node[J])
+
     def diameter(self, pts):
-        # a double sweep is exact for tree metrics
-        if len(pts) < 2:
-            return 0
-        far = pts[self.pairwise_dist(pts[:1], pts).argmax()]
-        return max(self.pairwise_dist([far], pts)[0].tolist())
+        pts = list(pts)
+        return int(TreeLayout(*self._closure(pts)).diameters(np.arange(len(pts)), [len(pts)])[0])
+
+    def piece_diameters(self, w, idx, sizes):
+        return w.layout.diameters(idx, sizes).tolist()
 
     def scale_pairs(self, w, r):
-        if w.is_ball:
-            return self._pairs_graph_power(w, r)
-        if self.ball_size(w.points[0], r) <= max(64, 4 * len(w.points)):
-            return self._pairs_point_balls(w, r)
-        return super().scale_pairs(w, r)
-
-    def _pairs_graph_power(self, w, r):
-        # a ball is convex in a tree, so window BFS distance equals ambient
-        # distance and boolean powers of the unit adjacency give the relation
-        n = len(w.points)
-        rows, cols = [], []
-        for i, p in enumerate(w.points):
-            for q in self.neighbors(p):
-                j = w._index.get(q)
-                if j is not None and j != i:
-                    rows.append(i)
-                    cols.append(j)
-        A = sparse.csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-        M = (A + sparse.identity(n, dtype=np.int8, format="csr")).astype(bool)
-        P = M
-        for _ in range(r - 1):
-            P = (P @ M).astype(bool)
-        coo = sparse.triu(P, k=1).tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
-
-    def _pairs_point_balls(self, w, r):
-        out_i, out_j = [], []
-        for i, p in enumerate(w.points):
-            for q in self.ball_points(p, r):
-                j = w._index.get(q)
-                if j is not None and j > i:
-                    out_i.append(i)
-                    out_j.append(j)
-        return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
+        # the closure holds every geodesic between window points, so its parent
+        # links give the exact relation
+        return w.layout.pairs(r)
 
 
 class FreeGroupSpace(TreeMetricSpace):
@@ -403,16 +600,17 @@ class FreeGroupSpace(TreeMetricSpace):
         self.rank = rank
         self.letters = [c for g in _LETTERS[:rank] for c in (g, g.upper())]
         self._letterset = set(self.letters)
+        self._word = re.compile(f"[{''.join(self.letters)}]*")
+        self._cancelling = re.compile("|".join(c + c.swapcase() for c in self.letters))
 
     def normalize(self, x):
         if not isinstance(x, str):
             raise UnknownPoint(f"free group points are strings, got {x!r}")
-        for c in x:
-            if c not in self._letterset:
-                raise UnknownPoint(f"letter {c!r} not valid for rank {self.rank}")
-        for a, b in zip(x, x[1:]):
-            if a == b.swapcase():
-                raise UnknownPoint(f"word {x!r} is not reduced")
+        if self._word.fullmatch(x) is None:
+            c = next(c for c in x if c not in self._letterset)
+            raise UnknownPoint(f"letter {c!r} not valid for rank {self.rank}")
+        if self._cancelling.search(x):
+            raise UnknownPoint(f"word {x!r} is not reduced")
         return x
 
     def canonical_key(self, x):
@@ -432,6 +630,42 @@ class FreeGroupSpace(TreeMetricSpace):
             total += sphere
             sphere *= 2 * k - 1
         return total
+
+    def ball_count(self, x, r, cap):
+        total, sphere = 1, 2 * self.rank
+        for _ in range(r):
+            if total > cap:
+                break
+            total += sphere
+            sphere *= 2 * self.rank - 1
+        return min(total, cap + 1)
+
+    def _closure(self, points):
+        # the closure is the set of prefixes; a word whose parent (itself minus
+        # its last letter) is no laid-out word is threaded from the identity
+        # letter by letter, so no prefix string is built
+        known = {p: k for k, p in enumerate(dict.fromkeys(points))}
+        words = list(known)
+        parent = [known.get(p[:-1]) if p else -1 for p in words]
+        root = known.get("")
+        if root is None:
+            root = len(parent)
+            parent.append(-1)
+        orphans = sorted((k for k, q in enumerate(parent) if q is None), key=lambda k: len(words[k]))
+        if orphans:
+            kids = {(parent[k], p[-1]): k for k, p in enumerate(words) if p and parent[k] is not None}
+            for k in orphans:  # shorter words first, so a laid-out prefix is found, not rebuilt
+                q = root
+                for c in words[k][:-1]:
+                    nxt = kids.get((q, c))
+                    if nxt is None:
+                        nxt = kids[(q, c)] = len(parent)
+                        parent.append(q)
+                    q = nxt
+                parent[k] = q
+                kids[(q, words[k][-1])] = k
+        node = np.arange(len(words)) if len(words) == len(points) else [known[p] for p in points]
+        return parent, node
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         if self.ball_size(x, r) > cap:
@@ -522,6 +756,8 @@ class TreeSpace(TreeMetricSpace):
         return 0
 
     def dist(self, x, y):
+        if self.branching == 1:
+            return abs(x - y)
         # climb to equal depth, then both sides to the lowest common ancestor
         dx, dy = self.depth(x), self.depth(y)
         for _ in range(dx - dy):
@@ -534,13 +770,33 @@ class TreeSpace(TreeMetricSpace):
             d += 2
         return d
 
-    def pairwise_dist(self, A, B):
-        if self.branching is not None:
-            return super().pairwise_dist(A, B)
-        # one breadth-first search per row, over the whole tree, kept for that row only
-        rows = (self._bfs(a, self.n_vertices) for a in A)
-        D = [[row[b] for b in B] for row in rows]
-        return np.array(D, dtype=np.int64).reshape(len(A), len(B))
+    def _closure(self, points):
+        if self.branching == 1:
+            # a ray: the hull is the points in order, rooted at the least.
+            # Depths below 2^63 keep every distance in int64 (the kernel's
+            # sum of two depths may wrap; the difference it returns does not)
+            vs = sorted(set(points))
+            if vs and vs[-1] - vs[0] >= 1 << 63:
+                raise IntegerOverflow(f"d({vs[0]}, {vs[-1]}) = {vs[-1] - vs[0]} lies outside int64")
+            at = {v: k for k, v in enumerate(vs)}
+            return range(-1, len(vs) - 1), [at[v] for v in points], [v - vs[0] for v in vs]
+        # climb from each vertex until a vertex already in the closure is met
+        known, parent = {}, []
+        for v in points:
+            if v in known:
+                continue
+            known[v] = len(parent)
+            parent.append(-1)
+            while v != 0:
+                u = self._parent(v)
+                k = known.get(u)
+                if k is not None:
+                    parent[known[v]] = k
+                    break
+                parent[known[v]] = known[u] = len(parent)
+                parent.append(-1)
+                v = u
+        return parent, [known[v] for v in points]
 
     def neighbors(self, x):
         if self.branching is not None:
@@ -613,6 +869,8 @@ class PointLineSpace(Space):
     # the points are coordinates in Z, so distances are those of one-dimensional grid points
     dim = 1
     pairwise_dist = GridSpace.pairwise_dist
+    layout = GridSpace.layout
+    paired_dist = GridSpace.paired_dist
 
     def diameter(self, pts):
         return max(pts) - min(pts) if len(pts) else 0
@@ -782,6 +1040,13 @@ class ProductFiniteSpace(Space):
             s += (self.n - 1) * self.base.ball_size(a, r - 1)
         return s
 
+    def ball_count(self, x, r, cap):
+        a, _ = x
+        s = self.base.ball_count(a, r, cap)
+        if r >= 1 and s <= cap:
+            s += (self.n - 1) * self.base.ball_count(a, r - 1, cap)
+        return min(s, cap + 1)
+
     def neighbors(self, x):
         a, i = x
         out = [(p, i) for p in self.base.neighbors(a)]
@@ -804,11 +1069,12 @@ class ProductFiniteSpace(Space):
         lb = np.array([l for _, l in B], dtype=np.int64)
         return D + (la[:, None] != lb[None, :])
 
-    def scale_pairs(self, w, r):
-        # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
-        # when i != j; the window order groups points by base, then by level
+    def layout(self, w):
+        # the window order groups points by base, then by level: the window of
+        # the bases, the base and level of each point, and the point at each
+        # (base, level), -1 where the window has none
         bases = [b for b, _ in w.points]
-        first = [0] + [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
+        first = [k for k in range(len(bases)) if k == 0 or bases[k] != bases[k - 1]]
         # the bases of a ball B_R((c, i)) form the base ball B_R(c)
         center = w.ball_center[0] if w.is_ball else None
         bw = Window(self.base, [bases[k] for k in first], center, w.ball_radius)
@@ -816,11 +1082,22 @@ class ProductFiniteSpace(Space):
         levels, lvl_of = np.unique([l for _, l in w.points], return_inverse=True)
         pos = np.full((len(first), len(levels)), -1, dtype=np.int64)
         pos[base_of, lvl_of] = np.arange(len(bases))
+        return bw, base_of, levels[lvl_of], pos
+
+    def paired_dist(self, w, I, J):
+        bw, base_of, level, _ = w.layout
+        return self.base.paired_dist(bw, base_of[I], base_of[J]) + (level[I] != level[J])
+
+    def scale_pairs(self, w, r):
+        # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
+        # when i != j
+        bw, _, _, pos = w.layout
         same, near = scale_pairs(bw, r), scale_pairs(bw, r - 1)
-        everyone = (np.arange(len(first)),) * 2
+        everyone = (np.arange(len(bw.points)),) * 2
         out_i, out_j = [], []
-        for l in range(len(levels)):
-            for m in range(len(levels)):
+        n_levels = pos.shape[1]
+        for l in range(n_levels):
+            for m in range(n_levels):
                 if l == m:
                     blocks = [same]
                 else:  # equal bases across levels: each level pair once
@@ -977,6 +1254,12 @@ class Window:
         self.ball_radius = ball_radius
         self._graphs: dict = {}
 
+    @cached_property
+    def layout(self):
+        """The space's index structure of this window (:meth:`Space.layout`),
+        built on first use and cached; callers must not modify it."""
+        return self.space.layout(self)
+
     def __len__(self):
         return len(self.points)
 
@@ -1032,16 +1315,25 @@ class Window:
 
     def interior(self, r: int) -> tuple:
         """Points whose ambient r-ball lies entirely inside the window."""
+        return tuple(itertools.compress(self.points, self.interior_mask(r).tolist()))
+
+    def interior_mask(self, r: int) -> np.ndarray:
+        """Per window index, whether the point's ambient r-ball lies entirely
+        inside the window."""
+        n = len(self.points)
         if r <= 0:
-            return self.points
+            return np.ones(n, dtype=bool)
         s = self.space
         if self.is_ball and s.geodesic_extension:
             if self.ball_radius < r:
-                return ()
-            near = s.pairwise_dist([self.ball_center], self.points)[0] <= self.ball_radius - r
-            return tuple(itertools.compress(self.points, near.tolist()))
+                return np.zeros(n, dtype=bool)
+            center = np.full(n, self.index(self.ball_center))
+            return s.paired_dist(self, center, np.arange(n)) <= self.ball_radius - r
+        # the r-ball holds the point and its neighbours in the scale graph, so
+        # it fits iff it has no other point: counting stops one point past that
         degree = np.diff(self.scale_graph(r).indptr).tolist()
-        return tuple(p for p, k in zip(self.points, degree) if k + 1 == s.ball_size(p, r))
+        return np.array([k + 1 == s.ball_count(p, r, k + 1) for p, k in zip(self.points, degree)],
+                        dtype=bool)
 
     def to_json(self) -> dict:
         if self.is_ball:
@@ -1168,4 +1460,5 @@ def verify_metric(w: Window, cap: int = 300) -> dict:
 
 def window_diameter(w: Window) -> int:
     """Exact diameter of a window."""
-    return w.space.diameter(w.points)
+    n = len(w.points)
+    return w.space.piece_diameters(w, np.arange(n), [n])[0]

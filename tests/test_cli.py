@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -201,6 +202,39 @@ def test_window_file_form(specs, tmp_path):
     res = run(["components", "--space", specs["z"], "--window-file", str(wf), "--r", "1"])
     assert res.exit_code == 0
     assert [len(c) for c in res.payload["classes"]] == [3, 1]
+
+
+@pytest.mark.parametrize("sub", ["components", "matching"])
+def test_tiny_tree_window_at_a_huge_scale(sub, tmp_path):
+    # the 3-ary tree's balls grow about 3x per unit of radius: at r = 12 the
+    # scale pairs and the interior used to enumerate one per point
+    tree, wf = tmp_path / "t3.json", tmp_path / "w.json"
+    tree.write_text(json.dumps({"kind": "tree", "branching": 3}))
+    wf.write_text(json.dumps({"points": [0, 5, 17, 100]}))
+    payloads = {}
+    for r in ("8", "1000"):
+        start = time.perf_counter()
+        res = run([sub, "--space", str(tree), "--window-file", str(wf), "--r", r])
+        assert time.perf_counter() - start < 1 and res.exit_code == 0
+        payloads[r] = {k: v for k, v in res.payload.items() if k != "r"}
+    # the r = 8 payload, as the per-point code printed it
+    assert payloads["1000"] == payloads["8"]
+    if sub == "components":
+        assert payloads["8"]["classes"] == [[0, 5, 17, 100]]
+    else:
+        assert payloads["8"]["interior"] == [] and payloads["8"]["flow_value"] == 0
+
+
+def test_af_approx_propagation_outside_int64_exits_3(tmp_path):
+    wf, op = tmp_path / "w.json", tmp_path / "a.json"
+    wf.write_text(json.dumps({"points": [[-2**62], [2**62]]}))
+    op.write_text(json.dumps({"entries": [[[-2**62], [2**62], 1, 0]]}))
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({"kind": "grid", "dim": 1}))
+    res = run(["af-approx", "--space", str(z), "--window-file", str(wf), "--a", str(op),
+               "--r", "1", "--eps", "0.1"])
+    # before, the distance came back as a Python int and was reported as too large a propagation
+    assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
 
 
 def test_classify_without_target_window(specs, tmp_path):

@@ -92,6 +92,44 @@ def test_filtration_laws_random():
         assert a.adjoint().propagation == a.propagation
 
 
+_PROPAGATION_SPACES = {
+    "Z": ({"kind": "grid", "dim": 1}, (0,), 12),
+    "Z2": ({"kind": "grid", "dim": 2}, (3, -1), 5),
+    "point_line": ({"kind": "point_line", "coords": [0, 1, 4, 9, 16, 25, 36]}, 9, 40),
+    "disjoint_union": ({"kind": "disjoint_union", "gaps": [2, 5],
+                        "blocks": [{"kind": "point_line", "coords": [0, 3]},
+                                   {"kind": "custom", "points": ["p", "q"], "dist": [[0, 2], [2, 0]]},
+                                   {"kind": "point_line", "coords": [1, 2, 7]}]}, (0, 0), 30),
+    "product": ({"kind": "product_finite", "base": {"kind": "grid", "dim": 2}, "n": 3}, ((0, 0), 2), 3),
+    "F2": ({"kind": "free_group", "rank": 2}, "aB", 3),
+    "T3": ({"kind": "tree", "branching": 3}, 7, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROPAGATION_SPACES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_propagation_is_the_largest_entry_distance(name, seed):
+    spec, center, radius = _PROPAGATION_SPACES[name]
+    space = ck.make_space(spec)
+    w = ck.ball(space, center, radius)
+    rng = np.random.RandomState(seed % 2**32)
+    n = len(w.points)
+    entries = {(int(i), int(j)): 1 for i, j in rng.randint(0, n, size=(int(rng.randint(0, 3 * n)), 2))}
+    a = BandedOperator(w, entries)
+    pts = w.points
+    assert a.propagation == max((space.dist(pts[i], pts[j]) for i, j in entries if i != j), default=0)
+
+
+def test_propagation_outside_int64_raises_integer_overflow():
+    # before, the per-entry Python distance 2^63 came back as the propagation
+    w = ck.Window(Z, [(-2**62,), (2**62,)])
+    with pytest.raises(IntegerOverflow):
+        BandedOperator(w, {(0, 1): 1}).propagation
+    w = ck.Window(Z, [(2**62,), (2**62 + 3,)])  # beyond the int64 guard, but 3 apart
+    assert BandedOperator(w, {(1, 0): 1}).propagation == 3
+
+
 def test_adjoint_conjugates():
     w = line_window(0, 1)
     a = make_operator(w, {((0,), (1,)): 1 + 2j})
