@@ -224,7 +224,7 @@ def _max_dist(w: Window, xs, ys) -> int:
     J = np.array([index.get(y, -1) for y in ys], dtype=np.int64)
     inside = (I >= 0) & (J >= 0)
     try:
-        d = space.paired_dist(w, I[inside], J[inside])
+        d = space.paired_dist(w.layout, I[inside], J[inside])
     except IntegerOverflow:
         return max(map(space.dist, xs, ys))
     return max([int(d.max()) if len(d) else 0,
@@ -398,11 +398,6 @@ def transport_paradox(
 # Folner certificates
 # ---------------------------------------------------------------------------
 
-def neighborhood_points(space: Space, F, r: int) -> set:
-    """The ambient r-neighborhood {x : d(x, F) <= r} as a point set."""
-    return space.neighborhood(F, r)
-
-
 @dataclass(frozen=True)
 class FolnerCertificate:
     space: Space
@@ -523,7 +518,7 @@ def folner_search_report(
             improved = False
             moves = [("drop", p) for p in sorted(F, key=space.canonical_key)]
             boundary = sorted(
-                neighborhood_points(space, F, r) - F, key=space.canonical_key
+                space.neighborhood(F, r) - F, key=space.canonical_key
             )
             moves += [("add", p) for p in boundary]
             for kind, p in moves:
@@ -618,8 +613,8 @@ def isoperimetric_profile(w: Window, r: int, mode: str = "greedy", size_cap: Opt
                 if k not in best or ratio < best[k]:
                     best[k] = ratio
     elif mode == "balls":
-        for x in w.points:
-            d = space.pairwise_dist([x], w.points)[0].tolist()
+        for i in range(n):
+            d = space.paired_dist(w.layout, i, np.arange(n)).tolist()
             for j in sorted(set(d)):  # a radius between two distances repeats a ball
                 record(tuple(q for q, dq in zip(w.points, d) if dq <= j))
     elif mode == "greedy":

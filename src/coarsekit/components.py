@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import MalformedSpec, NoSegments
-from .spaces import Space, Window, pairwise_dist
+from .spaces import Space, Window
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class SegmentFamily:
     def separations(self) -> list[int]:
         """For each segment, min distance to any other segment in the family."""
         pts = self.all_points()
-        return _separations(self.segments, pairwise_dist(self.space, pts, pts))
+        return _separations(self.segments, self.space.pairwise_dist(pts, pts))
 
     def basepoints(self) -> tuple:
         return tuple(s[0] for s in self.segments)
@@ -167,7 +167,7 @@ def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
     """Check the four segment-family conditions, reporting per segment; every
     distance is read from one matrix over the family's points."""
     r, pts = fam.r, fam.all_points()
-    D = pairwise_dist(fam.space, pts, pts)
+    D = fam.space.pairwise_dist(pts, pts)
     steps_ok, anchored_ok = [], []
     violation = None
     for n, rows in enumerate(_segment_rows(fam.segments)):
@@ -197,53 +197,56 @@ def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
     )
 
 
-def _select_segment(space, r, pts, path, d, need_m):
-    """First-entry selection along a chain of indices into pts whose steps are
-    <= r (d[k] is the distance from pts[path[0]] to pts[k]): pick the first
-    point entering each anchored interval [i*r, (i+1)*r), up to need_m points."""
+def _select_segment(w, r, path, d, need_m):
+    """First-entry selection along a chain of window indices whose steps are
+    <= r (d[k] is the distance from its first point to its k-th): pick the
+    first point entering each anchored interval [i*r, (i+1)*r), up to need_m
+    points."""
     sel = [path[0]]
-    for k in path[1:]:
+    for k, dk in zip(path[1:], d[1:]):
         if len(sel) == need_m:
             break
-        if d[k] >= len(sel) * r:
+        if dk >= len(sel) * r:
             sel.append(k)
-    sel = [pts[k] for k in sel]
     # a-posteriori step bound; trim at the first violation
     for i in range(len(sel) - 1):
-        if space.dist(sel[i], sel[i + 1]) > 2 * r:
+        if w.space.dist(w.points[sel[i]], w.points[sel[i + 1]]) > 2 * r:
             return sel[: i + 1]
     return sel
 
 
-def _grow_from(space, r, pts, steps, start, need_m):
-    """A segment of need_m points along a BFS tree of ``steps`` from start
-    towards its farthest point (ties broken canonically), or None."""
+def _grow_from(w, r, keep, steps, start, need_m):
+    """The window indices of a segment of need_m points along a BFS tree of
+    ``steps`` (a graph on the indices keep) from start towards its farthest
+    point (ties broken canonically), or None."""
     order, parents = breadth_first_order(steps, start, return_predecessors=True)
-    d = np.zeros(len(pts), dtype=np.int64)
-    d[order] = pairwise_dist(space, [pts[start]], [pts[i] for i in order])[0]
+    d = np.zeros(len(keep), dtype=np.int64)
+    d[order] = w.space.paired_dist(w.layout, keep[start], keep[order])
     best_d = int(d[order].max())
     if best_d < (need_m - 1) * r:
         return None
     node = int(order[d[order] == best_d].min())
-    path = []
+    path, parents = [], parents.tolist()  # the walk reads Python ints
     while node >= 0:
         path.append(node)
         node = parents[node]
-    sel = _select_segment(space, r, pts, path[::-1], d, need_m)
-    return tuple(sel) if len(sel) == need_m else None
+    path = path[::-1]
+    sel = _select_segment(w, r, keep[path].tolist(), d[path].tolist(), need_m)
+    return sel if len(sel) == need_m else None
 
 
-def _segment_in(space, r, pts, reach, steps, need_m):
-    """The first segment of need_m points grown in a ~_r class of pts, classes
-    in canonical order, from the class's first point, then its farthest."""
+def _segment_in(w, r, keep, reach, steps, need_m):
+    """The window indices of the first segment of need_m points grown in a
+    ~_r class of the indices keep, classes in canonical order, from the
+    class's first point, then its farthest."""
     for members in ClassLayout(connected_components(reach, directed=False)[1]).classes:
         if len(members) < need_m:
             continue
         s0 = members[0]
-        d0 = pairwise_dist(space, [pts[s0]], [pts[i] for i in members])[0]
+        d0 = w.space.paired_dist(w.layout, keep[s0], keep[members])
         far = members[len(d0) - 1 - int(np.argmax(d0[::-1]))]
         for start in (s0, far) if far != s0 else (s0,):
-            seg = _grow_from(space, r, pts, steps, start, need_m)
+            seg = _grow_from(w, r, keep, steps, start, need_m)
             if seg is not None:
                 return seg
     return None
@@ -264,20 +267,21 @@ def extract_segments(space: Space, r: int, count: int, budget: Window) -> Segmen
         raise MalformedSpec("scale must be >= 1")
     if budget.space is not space:
         raise MalformedSpec("budget window must live in the target space")
-    pts = budget.points
+    n = len(budget.points)
     reach = budget.scale_graph(r)
     steps = budget.scale_graph(1) if space.graph_like else reach  # graph-like BFS takes unit steps
-    keep = np.arange(len(pts))
-    chosen: list[tuple] = []
+    keep = np.arange(n)
+    chosen: list[list] = []  # the segments as window indices
     while len(chosen) < count:
         if chosen:
-            fam = SegmentFamily(space, r, tuple(chosen))
-            radius = max(len(chosen), max(fam.separations(), default=0))
-            near = pairwise_dist(space, pts, fam.all_points()).min(axis=1)
-            keep = np.flatnonzero(near > radius)
+            # distances from every budget point to the family's points
+            fam = np.concatenate(chosen)
+            near = space.paired_dist(budget.layout, np.arange(n)[:, None], fam)
+            radius = max(len(chosen), max(_separations(chosen, near[fam]), default=0))
+            keep = np.flatnonzero(near.min(axis=1) > radius)
         need_m = (len(chosen[-1]) + 1) if chosen else 2
         # the breadth-first search visits neighbours in the order of the row indices
-        seg = _segment_in(space, r, [pts[i] for i in keep], reach[keep][:, keep],
+        seg = _segment_in(budget, r, keep, reach[keep][:, keep],
                           steps[keep][:, keep].sorted_indices(), need_m)
         if seg is None:
             raise NoSegments(
@@ -285,4 +289,4 @@ def extract_segments(space: Space, r: int, count: int, budget: Window) -> Segmen
                 f"budget supports a segment of {need_m} points at scale {r}"
             )
         chosen.append(seg)
-    return SegmentFamily(space, r, tuple(chosen))
+    return SegmentFamily(space, r, tuple(tuple(budget.points[i] for i in seg) for seg in chosen))

@@ -112,7 +112,7 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
                     "distance": w.space.dist(a, b),
                 }
 
-    diams = w.space.piece_diameters(w, idx, sizes)
+    diams = w.space.piece_diameters(w.layout, idx, sizes)
     over = next((pid for pid, diam in enumerate(diams) if diam > cover.bound), None)
     bound_ok = over is None
     if not bound_ok and witness is None:
@@ -194,10 +194,9 @@ def witness_grid2(r: int, w: Window) -> ColoredCover:
     colors = _group_pieces(w, assign)
     while len(colors) < 3:
         colors = colors + ((),)
-    bound = max(
-        (w.space.diameter(piece) for _, _, piece in ColoredCover(w, r, 0, colors).pieces()),
-        default=0,
-    )
+    pieces = [piece for fam in colors for piece in fam]
+    idx = [w.index(p) for piece in pieces for p in piece]
+    bound = max(w.space.piece_diameters(w.layout, idx, [len(piece) for piece in pieces]), default=0)
     return ColoredCover(w, r, bound, colors)
 
 
@@ -214,7 +213,7 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     root = space.normalize(root)
     n = len(w.points)
     if root in w:
-        from_root = space.paired_dist(w, np.full(n, w.index(root)), np.arange(n))
+        from_root = space.paired_dist(w.layout, w.index(root), np.arange(n))
     else:
         from_root = space.pairwise_dist([root], w.points)[0]
     annulus = from_root // min(2 * r, 1 << 62)  # a wider annulus than that holds every point
@@ -228,7 +227,7 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     for idxs in lay.classes:
         families[annulus[idxs[0]] % 2].append(tuple(w.points[i] for i in idxs))
     colors = (tuple(families[0]), tuple(families[1]))
-    bound = max(space.piece_diameters(w, lay.order, lay.sizes), default=0)
+    bound = max(space.piece_diameters(w.layout, lay.order, lay.sizes), default=0)
     return ColoredCover(w, r, bound, colors)
 
 
@@ -240,7 +239,7 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
     space = w.space
     if d == 0:
         lay = scale_layout(w, r)
-        if any(diam > B for diam in space.piece_diameters(w, lay.order, lay.sizes)):
+        if any(diam > B for diam in space.piece_diameters(w.layout, lay.order, lay.sizes)):
             return None
         cover = ColoredCover(w, r, B, (tuple(tuple(w.points[i] for i in c) for c in lay.classes),))
         return cover if verify_decomposition(cover).passed else None

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainMismatch, Infeasible, MalformedSpec, UnknownPoint
-from .spaces import _ROW_BLOCK, Space, Window, pairwise_dist
+from .spaces import _ROW_BLOCK, Space, Window
 
 
 class CoarseMap:
@@ -68,15 +68,15 @@ def expansion_envelopes(f: CoarseMap) -> ExpansionEnvelopes:
     pts = f.source.points
     if not pts:
         raise MalformedSpec("source window is empty")
-    img = f.image()
+    n, img_lay = len(pts), f.target_space.layout(f.image())
     none = np.iinfo(np.int64).max
     max_at = np.zeros(1, dtype=np.int64)  # max image distance among pairs at exactly t
     min_at = np.full(1, none)
-    for lo in range(0, len(pts), _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, len(pts))
-        later = np.arange(len(pts))[None, :] > np.arange(lo, hi)[:, None]
-        d = pairwise_dist(f.source.space, pts[lo:hi], pts)[later]
-        fd = pairwise_dist(f.target_space, img[lo:hi], img)[later]
+    for lo in range(0, n, _ROW_BLOCK):
+        rows, cols = np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None], np.arange(n)
+        later = cols > rows
+        d = f.source.space.paired_dist(f.source.layout, rows, cols)[later]
+        fd = f.target_space.paired_dist(img_lay, rows, cols)[later]
         grow = int(d.max(initial=0)) + 1 - len(max_at)
         if grow > 0:
             max_at = np.pad(max_at, (0, grow))
@@ -128,7 +128,7 @@ def classify(
         tp = target_window.points
         worst = 0
         for lo in range(0, len(tp), _ROW_BLOCK):
-            near = pairwise_dist(f.target_space, tp[lo:lo + _ROW_BLOCK], image).min(axis=1)
+            near = f.target_space.pairwise_dist(tp[lo:lo + _ROW_BLOCK], image).min(axis=1)
             worst = max(worst, int(near.max()))
         eq_c = worst if c is None else c
         equivalence = evidence and worst <= eq_c

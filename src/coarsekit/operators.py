@@ -104,7 +104,7 @@ class BandedOperator:
         if self._prop is None:
             A = self.matrix.tocoo()
             off = A.row != A.col
-            d = self.window.space.paired_dist(self.window, A.row[off], A.col[off])
+            d = self.window.space.paired_dist(self.window.layout, A.row[off], A.col[off])
             self._prop = int(d.max()) if len(d) else 0
         return self._prop
 

@@ -15,7 +15,6 @@ from .amenability import (
     FolnerCertificate,
     MatchingOutcome,
     WindowedDoubling,
-    neighborhood_points,
     paradox_from_sets,
     verify_doubling,
     verify_folner,
@@ -242,7 +241,7 @@ def _verify_matching_cut(data) -> tuple[bool, dict]:
     space, f = read_payload(data, "matching_cut")
     w, r, F = f["window"], f["r"], f["cut"]
     in_interior = set(F) <= set(w.interior(r))
-    nbrs = {q for q in neighborhood_points(space, F, r) if q in w}
+    nbrs = {q for q in space.neighborhood(F, r) if q in w}
     violating = len(nbrs) < 2 * len(F) if F else False
     ok = in_interior and violating and len(nbrs) == f["cut_neighborhood_size"]
     return ok, {

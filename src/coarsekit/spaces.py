@@ -88,9 +88,6 @@ class Space:
         """All points at distance <= r from x, no duplicates."""
         raise NotImplementedError
 
-    def ball_size(self, x, r: int) -> int:
-        return len(self.ball_points(x, r))
-
     def ball_count(self, x, r: int, cap: int) -> int:
         """|B_r(x)| when it is at most cap, else cap + 1; enumerates no ball
         past cap + 1 points."""
@@ -117,64 +114,65 @@ class Space:
         """|B_n(x)| for n = 0..n_max; raises EnumerationOverflow once one exceeds cap."""
         sizes = []
         for n in range(n_max + 1):
-            sizes.append(self.ball_size(x, n))
+            sizes.append(self.ball_count(x, n, cap))
             if sizes[-1] > cap:
                 raise EnumerationOverflow(f"ball size exceeds cap {cap}")
         return sizes
 
-    # -- metric on finite sets: kinds override these where they have a faster
-    # exact path ---------------------------------------------------------------
+    # -- the metric kernel: a kind answers distances on finite sets through
+    # layout and paired_dist, and overrides the methods below them only where
+    # it runs a different algorithm ------------------------------------------
+    def layout(self, points: Sequence):
+        """The index structure of a sequence of canonical points that
+        :meth:`paired_dist` reads (by default the points themselves);
+        :attr:`Window.layout` builds a window's once."""
+        return points
+
+    def paired_dist(self, lay, I, J) -> np.ndarray:
+        """d(lay's I-th point, lay's J-th point) over two broadcastable index
+        arrays, as int64; raises IntegerOverflow when a distance lies outside
+        int64.  By default one ``dist`` call per pair."""
+        I, J = np.broadcast_arrays(np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64))
+        pairs = list(zip(I.ravel().tolist(), J.ravel().tolist()))
+        D = [self.dist(lay[i], lay[j]) for i, j in pairs]
+        try:
+            return np.array(D, dtype=np.int64).reshape(I.shape)
+        except OverflowError:
+            k = next(k for k, d in enumerate(D) if d >= 1 << 63)
+            i, j = pairs[k]
+            raise IntegerOverflow(f"d({lay[i]!r}, {lay[j]!r}) = {D[k]} lies outside int64") from None
+
     def pairwise_dist(self, A: Sequence, B: Sequence) -> np.ndarray:
         """The |A| x |B| int64 matrix of distances between canonical points;
         raises IntegerOverflow when a distance lies outside int64."""
-        D = [[self.dist(a, b) for b in B] for a in A]
-        try:
-            return np.array(D, dtype=np.int64).reshape(len(A), len(B))
-        except OverflowError:
-            i, j = next((i, j) for i, row in enumerate(D)
-                        for j, d in enumerate(row) if d >= 1 << 63)
-            raise IntegerOverflow(f"d({A[i]!r}, {B[j]!r}) = {D[i][j]} lies outside int64") from None
-
-    def paired_dist(self, w: "Window", I, J) -> np.ndarray:
-        """The elementwise kernel: d(points[I[k]], points[J[k]]) over two equally
-        long index arrays into the window, as int64; raises IntegerOverflow
-        when a distance lies outside int64.  Kinds with a window layout
-        override it."""
-        pts = w.points
-        D = [self.dist(pts[i], pts[j]) for i, j in zip(np.asarray(I).tolist(), np.asarray(J).tolist())]
-        try:
-            return np.array(D, dtype=np.int64)
-        except OverflowError:
-            k = next(k for k, d in enumerate(D) if d >= 1 << 63)
-            raise IntegerOverflow(f"d({pts[I[k]]!r}, {pts[J[k]]!r}) = {D[k]} lies outside int64") from None
-
-    def layout(self, w: "Window"):
-        """The index structure of a window that this kind's window methods read,
-        built once per window (:attr:`Window.layout`); None when there is none."""
-        return None
+        return self.paired_dist(self.layout([*A, *B]), np.arange(len(A))[:, None],
+                                len(A) + np.arange(len(B)))
 
     def diameter(self, pts: Sequence) -> int:
         """Exact diameter of a finite point set."""
         pts = list(pts)
-        return max((int(self.pairwise_dist(pts[lo:lo + _ROW_BLOCK], pts[lo:]).max())
-                    for lo in range(0, len(pts), _ROW_BLOCK)), default=0)
+        return self.piece_diameters(self.layout(pts), np.arange(len(pts)), [len(pts)])[0]
 
-    def piece_diameters(self, w: "Window", idx, sizes) -> list:
-        """Exact diameters of pieces of a window, given as their window indices
-        laid end to end (idx) and their lengths (sizes)."""
-        pts, idx, out, lo = w.points, np.asarray(idx).tolist(), [], 0
+    def piece_diameters(self, lay, idx, sizes) -> list:
+        """Exact diameters of pieces of laid-out points, given as their indices
+        laid end to end (idx) and their lengths (sizes).  Compares all pairs
+        of each piece, a block of rows at a time."""
+        idx, out, lo = np.asarray(idx, dtype=np.int64), [], 0
         for size in np.asarray(sizes).tolist():
-            out.append(self.diameter([pts[i] for i in idx[lo:lo + size]]))
+            p = idx[lo:lo + size]
+            out.append(max((int(self.paired_dist(lay, p[k:k + _ROW_BLOCK, None], p[k:]).max())
+                            for k in range(0, size, _ROW_BLOCK)), default=0))
             lo += size
         return out
 
     def scale_pairs(self, w: "Window", r: int):
         """Index pairs (i, j), i < j, of window points at distance <= r, as two
         int64 arrays.  Compares all pairs, a block of rows at a time."""
-        pts = w.points
+        n = len(w.points)
         out_i, out_j = [], []
-        for lo in range(0, len(pts), _ROW_BLOCK):
-            D = self.pairwise_dist(pts[lo:lo + _ROW_BLOCK], pts[lo:])
+        for lo in range(0, n, _ROW_BLOCK):
+            D = self.paired_dist(w.layout, np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None],
+                                 np.arange(lo, n))
             ii, jj = np.nonzero(np.triu(D <= r, k=1))
             out_i.append(ii + lo)
             out_j.append(jj + lo)
@@ -209,6 +207,14 @@ def _int64_coords(points, dim: int, pad: int = 0) -> Optional[np.ndarray]:
     if len(a) and max(int(a.max()), -int(a.min())) + pad >= (1 << 62) // dim:
         return None
     return a
+
+
+@lru_cache(maxsize=None)
+def _l1_signs(dim: int) -> np.ndarray:
+    # l1 is l-infinity after projecting onto these 2^(dim-1) sign vectors
+    signs = np.array([(1,) + s for s in itertools.product((1, -1), repeat=dim - 1)], dtype=np.int64).T
+    signs.flags.writeable = False
+    return signs
 
 
 @lru_cache(maxsize=16)
@@ -252,16 +258,14 @@ class GridSpace(Space):
     def dist(self, x, y):
         return sum(abs(a - b) for a, b in zip(x, y))
 
-    def ball_size(self, x, r):
-        # l1 ball cardinality in Z^d
-        return sum((1 << k) * comb(self.dim, k) * comb(r, k) for k in range(min(self.dim, r) + 1))
-
     def ball_count(self, x, r, cap):
-        return min(self.ball_size(x, r), cap + 1)
+        # l1 ball cardinality in Z^d
+        return min(sum((1 << k) * comb(self.dim, k) * comb(r, k) for k in range(min(self.dim, r) + 1)),
+                   cap + 1)
 
     def _ball_offsets(self, r, cap=BALL_CAP_DEFAULT) -> np.ndarray:
         """The l1 r-ball around 0 as read-only int64 rows in canonical order (cached up to 2^16)."""
-        size = self.ball_size(None, r)
+        size = self.ball_count(None, r, cap)  # exact when at most cap
         if size > cap:
             raise EnumerationOverflow(f"l1 ball of radius {r} in Z^{self.dim} exceeds cap {cap}")
         return (_l1_offsets if size <= 1 << 16 else _l1_offsets.__wrapped__)(self.dim, r)
@@ -304,44 +308,35 @@ class GridSpace(Space):
                 out.append(x[:i] + (x[i] + s,) + x[i + 1:])
         return out
 
-    def pairwise_dist(self, A, B):
-        a, b = _int64_coords(A, self.dim), _int64_coords(B, self.dim)
-        if a is None or b is None:
-            return Space.pairwise_dist(self, A, B)
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    def layout(self, points):
+        # the coordinates as int64, or the points themselves where they leave the guard
+        c = _int64_coords(points, self.dim)
+        return points if c is None else c
 
-    def layout(self, w):
-        # the window's coordinates, or None where they leave the int64 guard
-        return _int64_coords(w.points, self.dim)
+    def paired_dist(self, lay, I, J):
+        if not isinstance(lay, np.ndarray):
+            return Space.paired_dist(self, lay, I, J)
+        return np.abs(lay[I] - lay[J]).sum(axis=-1)
 
-    def paired_dist(self, w, I, J):
-        c = w.layout
-        if c is None:
-            return Space.paired_dist(self, w, I, J)
-        return np.abs(c[I] - c[J]).sum(axis=1)
-
-    @cached_property
-    def _signs(self) -> np.ndarray:
-        # l1 is l-infinity after projecting onto these 2^(dim-1) sign vectors
-        return np.array([(1,) + s for s in itertools.product((1, -1), repeat=self.dim - 1)],
-                        dtype=np.int64).T
-
-    def diameter(self, pts):
-        if len(pts) < 2:
-            return 0
-        if self.dim == 1:  # one-coordinate tuples compare as their coordinate
-            return max(pts)[0] - min(pts)[0]
-        coords = _int64_coords(pts, self.dim)
-        if coords is None:
-            return super().diameter(pts)
-        proj = coords @ self._signs
-        return int(max(proj.max(axis=0) - proj.min(axis=0)))
+    def piece_diameters(self, lay, idx, sizes):
+        # l1 is l-infinity after projecting onto the 2^(dim-1) sign vectors:
+        # a piece's diameter is its widest span of projections
+        if not isinstance(lay, np.ndarray):
+            return Space.piece_diameters(self, lay, idx, sizes)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        out = np.zeros(len(sizes), dtype=np.int64)
+        full = sizes > 0
+        if full.any():
+            proj = lay[np.asarray(idx, dtype=np.int64)] @ _l1_signs(self.dim)
+            starts = (np.cumsum(sizes) - sizes)[full]
+            out[full] = (np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)).max(axis=1)
+        return out.tolist()
 
     def scale_pairs(self, w, r):
         # each offset in the r-ball is one sorted lookup of shifted box codes
         n = len(w.points)
         box = self._box(w.points, r)
-        if box is None or self.ball_size(w.points[0], r) > max(64, 4 * n):
+        if box is None or self.ball_count(None, r, max(64, 4 * n)) > max(64, 4 * n):
             return super().scale_pairs(w, r)
         strides, codes = box
         order = np.argsort(codes, kind="stable")
@@ -439,7 +434,8 @@ class TreeLayout:
             split = pa != pb
             a, b = np.where(split, pa, a), np.where(split, pb, b)
         lca = np.where(a == b, a, self.up[0][a])
-        return self.depth[u] + self.depth[v] - 2 * self.depth[lca]
+        # d(u, lca) + d(v, lca): no partial sum leaves int64, where depth[u] + depth[v] could
+        return (self.depth[u] - self.depth[lca]) + (self.depth[v] - self.depth[lca])
 
     def pairs(self, r: int):
         """Index pairs (i, j), i < j, of laid-out points at distance <= r, as
@@ -560,23 +556,14 @@ class TreeMetricSpace(Space):
         their ancestor closure, or (parent, node, depth) of their hull."""
         raise NotImplementedError
 
-    def layout(self, w):
-        return TreeLayout(*self._closure(w.points))
+    def layout(self, points):
+        return TreeLayout(*self._closure(points))
 
-    def pairwise_dist(self, A, B):
-        lay = TreeLayout(*self._closure(list(A) + list(B)))
-        return lay.dist(lay.node[:len(A), None], lay.node[None, len(A):])
+    def paired_dist(self, lay, I, J):
+        return lay.dist(lay.node[I], lay.node[J])
 
-    def paired_dist(self, w, I, J):
-        node = w.layout.node
-        return w.layout.dist(node[I], node[J])
-
-    def diameter(self, pts):
-        pts = list(pts)
-        return int(TreeLayout(*self._closure(pts)).diameters(np.arange(len(pts)), [len(pts)])[0])
-
-    def piece_diameters(self, w, idx, sizes):
-        return w.layout.diameters(idx, sizes).tolist()
+    def piece_diameters(self, lay, idx, sizes):
+        return lay.diameters(idx, sizes).tolist()
 
     def scale_pairs(self, w, r):
         # the closure holds every geodesic between window points, so its parent
@@ -622,15 +609,6 @@ class FreeGroupSpace(TreeMetricSpace):
     def dist(self, x, y):
         return word_dist(x, y)
 
-    def ball_size(self, x, r):
-        k = self.rank
-        total = 1
-        sphere = 2 * k
-        for _ in range(r):
-            total += sphere
-            sphere *= 2 * k - 1
-        return total
-
     def ball_count(self, x, r, cap):
         total, sphere = 1, 2 * self.rank
         for _ in range(r):
@@ -668,7 +646,7 @@ class FreeGroupSpace(TreeMetricSpace):
         return parent, node
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
-        if self.ball_size(x, r) > cap:
+        if self.ball_count(x, r, cap) > cap:
             raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {cap}")
         return list(self._bfs(x, r))
 
@@ -773,8 +751,7 @@ class TreeSpace(TreeMetricSpace):
     def _closure(self, points):
         if self.branching == 1:
             # a ray: the hull is the points in order, rooted at the least.
-            # Depths below 2^63 keep every distance in int64 (the kernel's
-            # sum of two depths may wrap; the difference it returns does not)
+            # Depths below 2^63 keep every distance in int64
             vs = sorted(set(points))
             if vs and vs[-1] - vs[0] >= 1 << 63:
                 raise IntegerOverflow(f"d({vs[0]}, {vs[-1]}) = {vs[-1] - vs[0]} lies outside int64")
@@ -808,14 +785,6 @@ class TreeSpace(TreeMetricSpace):
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         return sorted(self._bfs(x, cutoff=r, cap=cap))
-
-    def ball_size(self, x, r):
-        return len(self._bfs(x, cutoff=r))
-
-    def ball_sizes(self, x, n_max, cap):
-        depths = np.bincount(list(self._bfs(x, cutoff=n_max, cap=cap).values()),
-                             minlength=n_max + 1)
-        return np.cumsum(depths).tolist()
 
     def all_points(self):
         if self.branching is not None:
@@ -868,9 +837,9 @@ class PointLineSpace(Space):
 
     # the points are coordinates in Z, so distances are those of one-dimensional grid points
     dim = 1
-    pairwise_dist = GridSpace.pairwise_dist
     layout = GridSpace.layout
     paired_dist = GridSpace.paired_dist
+    piece_diameters = GridSpace.piece_diameters
 
     def diameter(self, pts):
         return max(pts) - min(pts) if len(pts) else 0
@@ -1033,13 +1002,6 @@ class ProductFiniteSpace(Space):
             raise EnumerationOverflow(f"product ball exceeds cap {cap}")
         return out
 
-    def ball_size(self, x, r):
-        a, _ = x
-        s = self.base.ball_size(a, r)
-        if r >= 1:
-            s += (self.n - 1) * self.base.ball_size(a, r - 1)
-        return s
-
     def ball_count(self, x, r, cap):
         a, _ = x
         s = self.base.ball_count(a, r, cap)
@@ -1056,37 +1018,19 @@ class ProductFiniteSpace(Space):
     def all_points(self):
         return [(p, j) for p in self.base.all_points() for j in range(1, self.n + 1)]
 
-    def ball_sizes(self, x, n_max, cap):
-        base = self.base.ball_sizes(x[0], n_max, cap)
-        sizes = base[:1] + [s + (self.n - 1) * t for s, t in zip(base[1:], base)]
-        if sizes[-1] > cap:
-            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
-        return sizes
-
-    def pairwise_dist(self, A, B):
-        D = self.base.pairwise_dist([a for a, _ in A], [b for b, _ in B])
-        la = np.array([l for _, l in A], dtype=np.int64)
-        lb = np.array([l for _, l in B], dtype=np.int64)
-        return D + (la[:, None] != lb[None, :])
-
-    def layout(self, w):
-        # the window order groups points by base, then by level: the window of
-        # the bases, the base and level of each point, and the point at each
-        # (base, level), -1 where the window has none
-        bases = [b for b, _ in w.points]
-        first = [k for k in range(len(bases)) if k == 0 or bases[k] != bases[k - 1]]
-        # the bases of a ball B_R((c, i)) form the base ball B_R(c)
-        center = w.ball_center[0] if w.is_ball else None
-        bw = Window(self.base, [bases[k] for k in first], center, w.ball_radius)
-        base_of = np.repeat(np.arange(len(first)), np.diff(first + [len(bases)]))
-        levels, lvl_of = np.unique([l for _, l in w.points], return_inverse=True)
-        pos = np.full((len(first), len(levels)), -1, dtype=np.int64)
-        pos[base_of, lvl_of] = np.arange(len(bases))
+    def layout(self, points):
+        # the window of the distinct bases, the base index and level of each
+        # point, and the point at each (base, level), -1 where there is none
+        bw = Window(self.base, dict.fromkeys(b for b, _ in points))
+        base_of = np.array([bw._index[b] for b, _ in points], dtype=np.int64)
+        levels, lvl_of = np.unique(np.array([l for _, l in points], dtype=np.int64), return_inverse=True)
+        pos = np.full((len(bw.points), len(levels)), -1, dtype=np.int64)
+        pos[base_of, lvl_of] = np.arange(len(points))
         return bw, base_of, levels[lvl_of], pos
 
-    def paired_dist(self, w, I, J):
-        bw, base_of, level, _ = w.layout
-        return self.base.paired_dist(bw, base_of[I], base_of[J]) + (level[I] != level[J])
+    def paired_dist(self, lay, I, J):
+        bw, base_of, level, _ = lay
+        return self.base.paired_dist(bw.layout, base_of[I], base_of[J]) + (level[I] != level[J])
 
     def scale_pairs(self, w, r):
         # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
@@ -1196,10 +1140,12 @@ class CustomSpace(Space):
     def all_points(self):
         return list(self.points)
 
-    def pairwise_dist(self, A, B):
-        ia = np.array([self._pos[p] for p in A], dtype=np.int64)
-        ib = np.array([self._pos[p] for p in B], dtype=np.int64)
-        return self.table[np.ix_(ia, ib)]
+    def layout(self, points):
+        # each point's row of the table
+        return np.array([self._pos[p] for p in points], dtype=np.int64)
+
+    def paired_dist(self, lay, I, J):
+        return self.table[lay[I], lay[J]]
 
     def to_spec(self):
         return {
@@ -1256,9 +1202,9 @@ class Window:
 
     @cached_property
     def layout(self):
-        """The space's index structure of this window (:meth:`Space.layout`),
+        """The space's layout of this window's points (:meth:`Space.layout`),
         built on first use and cached; callers must not modify it."""
-        return self.space.layout(self)
+        return self.space.layout(self.points)
 
     def __len__(self):
         return len(self.points)
@@ -1327,8 +1273,8 @@ class Window:
         if self.is_ball and s.geodesic_extension:
             if self.ball_radius < r:
                 return np.zeros(n, dtype=bool)
-            center = np.full(n, self.index(self.ball_center))
-            return s.paired_dist(self, center, np.arange(n)) <= self.ball_radius - r
+            center = self.index(self.ball_center)
+            return s.paired_dist(self.layout, center, np.arange(n)) <= self.ball_radius - r
         # the r-ball holds the point and its neighbours in the scale graph, so
         # it fits iff it has no other point: counting stops one point past that
         degree = np.diff(self.scale_graph(r).indptr).tolist()
@@ -1381,11 +1327,6 @@ def window_from_json(space: Space, data: dict) -> Window:
 def dist(space: Space, x, y) -> int:
     """Exact ambient distance between two valid points."""
     return space.dist(space.normalize(x), space.normalize(y))
-
-
-def pairwise_dist(space: Space, A: Sequence, B: Sequence) -> np.ndarray:
-    """The |A| x |B| int64 matrix of ambient distances between canonical points."""
-    return space.pairwise_dist(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,7 +1387,7 @@ def verify_metric(w: Window, cap: int = 300) -> dict:
     n = len(pts)
     if n > cap:
         raise MalformedSpec(f"window of size {n} exceeds exhaustive-check cap {cap}")
-    failures = _metric_failures(pairwise_dist(w.space, pts, pts))
+    failures = _metric_failures(w.space.pairwise_dist(pts, pts))
     witness = failures.get("triangle", failures.get("zero"))
     report = {
         "symmetry": "asymmetric" not in failures,
@@ -1461,4 +1402,4 @@ def verify_metric(w: Window, cap: int = 300) -> dict:
 def window_diameter(w: Window) -> int:
     """Exact diameter of a window."""
     n = len(w.points)
-    return w.space.piece_diameters(w, np.arange(n), [n])[0]
+    return w.space.piece_diameters(w.layout, np.arange(n), [n])[0]

@@ -219,7 +219,7 @@ def test_folner_and_matching_exclude_each_other():
     assert set(cert.F) <= interior and cert.ratio < 2
     out = ck.matching_certificate(w, 1)
     assert not out.feasible
-    nbrs = ck.amenability.neighborhood_points(Z, cert.F, 1) & set(w.points)
+    nbrs = Z.neighborhood(cert.F, 1) & set(w.points)
     assert len(nbrs) < 2 * len(cert.F)
 
 

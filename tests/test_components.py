@@ -8,7 +8,6 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 import coarsekit as ck
 from coarsekit.components import ClassLayout
 from coarsekit.errors import MalformedSpec, NoSegments
-from coarsekit.spaces import pairwise_dist
 
 
 class UnionFind:
@@ -252,7 +251,7 @@ def _segments_oracle(space, r, count, budget):
         if chosen:
             fam = ck.SegmentFamily(space, r, tuple(chosen))
             radius = max(len(chosen), max(fam.separations(), default=0))
-            near = pairwise_dist(space, budget.points, fam.all_points()).min(axis=1)
+            near = space.pairwise_dist(budget.points, fam.all_points()).min(axis=1)
             remaining = [p for p, d in zip(budget.points, near.tolist()) if d > radius]
         need_m = len(chosen[-1]) + 1 if chosen else 2
         seg = None

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 import coarsekit as ck
 from coarsekit import spaces
 from coarsekit.errors import EnumerationOverflow
-from coarsekit.spaces import _pairs_bruteforce, pairwise_dist
+from coarsekit.spaces import _pairs_bruteforce
 
 
 def _custom_spec(rng, n, name="p"):
@@ -91,7 +91,7 @@ def test_pairwise_dist_matches_dist(kind, seed):
     w = _window(kind, seed, as_ball=False)
     pts = list(w.points)
     half = pts[: len(pts) // 2]
-    D = pairwise_dist(w.space, half, pts)
+    D = w.space.pairwise_dist(half, pts)
     assert D.shape == (len(half), len(pts)) and D.dtype == np.int64
     assert D.tolist() == [[w.space.dist(p, q) for q in pts] for p in half]
 
@@ -230,7 +230,8 @@ def test_grid_neighborhood_matches_union_of_balls(dim, r, F):
 
 def test_grid_neighborhood_overflows_where_balls_do():
     space = GRIDS[3]
-    r = next(r for r in range(100, 200) if space.ball_size(None, r) > spaces.BALL_CAP_DEFAULT)
+    r = next(r for r in range(100, 200)
+             if space.ball_count(None, r, spaces.BALL_CAP_DEFAULT) > spaces.BALL_CAP_DEFAULT)
     for size in (space.neighborhood_size, lambda F, r: spaces.Space.neighborhood_size(space, F, r)):
         with pytest.raises(EnumerationOverflow):
             size([(0, 0, 0)], r)

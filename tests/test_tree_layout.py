@@ -81,7 +81,7 @@ def test_layout_kernels_match_the_oracles(case, seed):
     # the elementwise kernel, pairwise_dist and the scale graph
     rng = np.random.RandomState(seed % 2**32)
     I, J = rng.randint(0, max(n, 1), size=(2, 3 * n))
-    assert space.paired_dist(w, I, J).tolist() == D[I, J].tolist()
+    assert space.paired_dist(w.layout, I, J).tolist() == D[I, J].tolist()
     assert space.pairwise_dist(pts, pts[: n // 2]).tolist() == D[:, : n // 2].tolist()
     for r in range(5):
         g = w.scale_graph(r)
@@ -95,7 +95,7 @@ def test_layout_kernels_match_the_oracles(case, seed):
     order = np.argsort(labels, kind="stable")
     sizes = np.append(np.bincount(labels, minlength=max(n // 3, 1)), 0)
     want = [int(D[np.ix_(labels == c, labels == c)].max(initial=0)) for c in range(len(sizes))]
-    assert space.piece_diameters(w, order, sizes) == want
+    assert space.piece_diameters(w.layout, order, sizes) == want
     assert ck.window_diameter(w) == int(D.max(initial=0))
     if isinstance(space, TreeMetricSpace):
         assert space.diameter(pts) == int(D.max(initial=0))
@@ -317,7 +317,7 @@ def test_scale_graph_makes_no_per_point_call(space, as_ball, monkeypatch):
     w = ck.ball(space, space.origin(), 4)
     if not as_ball:
         w = ck.Window(space, [p for i, p in enumerate(w.points) if i % 3])
-    for name in ("neighbors", "ball_points", "ball_size", "dist"):
+    for name in ("neighbors", "ball_points", "ball_count", "dist"):
         monkeypatch.setattr(type(space), name, _refuse)
     for r in (1, 2, 3, 7):
         w.scale_graph(r)
@@ -334,13 +334,13 @@ def test_tree_cover_and_its_verification_make_no_dist_call(monkeypatch):
 def test_each_window_builds_its_layout_once(monkeypatch):
     calls = []
     real = TreeMetricSpace.layout
-    monkeypatch.setattr(TreeMetricSpace, "layout", lambda self, w: calls.append(w) or real(self, w))
+    monkeypatch.setattr(TreeMetricSpace, "layout", lambda self, pts: calls.append(pts) or real(self, pts))
     w = ck.ball(T[3], 0, 4)
     cover = ck.witness_tree(T[3], 0, 2, w)
     assert ck.verify_decomposition(cover).passed
     w.scale_graph(1), w.interior(2), ck.window_diameter(w)
     assert ck.matching_certificate(w, 1).feasible
-    assert calls == [w]
+    assert calls == [w.points]
 
 
 # -- bounded work -------------------------------------------------------------
