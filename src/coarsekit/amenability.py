@@ -434,9 +434,11 @@ def verify_folner(cert: FolnerCertificate) -> dict:
     return {"recomputed": n, "declared": cert.neighborhood_size, "ok": ok}
 
 
+FOLNER_MAX_CANDIDATES = 10_000
+
+
 @dataclass
 class FolnerBudget:
-    max_candidates: int = 10_000
     ball_radius_max: int = 64
     subsets_of_ball: Optional[int] = None  # exhaustive over subsets of this ball
     local_rounds: int = 0
@@ -495,7 +497,7 @@ def folner_search_report(
     cert = None
     prev_pts = None
     for j in range(budget.ball_radius_max + 1):
-        if tested >= budget.max_candidates:
+        if tested >= FOLNER_MAX_CANDIDATES:
             break
         F = tuple(space.ball_points(base, j))
         if prev_pts is not None and len(F) == len(prev_pts):
@@ -513,7 +515,7 @@ def folner_search_report(
     if cert is None and budget.local_rounds > 0 and best_set is not None:
         F = set(best_set)
         for _ in range(budget.local_rounds):
-            if tested >= budget.max_candidates:
+            if tested >= FOLNER_MAX_CANDIDATES:
                 break
             improved = False
             moves = [("drop", p) for p in sorted(F, key=space.canonical_key)]
@@ -522,7 +524,7 @@ def folner_search_report(
             )
             moves += [("add", p) for p in boundary]
             for kind, p in moves:
-                if tested >= budget.max_candidates:
+                if tested >= FOLNER_MAX_CANDIDATES:
                     break
                 cand = F - {p} if kind == "drop" else F | {p}
                 if not cand:

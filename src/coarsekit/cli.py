@@ -61,40 +61,41 @@ def _load_operator(w, path):
     return operators.make_operator(w, entries)
 
 
-def _get_space(args):
-    return make_space(_load_json(args.space))
-
-
-def _get_window(args, space) -> Window:
-    if getattr(args, "window_file", None):
-        return window_from_json(space, _load_json(args.window_file))
-    if getattr(args, "window_radius", None) is not None:
-        return ball(space, _point_arg(space, args.center, "--center"), args.window_radius)
+def _space_window(args):
+    """The space of --space and the window of the window flags: a file, a
+    ball, or every point of a finite space."""
+    space = make_space(_load_json(args.space))
+    if args.window_file:
+        return space, window_from_json(space, _load_json(args.window_file))
+    if args.window_radius is not None:
+        return space, ball(space, _point_arg(space, args.center, "--center"), args.window_radius)
     if space.finite:
-        return Window(space, space.all_points())
+        return space, Window(space, space.all_points())
     raise MalformedSpec("need --window-radius or --window-file for an infinite space")
 
 
-def _window_flags(p):
-    p.add_argument("--window-radius", type=int, default=None)
-    p.add_argument("--center", type=str, default=None, help="center point as JSON")
-    p.add_argument("--window-file", type=str, default=None)
+def _verdict(ok: bool, payload: dict, summary: str) -> CommandResult:
+    return CommandResult("pass" if ok else "fail", payload, summary)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="write payload JSON here")
+    space_flag = argparse.ArgumentParser(add_help=False)
+    space_flag.add_argument("--space", required=True)
+    window_flags = argparse.ArgumentParser(add_help=False)
+    window_flags.add_argument("--window-radius", type=int, default=None)
+    window_flags.add_argument("--center", type=str, default=None, help="center point as JSON")
+    window_flags.add_argument("--window-file", type=str, default=None)
+    on_window = [space_flag, window_flags]
     top = argparse.ArgumentParser(prog="coarsekit", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = top.add_subparsers(dest="command", required=True, parser_class=lambda parents=(), **kw:
+                             argparse.ArgumentParser(parents=[common, *parents], **kw))
 
-    p = sub.add_parser("space", help="validate a space and profile a window")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("space", parents=on_window, help="validate a space and profile a window")
     p.add_argument("--r", type=int, default=1)
 
-    p = sub.add_parser("components", help="scale-r components of a window")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("components", parents=on_window, help="scale-r components of a window")
     p.add_argument("--r", type=int, required=True)
     p.add_argument(
         "--profile-radii",
@@ -103,17 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated ball radii: report the max class size per window",
     )
 
-    p = sub.add_parser("segments", help="extract a coarse segment family")
-    p.add_argument("--space", required=True)
+    p = sub.add_parser("segments", parents=[space_flag], help="extract a coarse segment family")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--budget-radius", type=int, required=True)
     p.add_argument("--center", type=str, default=None)
 
-    p = sub.add_parser("asdim", help="colored covers: witness / verify / greedy")
+    p = sub.add_parser("asdim", parents=[window_flags], help="colored covers: witness / verify / greedy")
     p.add_argument("action", choices=["witness", "verify", "greedy"])
     p.add_argument("--space", default=None)
-    _window_flags(p)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--construction", choices=["line", "grid2", "tree"], default=None)
     p.add_argument("--root", type=str, default=None)
@@ -121,24 +120,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
 
-    p = sub.add_parser("folner", help="search for a Folner certificate")
-    p.add_argument("--space", required=True)
+    p = sub.add_parser("folner", parents=[space_flag], help="search for a Folner certificate")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=str, required=True, help="rational, e.g. 1/10")
     p.add_argument("--budget", type=str, default="balls:64")
 
-    p = sub.add_parser("paradox", help="free-group paradoxical rule on a ball window")
-    p.add_argument("--space", required=True)
+    p = sub.add_parser("paradox", parents=[space_flag], help="free-group paradoxical rule on a ball window")
     p.add_argument("--window-radius", type=int, required=True)
 
-    p = sub.add_parser("matching", help="doubling matching on a window")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("matching", parents=on_window, help="doubling matching on a window")
     p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("op", help="operator arithmetic and quasi checks")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("op", parents=on_window, help="operator arithmetic and quasi checks")
     p.add_argument("--a", required=True, help="operator JSON file")
     p.add_argument("--b", default=None)
     p.add_argument(
@@ -149,22 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--eps", type=float, default=0.125)
 
-    p = sub.add_parser("af-approx", help="block-diagonal approximation over chain classes")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("af-approx", parents=on_window, help="block-diagonal approximation over chain classes")
     p.add_argument("--a", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
 
-    p = sub.add_parser("mv-split", help="split an operator along a two-colored cover")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("mv-split", parents=on_window, help="split an operator along a two-colored cover")
     p.add_argument("--a", required=True)
     p.add_argument("--cover", required=True)
 
-    p = sub.add_parser("classify", help="classify a coarse map at window scale")
-    p.add_argument("--space", required=True)
-    _window_flags(p)
+    p = sub.add_parser("classify", parents=on_window, help="classify a coarse map at window scale")
     p.add_argument("--map", required=True, help='{"pairs": [[src, tgt], ...]}')
     p.add_argument("--target-space", required=True)
     p.add_argument("--target-window-radius", type=int, default=None)
@@ -176,8 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_space(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    space, w = _space_window(args)
     body = {
         "window_size": len(w.points),
         "bounded_geometry_profile": bounded_geometry_profile(w, args.r),
@@ -189,14 +175,16 @@ def _cmd_space(args):
     else:
         ok = True
     payload = serialization.envelope("space_report", space, w, body)
-    status = "pass" if ok else "fail"
-    return CommandResult(status, payload, f"window of {len(w.points)} points, profile {body['bounded_geometry_profile']}")
+    return _verdict(ok, payload, f"window of {len(w.points)} points, profile {body['bounded_geometry_profile']}")
 
 
 def _cmd_components(args):
-    space = _get_space(args)
     if args.profile_radii:
-        radii = sorted({int(t) for t in args.profile_radii.split(",")})
+        space = make_space(_load_json(args.space))
+        try:
+            radii = sorted({int(t) for t in args.profile_radii.split(",")})
+        except ValueError:
+            raise MalformedSpec(f"--profile-radii needs comma-separated integers, got {args.profile_radii!r}") from None
         center = _point_arg(space, args.center, "--center")
         windows = [ball(space, center, rad) for rad in radii]
         profile = components.class_size_profile(space, args.r, windows)
@@ -208,7 +196,7 @@ def _cmd_components(args):
             {"r": args.r, "radii": radii, "profile": profile, "tag": tag},
         )
         return CommandResult("pass", payload, f"profile {profile}: {tag}")
-    w = _get_window(args, space)
+    _, w = _space_window(args)
     part = components.components_at_scale(w, args.r)
     payload = serialization.partition_to_payload(part)
     return CommandResult(
@@ -219,7 +207,7 @@ def _cmd_components(args):
 
 
 def _cmd_segments(args):
-    space = _get_space(args)
+    space = make_space(_load_json(args.space))
     center = _point_arg(space, args.center, "--center")
     budget = ball(space, center, args.budget_radius)
     try:
@@ -228,56 +216,49 @@ def _cmd_segments(args):
         return CommandResult("infeasible", {"schema": serialization.SCHEMA, "kind": "no_segments", "reason": str(exc)}, str(exc))
     payload = serialization.segments_to_payload(fam)
     payload["verification"] = components.verify_segments(fam).to_json()
-    status = "pass" if payload["verification"]["passed"] else "fail"
-    return CommandResult(status, payload, f"{args.count} segments, lengths {list(fam.lengths)}")
+    return _verdict(payload["verification"]["passed"], payload,
+                    f"{args.count} segments, lengths {list(fam.lengths)}")
 
 
 def _cmd_asdim(args):
     if args.action == "verify":
         if not args.cover:
             raise MalformedSpec("asdim verify needs --cover")
-        data = _load_json(args.cover)
-        ok, report = serialization.verify_payload(data)
-        return CommandResult(
-            "pass" if ok else "fail",
-            {"schema": serialization.SCHEMA, "kind": "verification_report", "report": report},
-            "cover verified" if ok else "cover FAILED verification",
-        )
-    space = _get_space(args)
-    w = _get_window(args, space)
-    if args.action == "witness":
-        if args.construction == "line":
-            cover = covers.witness_line(args.r, w)
-        elif args.construction == "grid2":
-            cover = covers.witness_grid2(args.r, w)
-        elif args.construction == "tree":
-            root = _point_arg(space, args.root, "--root")
-            cover = covers.witness_tree(space, root, args.r, w)
-        else:
-            raise MalformedSpec("asdim witness needs --construction")
-        report = covers.verify_decomposition(cover)
-        payload = serialization.cover_to_payload(cover)
-        payload["verification"] = report.to_json()
-        return CommandResult(
-            "pass" if report.passed else "fail",
-            payload,
-            f"{cover.n_colors}-color cover, bound {cover.bound}",
-        )
-    # greedy
-    if args.d is None or args.bound is None:
+        ok, report = serialization.verify_payload(_load_json(args.cover))
+        return _verdict(ok, {"schema": serialization.SCHEMA, "kind": "verification_report", "report": report},
+                        "cover verified" if ok else "cover FAILED verification")
+    if args.space is None:
+        raise MalformedSpec(f"asdim {args.action} needs --space")
+    space, w = _space_window(args)
+    if args.action == "witness" and args.construction is None:
+        raise MalformedSpec("asdim witness needs --construction")
+    if args.action == "greedy" and (args.d is None or args.bound is None):
         raise MalformedSpec("asdim greedy needs --d and --bound")
-    cover = covers.greedy_cover(w, args.r, args.d, args.bound)
-    if cover is None:
-        return CommandResult(
-            "infeasible",
-            {"schema": serialization.SCHEMA, "kind": "search_exhausted"},
-            "greedy search exhausted",
-        )
-    return CommandResult("pass", serialization.cover_to_payload(cover), "greedy cover found")
+    if args.r is None:
+        raise MalformedSpec(f"asdim {args.action} needs --r")
+    if args.action == "greedy":
+        cover = covers.greedy_cover(w, args.r, args.d, args.bound)
+        if cover is None:
+            return CommandResult(
+                "infeasible",
+                {"schema": serialization.SCHEMA, "kind": "search_exhausted"},
+                "greedy search exhausted",
+            )
+        return CommandResult("pass", serialization.cover_to_payload(cover), "greedy cover found")
+    if args.construction == "tree":
+        cover = covers.witness_tree(space, _point_arg(space, args.root, "--root"), args.r, w)
+    elif args.construction == "line":
+        cover = covers.witness_line(args.r, w)
+    else:
+        cover = covers.witness_grid2(args.r, w)
+    report = covers.verify_decomposition(cover)
+    payload = serialization.cover_to_payload(cover)
+    payload["verification"] = report.to_json()
+    return _verdict(report.passed, payload, f"{cover.n_colors}-color cover, bound {cover.bound}")
 
 
 def _cmd_folner(args):
-    space = _get_space(args)
+    space = make_space(_load_json(args.space))
     budget = amenability.FolnerBudget.parse(args.budget)
     report = amenability.folner_search_report(space, args.r, args.eps, budget)
     if report.certificate is None:
@@ -294,7 +275,7 @@ def _cmd_folner(args):
 
 
 def _cmd_paradox(args):
-    space = _get_space(args)
+    space = make_space(_load_json(args.space))
     if space.kind != "free_group":
         raise MalformedSpec("paradox expects a free_group space")
     p = amenability.paradox_free_group(space.rank)
@@ -302,16 +283,12 @@ def _cmd_paradox(args):
     report = amenability.verify_paradox(p, w)
     payload = serialization.paradox_to_payload(p, w)
     payload["verification"] = report.to_json()
-    return CommandResult(
-        "pass" if report.passed else "fail",
-        payload,
-        f"rule on B_{args.window_radius}(e): {'ok' if report.passed else 'FAILED'}",
-    )
+    return _verdict(report.passed, payload,
+                    f"rule on B_{args.window_radius}(e): {'ok' if report.passed else 'FAILED'}")
 
 
 def _cmd_matching(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    _, w = _space_window(args)
     outcome = amenability.matching_certificate(w, args.r)
     if outcome.feasible:
         payload = serialization.doubling_to_payload(outcome.doubling)
@@ -325,8 +302,7 @@ def _cmd_matching(args):
 
 
 def _cmd_op(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    space, w = _space_window(args)
     a = _load_operator(w, args.a)
     if args.action == "norm":
         est = operators.op_norm_detailed(a)
@@ -337,34 +313,28 @@ def _cmd_op(args):
             {"value": est.value, "converged": est.converged, "method": est.method},
         )
         return CommandResult("pass", payload, f"norm {est.value:.12g}")
-    if args.action in ("add", "mul"):
-        if not args.b:
+    if args.action in ("add", "mul", "adjoint"):
+        if args.action == "adjoint":
+            c = a.adjoint()
+        elif not args.b:
             raise MalformedSpec(f"op --action {args.action} needs --b")
-        b = _load_operator(w, args.b)
-        c = a.add(b) if args.action == "add" else a.mul(b)
+        else:
+            b = _load_operator(w, args.b)
+            c = a.add(b) if args.action == "add" else a.mul(b)
         payload = serialization.operator_to_payload(c)
         payload["propagation"] = c.propagation
-        return CommandResult("pass", payload, f"result propagation {c.propagation}")
-    if args.action == "adjoint":
-        c = a.adjoint()
-        payload = serialization.operator_to_payload(c)
-        payload["propagation"] = c.propagation
-        return CommandResult("pass", payload, "adjoint computed")
+        return CommandResult("pass", payload, "adjoint computed" if args.action == "adjoint"
+                             else f"result propagation {c.propagation}")
     kind = "projection" if args.action == "quasi-projection" else "unitary"
     if args.r is None:
         raise MalformedSpec("quasi checks need --r")
     report = operators.quasi_check(a, kind, args.r, eps=args.eps)
     payload = serialization.envelope("quasi_report", space, w, report.to_json())
-    return CommandResult(
-        "pass" if report.passed else "fail",
-        payload,
-        f"quasi-{kind}: {'ok' if report.passed else 'FAILED'}",
-    )
+    return _verdict(report.passed, payload, f"quasi-{kind}: {'ok' if report.passed else 'FAILED'}")
 
 
 def _cmd_af_approx(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    _, w = _space_window(args)
     a = _load_operator(w, args.a)
     approx = operators.af_approximate(a, args.r, args.eps)
     payload = serialization.operator_to_payload(approx.b)
@@ -372,17 +342,12 @@ def _cmd_af_approx(args):
     payload["coloring"] = approx.coloring.to_json()
     payload["error"] = approx.error
     payload["epsilon"] = approx.epsilon
-    ok = approx.error < args.eps
-    return CommandResult(
-        "pass" if ok else "fail",
-        payload,
-        f"{approx.coloring.n_colors} colors, error {approx.error:.6g} < {args.eps}",
-    )
+    return _verdict(approx.error < args.eps, payload,
+                    f"{approx.coloring.n_colors} colors, error {approx.error:.6g} < {args.eps}")
 
 
 def _cmd_mv_split(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    space, w = _space_window(args)
     a = _load_operator(w, args.a)
     cover = serialization.cover_from_payload(_load_json(args.cover))
     omega = operators.OmegaDecomposition(cover)
@@ -403,16 +368,17 @@ def _cmd_mv_split(args):
         },
     )
     ok = exact and rep_b.passed and rep_c.passed
-    return CommandResult("pass" if ok else "fail", payload, "split exact" if ok else "split FAILED")
+    return _verdict(ok, payload, "split exact" if ok else "split FAILED")
 
 
 def _cmd_classify(args):
-    space = _get_space(args)
-    w = _get_window(args, space)
+    space, w = _space_window(args)
     target = make_space(_load_json(args.target_space))
     pairs = serialization.payload_field(
         _load_json(args.map), "pairs", list, f"{args.map}: a map file needs a 'pairs' list")
-    f = maps.CoarseMap(w, target, [(a, b) for a, b in pairs])
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise MalformedSpec(f"{args.map}: each map pair is a list [source, target]")
+    f = maps.CoarseMap(w, target, pairs)
     tw = None
     if args.target_window_radius is not None:
         tw = ball(target, target.origin(), args.target_window_radius)
@@ -430,11 +396,7 @@ def _cmd_verify(args):
         "verified_kind": data.get("kind"),
         "report": report,
     }
-    return CommandResult(
-        "pass" if ok else "fail",
-        payload,
-        f"{data.get('kind')}: {'ok' if ok else 'FAILED'}",
-    )
+    return _verdict(ok, payload, f"{data.get('kind')}: {'ok' if ok else 'FAILED'}")
 
 
 _HANDLERS = {
@@ -457,7 +419,9 @@ def run(argv) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:  # argparse exits 0 after printing --help, 2 on a parse failure
+        if exc.code == 0:
+            return CommandResult("pass")
         return CommandResult("error", {}, "argument parsing failed")
     try:
         result = _HANDLERS[args.command](args)

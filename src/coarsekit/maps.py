@@ -16,7 +16,7 @@ from .spaces import _ROW_BLOCK, Space, Window
 class CoarseMap:
     """A map from a source window into a target space, stored as an explicit pairing."""
 
-    def __init__(self, source: Window, target_space: Space, mapping, declared: Optional[str] = None):
+    def __init__(self, source: Window, target_space: Space, mapping):
         self.source = source
         self.target_space = target_space
         if callable(mapping):
@@ -30,7 +30,6 @@ class CoarseMap:
             if p not in pairs:
                 raise MalformedSpec(f"map is not total on the source window: missing {p!r}")
         self.mapping = {p: pairs[p] for p in source.points}
-        self.declared = declared
 
     def __call__(self, p):
         try:
@@ -109,14 +108,13 @@ def classify(
     f: CoarseMap,
     target_window: Optional[Window] = None,
     c: Optional[int] = None,
-    embedding_threshold: Optional[int] = None,
 ) -> MapClassification:
-    """Window-scale flags.  Embedding evidence means the lower envelope grows
-    past a threshold across the sampled range; it is never a proof."""
+    """Window-scale flags.  Embedding evidence means the lower envelope at
+    the largest sampled distance t reaches max(1, ceil(t / 2)); it is never a
+    proof."""
     env = expansion_envelopes(f)
     t_max = env.t_max
-    if embedding_threshold is None:
-        embedding_threshold = max(1, ceil(t_max / 2))
+    embedding_threshold = max(1, ceil(t_max / 2))
     evidence = t_max >= 1 and env.rho_minus[t_max] >= embedding_threshold
 
     injective = len(set(f.mapping.values())) == len(f.mapping)

@@ -124,8 +124,8 @@ class Space:
     # it runs a different algorithm ------------------------------------------
     def layout(self, points: Sequence):
         """The index structure of a sequence of canonical points that
-        :meth:`paired_dist` reads (by default the points themselves);
-        :attr:`Window.layout` builds a window's once."""
+        :meth:`paired_dist` and :meth:`scale_pairs` read (by default the points
+        themselves); :attr:`Window.layout` builds a window's once."""
         return points
 
     def paired_dist(self, lay, I, J) -> np.ndarray:
@@ -165,13 +165,14 @@ class Space:
             lo += size
         return out
 
-    def scale_pairs(self, w: "Window", r: int):
-        """Index pairs (i, j), i < j, of window points at distance <= r, as two
-        int64 arrays.  Compares all pairs, a block of rows at a time."""
-        n = len(w.points)
+    def scale_pairs(self, lay, r: int):
+        """Index pairs (i, j), i < j, of laid-out distinct points at distance
+        <= r, as two int64 arrays, for r >= 1 and two points or more.  Compares
+        all pairs, a block of rows at a time."""
+        n = len(lay)  # the points themselves or an int64 array, one row per point
         out_i, out_j = [], []
         for lo in range(0, n, _ROW_BLOCK):
-            D = self.paired_dist(w.layout, np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None],
+            D = self.paired_dist(lay, np.arange(lo, min(lo + _ROW_BLOCK, n))[:, None],
                                  np.arange(lo, n))
             ii, jj = np.nonzero(np.triu(D <= r, k=1))
             out_i.append(ii + lo)
@@ -201,7 +202,7 @@ def _int64_coords(points, dim: int, pad: int = 0) -> Optional[np.ndarray]:
     difference grown by 2 pad, l1 sum of dim differences or box span can wrap;
     on None the caller takes its exact Python-int path."""
     try:
-        a = np.array(points, dtype=np.int64).reshape(len(points), dim)
+        a = np.asarray(points, dtype=np.int64).reshape(len(points), dim)
     except OverflowError:
         return None
     if len(a) and max(int(a.max()), -int(a.min())) + pad >= (1 << 62) // dim:
@@ -276,10 +277,10 @@ class GridSpace(Space):
         return list(zip(*([c + o for o in col] for c, col in zip(x, cols))))
 
     def _box(self, points, pad: int):
-        """Mixed-radix codes of points in their bounding box grown by pad
-        on each side, as (strides, codes); codes order as points do.  None when there
-        are no points, when :func:`_int64_coords` refuses them, or when the cell
-        count of the box reaches 2^62, where int64 codes could wrap."""
+        """Mixed-radix codes of points (or their int64 layout) in their bounding box
+        grown by pad on each side, as (strides, codes); codes order as points do.  None
+        when there are no points, when :func:`_int64_coords` refuses them, or when the
+        cell count of the box reaches 2^62, where int64 codes could wrap."""
         coords = _int64_coords(points, self.dim, pad)
         if coords is None or not len(coords):
             return None
@@ -332,12 +333,12 @@ class GridSpace(Space):
             out[full] = (np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)).max(axis=1)
         return out.tolist()
 
-    def scale_pairs(self, w, r):
+    def scale_pairs(self, lay, r):
         # each offset in the r-ball is one sorted lookup of shifted box codes
-        n = len(w.points)
-        box = self._box(w.points, r)
+        n = len(lay)
+        box = self._box(lay, r)
         if box is None or self.ball_count(None, r, max(64, 4 * n)) > max(64, 4 * n):
-            return super().scale_pairs(w, r)
+            return super().scale_pairs(lay, r)
         strides, codes = box
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
@@ -565,10 +566,10 @@ class TreeMetricSpace(Space):
     def piece_diameters(self, lay, idx, sizes):
         return lay.diameters(idx, sizes).tolist()
 
-    def scale_pairs(self, w, r):
-        # the closure holds every geodesic between window points, so its parent
+    def scale_pairs(self, lay, r):
+        # the closure holds every geodesic between laid-out points, so its parent
         # links give the exact relation
-        return w.layout.pairs(r)
+        return lay.pairs(r)
 
 
 class FreeGroupSpace(TreeMetricSpace):
@@ -927,17 +928,18 @@ class DisjointUnionSpace(Space):
     def all_points(self):
         return [(k, p) for k, blk in enumerate(self.blocks) for p in blk.all_points()]
 
-    def scale_pairs(self, w, r):
-        # window points are block-major, so each block is one run of indices,
-        # and so are the later blocks within r of a block
-        blk = np.array([k for k, _ in w.points], dtype=np.int64)
+    def scale_pairs(self, lay, r):
+        # the layout is the points, block-major, so each block is one run of
+        # indices, and so are the later blocks within r of a block
+        blk = np.array([k for k, _ in lay], dtype=np.int64)
         start = np.searchsorted(blk, np.arange(len(self.blocks) + 1)).tolist()
         last = np.searchsorted(self._reach, r + np.array(self._base), side="right").tolist()
         out_i, out_j = [], []
         for k in np.unique(blk).tolist():
             lo, hi = start[k], start[k + 1]
             if hi - lo > 1:
-                si, sj = scale_pairs(Window(self.blocks[k], [p for _, p in w.points[lo:hi]]), r)
+                b = self.blocks[k]
+                si, sj = b.scale_pairs(b.layout([p for _, p in lay[lo:hi]]), r)
                 out_i.append(si + lo)
                 out_j.append(sj + lo)
             end = start[last[k]]
@@ -1019,27 +1021,30 @@ class ProductFiniteSpace(Space):
         return [(p, j) for p in self.base.all_points() for j in range(1, self.n + 1)]
 
     def layout(self, points):
-        # the window of the distinct bases, the base index and level of each
-        # point, and the point at each (base, level), -1 where there is none
-        bw = Window(self.base, dict.fromkeys(b for b, _ in points))
-        base_of = np.array([bw._index[b] for b, _ in points], dtype=np.int64)
+        # the base layout of the distinct bases in order of first appearance
+        # (canonical order for canonical points), the base index and level of
+        # each point, and the point at each (base, level), -1 where there is none
+        bases = {}
+        base_of = np.array([bases.setdefault(b, len(bases)) for b, _ in points], dtype=np.int64)
         levels, lvl_of = np.unique(np.array([l for _, l in points], dtype=np.int64), return_inverse=True)
-        pos = np.full((len(bw.points), len(levels)), -1, dtype=np.int64)
+        pos = np.full((len(bases), len(levels)), -1, dtype=np.int64)
         pos[base_of, lvl_of] = np.arange(len(points))
-        return bw, base_of, levels[lvl_of], pos
+        return self.base.layout(list(bases)), base_of, levels[lvl_of], pos
 
     def paired_dist(self, lay, I, J):
-        bw, base_of, level, _ = lay
-        return self.base.paired_dist(bw.layout, base_of[I], base_of[J]) + (level[I] != level[J])
+        base_lay, base_of, level, _ = lay
+        return self.base.paired_dist(base_lay, base_of[I], base_of[J]) + (level[I] != level[J])
 
-    def scale_pairs(self, w, r):
+    def scale_pairs(self, lay, r):
         # d((a, i), (b, j)) <= r  iff  d(a, b) <= r when i == j, and d(a, b) <= r - 1
         # when i != j
-        bw, _, _, pos = w.layout
-        same, near = scale_pairs(bw, r), scale_pairs(bw, r - 1)
-        everyone = (np.arange(len(bw.points)),) * 2
+        base_lay, _, _, pos = lay
+        n_bases, n_levels = pos.shape
+        none = _pair_arrays([], [])
+        same = self.base.scale_pairs(base_lay, r) if n_bases > 1 else none
+        near = self.base.scale_pairs(base_lay, r - 1) if n_bases > 1 and r > 1 else none
+        everyone = (np.arange(n_bases),) * 2
         out_i, out_j = [], []
-        n_levels = pos.shape[1]
         for l in range(n_levels):
             for m in range(n_levels):
                 if l == m:
@@ -1341,12 +1346,12 @@ def scale_pairs(w: Window, r: int):
     """All index pairs (i, j), i < j, with d(points[i], points[j]) <= r.
 
     Returns a pair of int arrays.  The window's space picks the strategy
-    (:meth:`Space.scale_pairs`); every strategy computes the exact ambient
-    relation.
+    (:meth:`Space.scale_pairs`, on the window's layout); every strategy
+    computes the exact ambient relation.
     """
     if len(w.points) <= 1 or r <= 0:
         return _pair_arrays([], [])
-    return w.space.scale_pairs(w, r)
+    return w.space.scale_pairs(w.layout, r)
 
 
 def _pair_arrays(out_i: list, out_j: list):

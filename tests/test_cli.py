@@ -432,6 +432,25 @@ BAD_WINDOWS = {
     "points_not_a_list": {"points": 5},
 }
 
+# each of these exited 1 with a ValueError or TypeError traceback
+UNCHECKED_INPUTS = {
+    "profile_radius_not_an_int": ["components", "--space", "{z}", "--r", "1", "--profile-radii", "5,x"],
+    "map_pair_of_one_point": ["classify", "--space", "{z}", "--window-radius", "0", "--map", "{pair_of_one}",
+                              "--target-space", "{z}"],
+    "map_pair_not_a_list": ["classify", "--space", "{z}", "--window-radius", "0", "--map", "{pair_an_int}",
+                            "--target-space", "{z}"],
+    "line_witness_without_r": ["asdim", "witness", "--construction", "line", "--space", "{z}",
+                               "--window-radius", "3"],
+    "tree_witness_without_r": ["asdim", "witness", "--construction", "tree", "--space", "{fg2}",
+                               "--window-radius", "2"],
+    "greedy_without_r": ["asdim", "greedy", "--space", "{z}", "--window-radius", "3", "--d", "1",
+                         "--bound", "4"],
+    "witness_without_space": ["asdim", "witness", "--construction", "line", "--window-radius", "3",
+                              "--r", "1"],
+    "greedy_without_space": ["asdim", "greedy", "--window-radius", "3", "--r", "1", "--d", "1",
+                             "--bound", "4"],
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["folner", "--space", "{z}", "--r", "1", "--eps", "abc"],
@@ -445,12 +464,15 @@ BAD_WINDOWS = {
      "--target-space", "{z}"],
     *(["components", "--space", "{z}", "--r", "1", "--window-file", "{%s}" % name]
       for name in BAD_WINDOWS),
+    *UNCHECKED_INPUTS.values(),
 ], ids=["eps_not_a_number", "budget_not_a_number", "center_not_json", "root_not_json",
-        "payload_without_space", "payload_is_a_list", "map_without_pairs", *BAD_WINDOWS])
+        "payload_without_space", "payload_is_a_list", "map_without_pairs", *BAD_WINDOWS, *UNCHECKED_INPUTS])
 def test_malformed_input_exits_3(specs, tmp_path, argv):
     files = dict(specs, list=_op_file(tmp_path, "list.json", [1, 2]),
                  **{name: _op_file(tmp_path, f"{name}.json", w) for name, w in BAD_WINDOWS.items()},
                  nopairs=_op_file(tmp_path, "map.json", {"pair": []}),
+                 pair_of_one=_op_file(tmp_path, "short.json", {"pairs": [[[0]]]}),
+                 pair_an_int=_op_file(tmp_path, "int.json", {"pairs": [5]}),
                  nospace=_op_file(tmp_path, "nospace.json", {
                      "schema": "coarsekit/1", "kind": "colored_cover",
                      "window": {"ball": {"center": [0], "radius": 3}}, "r": 1, "bound": 1,
@@ -573,3 +595,18 @@ def test_window_spanning_beyond_int64_exits_3(specs, tmp_path):
     assert res.exit_code == 3 and res.payload["error"] == "IntegerOverflow"
     code, err = _cli_process(argv)
     assert code == 3 and "Traceback" not in err
+
+
+def test_unchecked_input_exits_3_without_a_traceback(specs):
+    code, err = _cli_process(UNCHECKED_INPUTS["greedy_without_space"])
+    assert code == 3 and "Traceback" not in err and "MalformedSpec" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["space", "--help"], 0), (["space"], 3), ([], 3), (["nosuch"], 3),
+], ids=["help", "subcommand_help", "missing_flag", "no_subcommand", "unknown_subcommand"])
+def test_help_exits_0_and_a_parse_failure_exits_3(argv, code, capsys):
+    # run() mapped every SystemExit of argparse to exit 3, a help request too
+    res = run(argv)
+    assert res.exit_code == code and res.payload == {}
+    assert ("usage: coarsekit" in capsys.readouterr().out) == (code == 0)

@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 import coarsekit as ck
+from coarsekit import spaces
 from coarsekit.errors import (
     EnumerationOverflow,
     IntegerOverflow,
@@ -12,7 +15,7 @@ from coarsekit.errors import (
     MetricViolation,
     UnknownPoint,
 )
-from coarsekit.spaces import word_mul
+from coarsekit.spaces import _pairs_bruteforce, word_mul
 
 
 def test_grid_line_distance():
@@ -237,8 +240,6 @@ def _pairs_as_set(w, r):
 
 def test_scale_pairs_grid_matches_bruteforce():
     g2 = ck.make_space({"kind": "grid", "dim": 2})
-    import numpy as np
-
     rng = np.random.RandomState(9)
     pts = {(int(rng.randint(-8, 9)), int(rng.randint(-8, 9))) for _ in range(60)}
     w = ck.Window(g2, pts)
@@ -267,50 +268,75 @@ def test_scale_pairs_tree_ball_matches_bruteforce():
         assert _pairs_as_set(w, r) == brute
 
 
-def test_scale_pairs_disjoint_union_matches_bruteforce():
-    import numpy as np
-    from scipy.sparse.csgraph import shortest_path
-
-    rng = np.random.RandomState(42)
+def _custom_blocks(seed, count):
+    """Custom spaces: random point sets of a line, with coincident points moved apart."""
+    rng = np.random.RandomState(seed)
     blocks = []
-    for _ in range(4):
+    for _ in range(count):
         n = int(rng.randint(2, 6))
         coords = rng.randint(0, 10, size=n)
         D = np.abs(coords[:, None] - coords[None, :])
         D = D + (D == 0) * (1 - np.eye(n, dtype=int))
         D = shortest_path(D, directed=False).astype(int)
-        blocks.append(
-            {"kind": "custom", "points": [f"p{i}" for i in range(n)], "dist": D.tolist()}
-        )
-    du = ck.make_space({"kind": "disjoint_union", "blocks": blocks, "gaps": [2, 5, 9]})
-    w = ck.Window(du, du.all_points())
-    n = len(w.points)
-    for r in (1, 2, 3, 6, 11, 20):
-        brute = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if du.dist(w.points[i], w.points[j]) <= r
-        }
-        assert _pairs_as_set(w, r) == brute
+        blocks.append({"kind": "custom", "points": [f"p{i}" for i in range(n)], "dist": D.tolist()})
+    return blocks
 
 
-def test_scale_pairs_product_matches_bruteforce():
-    F2 = ck.make_space({"kind": "free_group", "rank": 2})
-    prod = ck.make_space(
-        {"kind": "product_finite", "base": {"kind": "free_group", "rank": 2}, "n": 3}
-    )
-    base_pts = ck.ball(F2, "", 2).points
-    w = ck.Window(prod, [(x, l) for x in base_pts for l in (1, 2, 3)])
-    n = len(w.points)
-    for r in (1, 2, 3):
-        brute = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if prod.dist(w.points[i], w.points[j]) <= r
-        }
-        assert _pairs_as_set(w, r) == brute
+def _point_line_union():
+    # like the bench's AF jobs: short point lines 10 apart, single points among them
+    rng = random.Random(5)
+    sizes = [rng.randint(1, 4) for _ in range(30)]
+    return {"kind": "disjoint_union", "gaps": [10] * 29,
+            "blocks": [{"kind": "point_line", "coords": list(range(m))} for m in sizes]}
+
+
+def _mixed_union():
+    inner = {"kind": "disjoint_union", "gaps": [1, 4],
+             "blocks": [{"kind": "point_line", "coords": [0, 2, 3]}, *_custom_blocks(3, 2)]}
+    return {"kind": "disjoint_union", "gaps": [3, 1, 2, 6], "blocks": [
+        *_custom_blocks(2, 1),
+        {"kind": "tree", "edges": [[0, 1], [1, 2], [1, 3], [3, 4], [4, 5]]},
+        {"kind": "product_finite", "base": {"kind": "point_line", "coords": [0, 1, 5]}, "n": 3},
+        inner,
+        {"kind": "point_line", "coords": [7]},
+    ]}
+
+
+def _assert_composite_pairs(w, radii, monkeypatch):
+    """The scale graph of w at each radius builds no Window, and scale_pairs
+    matches the brute-force oracle."""
+    built = []
+    init = spaces.Window.__init__
+    with monkeypatch.context() as m:
+        m.setattr(spaces.Window, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        for r in radii:
+            w.scale_graph(r)
+            ii, jj = _pairs_bruteforce(w, r)
+            assert _pairs_as_set(w, r) == set(zip(ii.tolist(), jj.tolist()))
+    assert built == []
+
+
+def test_scale_pairs_disjoint_union_matches_bruteforce(monkeypatch):
+    # each block of two points or more built a window of its own
+    for spec in ({"kind": "disjoint_union", "blocks": _custom_blocks(42, 4), "gaps": [2, 5, 9]},
+                 _point_line_union(), _mixed_union()):
+        du = ck.make_space(spec)
+        _assert_composite_pairs(ck.Window(du, du.all_points()), (1, 2, 3, 6, 7, 11, 20), monkeypatch)
+
+
+def test_scale_pairs_product_matches_bruteforce(monkeypatch):
+    # the product layout built a window of the distinct bases
+    for base, points in (
+        ({"kind": "grid", "dim": 2}, lambda s: ck.ball(s, (0, 0), 3).points),
+        ({"kind": "free_group", "rank": 2}, lambda s: ck.ball(s, "", 2).points),
+        ({"kind": "tree", "branching": 3}, lambda s: ck.ball(s, 2, 2).points),
+        (_custom_blocks(7, 1)[0], lambda s: s.all_points()),
+    ):
+        prod = ck.make_space({"kind": "product_finite", "base": base, "n": 3})
+        pts = points(prod.base)
+        # every level over some bases, fewer over others: the layout marks the gaps
+        w = ck.Window(prod, [(x, l) for k, x in enumerate(pts) for l in (1, 2, 3)[:1 + k % 3]])
+        _assert_composite_pairs(w, (1, 2, 3, 7), monkeypatch)
 
 
 def test_interior_fast_path_matches_generic():
