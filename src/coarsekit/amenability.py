@@ -15,8 +15,6 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import (
     ExpansionUnbounded,
@@ -698,6 +696,9 @@ def matching_certificate(w: Window, r: int) -> MatchingOutcome:
     Feasible: returns the split assignment (ties broken by canonical order).
     Infeasible: returns a Hall violator F subseteq Interior with
     |N_r(F) ∩ w| < 2 |F|."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
     int_idx = np.flatnonzero(w.interior_mask(r))

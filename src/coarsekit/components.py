@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import MalformedSpec, NoSegments
 from .spaces import Space, Window
@@ -67,6 +66,8 @@ def scale_layout(w: Window, r: int) -> ClassLayout:
     """The ~_r classes of a window as a class layout over its indices."""
     if r < 0:
         raise MalformedSpec("scale must be >= 0")
+    from scipy.sparse.csgraph import connected_components
+
     return ClassLayout(connected_components(w.scale_graph(r), directed=False)[1])
 
 
@@ -219,6 +220,8 @@ def _grow_from(w, r, keep, steps, start, need_m):
     """The window indices of a segment of need_m points along a BFS tree of
     ``steps`` (a graph on the indices keep) from start towards its farthest
     point (ties broken canonically), or None."""
+    from scipy.sparse.csgraph import breadth_first_order
+
     order, parents = breadth_first_order(steps, start, return_predecessors=True)
     d = np.zeros(len(keep), dtype=np.int64)
     d[order] = w.space.paired_dist(w.layout, keep[start], keep[order])
@@ -239,6 +242,8 @@ def _segment_in(w, r, keep, reach, steps, need_m):
     """The window indices of the first segment of need_m points grown in a
     ~_r class of the indices keep, classes in canonical order, from the
     class's first point, then its farthest."""
+    from scipy.sparse.csgraph import connected_components
+
     for members in ClassLayout(connected_components(reach, directed=False)[1]).classes:
         if len(members) < need_m:
             continue

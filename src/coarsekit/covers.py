@@ -13,8 +13,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .components import ClassLayout, scale_layout
 from .errors import MalformedSpec, NotTreelike
@@ -204,6 +202,9 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     """Two-color annulus pattern on a tree-like space: annuli of width 2r by
     distance from the root, colored by parity, pieces the r-chain components
     within each annulus."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
     if not isinstance(space, TreeMetricSpace):
@@ -236,6 +237,8 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
     when the heuristic exhausts its options (this proves nothing)."""
     if d < 0 or B < 0:
         raise MalformedSpec("need d >= 0 and B >= 0")
+    if r < 0:
+        raise MalformedSpec("scale must be >= 0")
     space = w.space
     if d == 0:
         lay = scale_layout(w, r)

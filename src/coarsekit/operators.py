@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .amenability import PartialTranslation
 from .components import ClassLayout, SegmentFamily, scale_layout
@@ -53,6 +51,8 @@ def _guard(exact: bool, bound, what: str):
     """Raise IntegerOverflow before an exact result could leave int64, judged
     by bound(): the result in float64, or a float64 bound on its magnitude."""
     if exact:
+        from scipy import sparse as sp
+
         b = bound()
         top = _top(b) if sp.issparse(b) else b
         if top >= _EXACT_LIMIT:
@@ -69,6 +69,8 @@ class BandedOperator:
     dtype is integral."""
 
     def __init__(self, window: Window, entries, exact: Optional[bool] = None):
+        from scipy import sparse as sp
+
         n = len(window.points)
         if isinstance(entries, dict):  # exact=True cannot make non-int values exact
             exact = exact is not False and all(isinstance(v, int) for v in entries.values())
@@ -164,6 +166,8 @@ class BandedOperator:
 
     def restrict(self, indices) -> "BandedOperator":
         """Compression to rows and columns in the given index set."""
+        from scipy import sparse as sp
+
         mask = np.zeros(len(self.window.points), dtype=np.int64)
         mask[list(indices)] = 1
         P = sp.diags(mask, dtype=np.int64, format="csr")
@@ -207,6 +211,8 @@ def make_operator(w: Window, entries) -> BandedOperator:
 
 
 def identity_operator(w: Window) -> BandedOperator:
+    from scipy import sparse as sp
+
     return BandedOperator(w, sp.identity(len(w.points), dtype=np.int64, format="csr"))
 
 
@@ -241,6 +247,8 @@ def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_00
     """The largest block norm over the components of the support of A and A* taken
     together: exact up to DENSE_NORM_LIMIT points (batched SVDs of blocks of one
     size, 2^20 cells at a time), power iteration on B*B for each larger block B."""
+    from scipy.sparse.csgraph import connected_components
+
     A = a.to_sparse()
     if A.nnz == 0:
         return NormEstimate(0.0, True, 0, "trivial")
@@ -452,6 +460,8 @@ def af_approximate(
 def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
     """Reassemble the block-constant operator determined by a coloring: the
     model of each class's color on the rows and columns of that class."""
+    from scipy import sparse as sp
+
     rows, cols, vals = [], [], []
     for cls, color in zip(coloring.classes, coloring.color_of_class):
         idx = [w.index(p) for p in cls]
@@ -540,6 +550,8 @@ def quasi_check(a: BandedOperator, kind: str, r: int, eps: float = 0.125) -> Qua
     |a*a - 1| and |aa* - 1| within eps; both with propagation <= r."""
     if not eps >= 0:
         raise MalformedSpec(f"eps must be >= 0, got {eps}")
+    if r < 0:
+        raise MalformedSpec(f"scale must be >= 0, got {r}")
     one = identity_operator(a.window)
     if kind == "projection":
         devs = {
@@ -584,6 +596,8 @@ class OmegaDecomposition:
 
 def _incidence(w: Window, pieces):
     """Bool CSR incidence of window points (rows) in pieces (columns)."""
+    from scipy import sparse as sp
+
     rows = [w.index(p) for piece in pieces for p in piece]
     cols = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
     return sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),

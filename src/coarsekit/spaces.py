@@ -15,7 +15,6 @@ from math import comb
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     EnumerationOverflow,
@@ -1230,12 +1229,13 @@ class Window:
     def subwindow(self, points) -> "Window":
         return Window(self.space, points)
 
-    def scale_graph(self, r: int) -> sparse.csr_matrix:
+    def scale_graph(self, r: int) -> "sparse.csr_matrix":
         """Symmetric CSR adjacency of "d <= r" on this window, with sorted
         indices and no diagonal.  Built once per r from :func:`scale_pairs`
         and cached; callers must not modify it."""
         g = self._graphs.get(r)
         if g is None:
+            from scipy import sparse
             n = len(self.points)
             ii, jj = scale_pairs(self, r)
             g = sparse.csr_matrix(

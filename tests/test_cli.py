@@ -449,6 +449,10 @@ UNCHECKED_INPUTS = {
                               "--r", "1"],
     "greedy_without_space": ["asdim", "greedy", "--window-radius", "3", "--r", "1", "--d", "1",
                              "--bound", "4"],
+    "greedy_negative_r": ["asdim", "greedy", "--space", "{z}", "--window-radius", "3", "--r", "-1",
+                          "--d", "1", "--bound", "4"],
+    "quasi_negative_r": ["op", "--space", "{z}", "--window-radius", "3", "--a", "{diag}",
+                         "--action", "quasi-projection", "--r", "-1"],
 }
 
 
@@ -473,6 +477,7 @@ def test_malformed_input_exits_3(specs, tmp_path, argv):
                  nopairs=_op_file(tmp_path, "map.json", {"pair": []}),
                  pair_of_one=_op_file(tmp_path, "short.json", {"pairs": [[[0]]]}),
                  pair_an_int=_op_file(tmp_path, "int.json", {"pairs": [5]}),
+                 diag=_op_file(tmp_path, "diag.json", {"entries": [[[0], [0], 1, 0]]}),
                  nospace=_op_file(tmp_path, "nospace.json", {
                      "schema": "coarsekit/1", "kind": "colored_cover",
                      "window": {"ball": {"center": [0], "radius": 3}}, "r": 1, "bound": 1,
