@@ -10,7 +10,7 @@ transports.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -23,6 +23,7 @@ from .errors import (
     MalformedSpec,
     NotInjective,
     RankTooSmall,
+    Report,
 )
 from .maps import CoarseMap
 from .spaces import FreeGroupSpace, Space, Window, word_mul
@@ -185,7 +186,7 @@ def paradox_free_group(rank: int) -> ParadoxicalDecomposition:
 
 
 @dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(Report):
     partition_ok: bool
     injective_ok: dict
     image_ok: dict
@@ -207,9 +208,6 @@ class ParadoxReport:
             and all(self.interior_defined_ok.values())
             and all(self.interior_surjective_ok.values())
         )
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def _max_dist(w: Window, xs, ys) -> int:
@@ -483,6 +481,8 @@ def folner_search_report(
     if eps <= 0:
         raise MalformedSpec("eps must be > 0")
     budget = budget or FolnerBudget()
+    if min(budget.ball_radius_max, budget.subsets_of_ball or 0, budget.local_rounds) < 0:
+        raise MalformedSpec("budget radii and round counts must be >= 0")
     base = space.normalize(budget.basepoint) if budget.basepoint is not None else space.origin()
     bound = 1 + eps
 

@@ -78,6 +78,12 @@ def _verdict(ok: bool, payload: dict, summary: str) -> CommandResult:
     return CommandResult("pass" if ok else "fail", payload, summary)
 
 
+def _checked(payload: dict, report, summary: str) -> CommandResult:
+    """The payload with the report of its check attached, judged by that report."""
+    payload["verification"] = report.to_json()
+    return _verdict(report.passed, payload, summary)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="write payload JSON here")
@@ -213,10 +219,8 @@ def _cmd_segments(args):
     try:
         fam = components.extract_segments(space, args.r, args.count, budget)
     except NoSegments as exc:
-        return CommandResult("infeasible", {"schema": serialization.SCHEMA, "kind": "no_segments", "reason": str(exc)}, str(exc))
-    payload = serialization.segments_to_payload(fam)
-    payload["verification"] = components.verify_segments(fam).to_json()
-    return _verdict(payload["verification"]["passed"], payload,
+        return CommandResult("infeasible", serialization.envelope("no_segments", body={"reason": str(exc)}), str(exc))
+    return _checked(serialization.segments_to_payload(fam), components.verify_segments(fam),
                     f"{args.count} segments, lengths {list(fam.lengths)}")
 
 
@@ -225,7 +229,7 @@ def _cmd_asdim(args):
         if not args.cover:
             raise MalformedSpec("asdim verify needs --cover")
         ok, report = serialization.verify_payload(_load_json(args.cover))
-        return _verdict(ok, {"schema": serialization.SCHEMA, "kind": "verification_report", "report": report},
+        return _verdict(ok, serialization.envelope("verification_report", body={"report": report}),
                         "cover verified" if ok else "cover FAILED verification")
     if args.space is None:
         raise MalformedSpec(f"asdim {args.action} needs --space")
@@ -239,11 +243,7 @@ def _cmd_asdim(args):
     if args.action == "greedy":
         cover = covers.greedy_cover(w, args.r, args.d, args.bound)
         if cover is None:
-            return CommandResult(
-                "infeasible",
-                {"schema": serialization.SCHEMA, "kind": "search_exhausted"},
-                "greedy search exhausted",
-            )
+            return CommandResult("infeasible", serialization.envelope("search_exhausted"), "greedy search exhausted")
         return CommandResult("pass", serialization.cover_to_payload(cover), "greedy cover found")
     if args.construction == "tree":
         cover = covers.witness_tree(space, _point_arg(space, args.root, "--root"), args.r, w)
@@ -251,10 +251,8 @@ def _cmd_asdim(args):
         cover = covers.witness_line(args.r, w)
     else:
         cover = covers.witness_grid2(args.r, w)
-    report = covers.verify_decomposition(cover)
-    payload = serialization.cover_to_payload(cover)
-    payload["verification"] = report.to_json()
-    return _verdict(report.passed, payload, f"{cover.n_colors}-color cover, bound {cover.bound}")
+    return _checked(serialization.cover_to_payload(cover), covers.verify_decomposition(cover),
+                    f"{cover.n_colors}-color cover, bound {cover.bound}")
 
 
 def _cmd_folner(args):
@@ -281,9 +279,7 @@ def _cmd_paradox(args):
     p = amenability.paradox_free_group(space.rank)
     w = ball(space, space.origin(), args.window_radius)
     report = amenability.verify_paradox(p, w)
-    payload = serialization.paradox_to_payload(p, w)
-    payload["verification"] = report.to_json()
-    return _verdict(report.passed, payload,
+    return _checked(serialization.paradox_to_payload(p, w), report,
                     f"rule on B_{args.window_radius}(e): {'ok' if report.passed else 'FAILED'}")
 
 
@@ -337,11 +333,9 @@ def _cmd_af_approx(args):
     _, w = _space_window(args)
     a = _load_operator(w, args.a)
     approx = operators.af_approximate(a, args.r, args.eps)
-    payload = serialization.operator_to_payload(approx.b)
-    payload["kind"] = "af_approximation"
-    payload["coloring"] = approx.coloring.to_json()
-    payload["error"] = approx.error
-    payload["epsilon"] = approx.epsilon
+    payload = serialization.envelope("af_approximation", w.space, w, {
+        **approx.b.to_json(), "coloring": approx.coloring.to_json(), "error": approx.error,
+        "epsilon": approx.epsilon})
     return _verdict(approx.error < args.eps, payload,
                     f"{approx.coloring.n_colors} colors, error {approx.error:.6g} < {args.eps}")
 
@@ -390,12 +384,7 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     data = _load_json(args.file)
     ok, report = serialization.verify_payload(data)
-    payload = {
-        "schema": serialization.SCHEMA,
-        "kind": "verification_report",
-        "verified_kind": data.get("kind"),
-        "report": report,
-    }
+    payload = serialization.envelope("verification_report", body={"verified_kind": data.get("kind"), "report": report})
     return _verdict(ok, payload, f"{data.get('kind')}: {'ok' if ok else 'FAILED'}")
 
 
@@ -426,17 +415,11 @@ def run(argv) -> CommandResult:
     try:
         result = _HANDLERS[args.command](args)
     except Infeasible as exc:
-        return CommandResult(
-            "infeasible",
-            {"schema": serialization.SCHEMA, "kind": "infeasible", "reason": str(exc)},
-            str(exc),
-        )
+        return CommandResult("infeasible", serialization.envelope("infeasible", body={"reason": str(exc)}), str(exc))
     except CoarseKitError as exc:
-        return CommandResult(
-            "error",
-            {"schema": serialization.SCHEMA, "kind": "error", "error": type(exc).__name__, "reason": str(exc)},
-            f"{type(exc).__name__}: {exc}",
-        )
+        name = type(exc).__name__
+        return CommandResult("error", serialization.envelope("error", body={"error": name, "reason": str(exc)}),
+                             f"{name}: {exc}")
     if args.out and result.payload:
         with open(args.out, "w") as fh:
             fh.write(serialization.canonical_dumps(result.payload))

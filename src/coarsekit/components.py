@@ -8,13 +8,13 @@ dimension zero; growing classes feed the segment extraction below.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MalformedSpec, NoSegments
+from .errors import MalformedSpec, NoSegments, Report
 from .spaces import Space, Window
 
 
@@ -55,6 +55,13 @@ class ClassLayout:
         self.pos = np.empty_like(self.order)
         self.pos[self.order] = np.arange(len(labels)) - np.repeat(self._starts, self.sizes)
 
+    @classmethod
+    def of(cls, graph) -> "ClassLayout":
+        """The connected components of a sparse graph, read as undirected."""
+        from scipy.sparse.csgraph import connected_components
+
+        return cls(connected_components(graph, directed=False)[1])
+
     @cached_property
     def classes(self) -> list:
         """Each class as an ascending list of indices."""
@@ -66,9 +73,7 @@ def scale_layout(w: Window, r: int) -> ClassLayout:
     """The ~_r classes of a window as a class layout over its indices."""
     if r < 0:
         raise MalformedSpec("scale must be >= 0")
-    from scipy.sparse.csgraph import connected_components
-
-    return ClassLayout(connected_components(w.scale_graph(r), directed=False)[1])
+    return ClassLayout.of(w.scale_graph(r))
 
 
 def components_at_scale(w: Window, r: int) -> ScalePartition:
@@ -141,7 +146,7 @@ def _separations(segs, D) -> list[int]:
 
 
 @dataclass(frozen=True)
-class SegmentConditionReport:
+class SegmentConditionReport(Report):
     steps_ok: list[bool]
     anchored_ok: list[bool]
     lengths_ok: bool
@@ -159,9 +164,6 @@ class SegmentConditionReport:
             and self.separation_positive
             and self.separation_monotone
         )
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def verify_segments(fam: SegmentFamily) -> SegmentConditionReport:
@@ -242,9 +244,7 @@ def _segment_in(w, r, keep, reach, steps, need_m):
     """The window indices of the first segment of need_m points grown in a
     ~_r class of the indices keep, classes in canonical order, from the
     class's first point, then its farthest."""
-    from scipy.sparse.csgraph import connected_components
-
-    for members in ClassLayout(connected_components(reach, directed=False)[1]).classes:
+    for members in ClassLayout.of(reach).classes:
         if len(members) < need_m:
             continue
         s0 = members[0]

@@ -9,13 +9,13 @@ verifier and a greedy search.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .components import ClassLayout, scale_layout
-from .errors import MalformedSpec, NotTreelike
+from .errors import MalformedSpec, NotTreelike, Report
 from .spaces import GridSpace, Space, TreeMetricSpace, Window
 
 
@@ -47,7 +47,7 @@ class ColoredCover:
 
 
 @dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Report):
     partition_ok: bool
     separation_ok: bool
     bound_ok: bool
@@ -56,9 +56,6 @@ class CoverReport:
     @property
     def passed(self) -> bool:
         return self.partition_ok and self.separation_ok and self.bound_ok
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def verify_decomposition(cover: ColoredCover) -> CoverReport:
@@ -203,7 +200,6 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     distance from the root, colored by parity, pieces the r-chain components
     within each annulus."""
     from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
 
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
@@ -223,7 +219,7 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     g = w.scale_graph(r).tocoo()
     inside = annulus[g.row] == annulus[g.col]
     chains = sparse.csr_matrix((g.data[inside], (g.row[inside], g.col[inside])), shape=(n, n))
-    lay = ClassLayout(connected_components(chains, directed=False)[1])
+    lay = ClassLayout.of(chains)
     families = ([], [])
     for idxs in lay.classes:
         families[annulus[idxs[0]] % 2].append(tuple(w.points[i] for i in idxs))

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of check reports, shared across the package."""
+
+from dataclasses import asdict
+
+
+class Report:
+    """The base of a check report, a dataclass with a ``passed`` property."""
+
+    def to_json(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
 
 
 class CoarseKitError(Exception):

@@ -112,6 +112,8 @@ def classify(
     """Window-scale flags.  Embedding evidence means the lower envelope at
     the largest sampled distance t reaches max(1, ceil(t / 2)); it is never a
     proof."""
+    if c is not None and c < 0:
+        raise MalformedSpec("c must be >= 0")
     env = expansion_envelopes(f)
     t_max = env.t_max
     embedding_threshold = max(1, ceil(t_max / 2))

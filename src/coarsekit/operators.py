@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     MalformedSpec,
     NoProbe,
     PropagationTooLarge,
+    Report,
     SegmentOutsideWindow,
     WindowMismatch,
 )
@@ -247,12 +248,10 @@ def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_00
     """The largest block norm over the components of the support of A and A* taken
     together: exact up to DENSE_NORM_LIMIT points (batched SVDs of blocks of one
     size, 2^20 cells at a time), power iteration on B*B for each larger block B."""
-    from scipy.sparse.csgraph import connected_components
-
     A = a.to_sparse()
     if A.nnz == 0:
         return NormEstimate(0.0, True, 0, "trivial")
-    lay = ClassLayout(connected_components(A != 0, directed=False)[1])
+    lay = ClassLayout.of(A != 0)
     C = A.tocoo()
     # the components that hold entries; the rest are single points
     held = np.flatnonzero(np.bincount(lay.labels[C.row], minlength=len(lay.sizes)))
@@ -317,7 +316,7 @@ def op_norm(a: BandedOperator) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProperInfiniteReport:
+class ProperInfiniteReport(Report):
     xx_eq_p: bool
     yy_eq_p: bool
     psd_ok: bool
@@ -328,9 +327,6 @@ class ProperInfiniteReport:
     @property
     def passed(self) -> bool:
         return self.xx_eq_p and self.yy_eq_p and self.psd_ok and self.orthogonal_ranges
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def verify_properly_infinite(
@@ -530,7 +526,7 @@ def cancellation_witness(fam: SegmentFamily, w: Window, s: int) -> CancellationW
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuasiReport:
+class QuasiReport(Report):
     kind: str
     deviations: dict
     propagation: int
@@ -540,9 +536,6 @@ class QuasiReport:
     @property
     def passed(self) -> bool:
         return self.prop_ok and all(v <= self.epsilon for v in self.deviations.values())
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def quasi_check(a: BandedOperator, kind: str, r: int, eps: float = 0.125) -> QuasiReport:
@@ -605,7 +598,7 @@ def _incidence(w: Window, pieces):
 
 
 @dataclass(frozen=True)
-class OmegaMembershipReport:
+class OmegaMembershipReport(Report):
     part: str
     support_ok: bool
     prop_ok: Optional[bool]
@@ -614,9 +607,6 @@ class OmegaMembershipReport:
     @property
     def passed(self) -> bool:
         return self.support_ok and (self.prop_ok is not False)
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def omega_membership(

@@ -41,11 +41,15 @@ def payload_field(data, key: str, kind: type = object, need: str | None = None):
     return data[key]
 
 
-def envelope(kind: str, space: Space, window: Window | None, body: dict) -> dict:
-    out = {"schema": SCHEMA, "kind": kind, "space": space.to_spec()}
+def envelope(kind: str, space: Space | None = None, window: Window | None = None,
+             body: dict | None = None) -> dict:
+    """The payload of a kind; a bare kind, an outcome such as an error, has no space."""
+    out = {"schema": SCHEMA, "kind": kind}
+    if space is not None:
+        out["space"] = space.to_spec()
     if window is not None:
         out["window"] = window.to_json()
-    out.update(body)
+    out.update(body or {})
     return out
 
 

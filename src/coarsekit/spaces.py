@@ -710,15 +710,6 @@ class TreeSpace(TreeMetricSpace):
     def _parent(self, v):
         return self._par[v] if self.branching is None else (v - 1) // self.branching
 
-    def depth(self, v):
-        if self.branching is None:
-            return self._depth[v]
-        d, b = 0, self.branching
-        while v > 0:
-            v = (v - 1) // b
-            d += 1
-        return d
-
     def normalize(self, x):
         if isinstance(x, (int, np.integer)) and x >= 0:
             x = int(x)
@@ -736,16 +727,15 @@ class TreeSpace(TreeMetricSpace):
     def dist(self, x, y):
         if self.branching == 1:
             return abs(x - y)
-        # climb to equal depth, then both sides to the lowest common ancestor
-        dx, dy = self.depth(x), self.depth(y)
-        for _ in range(dx - dy):
-            x = self._parent(x)
-        for _ in range(dy - dx):
-            y = self._parent(y)
-        d = abs(dx - dy)
+        # climb from the deeper end until the ends meet at their lowest common
+        # ancestor; in the b-ary numbering a larger vertex is never shallower
+        depth = int if self.branching else self._depth.__getitem__
+        d = 0
         while x != y:
-            x, y = self._parent(x), self._parent(y)
-            d += 2
+            if depth(x) < depth(y):
+                x, y = y, x
+            x = self._parent(x)
+            d += 1
         return d
 
     def _closure(self, points):
@@ -1194,14 +1184,13 @@ def make_space(spec: dict) -> Space:
 class Window:
     """A finite ordered subset of a space, with ambient (not induced) distances."""
 
-    def __init__(self, space: Space, points: Iterable, ball_center=None, ball_radius=None):
+    def __init__(self, space: Space, points: Iterable):
         pts = [space.normalize(p) for p in points]
         keyed = sorted({space.canonical_key(p): p for p in pts}.items())
         self.space = space
         self.points = tuple(p for _, p in keyed)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self.ball_center = space.normalize(ball_center) if ball_center is not None else None
-        self.ball_radius = ball_radius
+        self.ball_center = self.ball_radius = None  # ball() sets both on the windows it builds
         self._graphs: dict = {}
 
     @cached_property
@@ -1305,8 +1294,9 @@ def ball(space: Space, x, r: int, cap: int = BALL_CAP_DEFAULT) -> Window:
     if r < 0:
         raise MalformedSpec("ball radius must be >= 0")
     x = space.normalize(x)
-    pts = space.ball_points(x, r, cap=cap)
-    return Window(space, pts, ball_center=x, ball_radius=r)
+    w = Window(space, space.ball_points(x, r, cap=cap))
+    w.ball_center, w.ball_radius = x, r
+    return w
 
 
 def is_nat(v) -> bool:

@@ -129,6 +129,21 @@ def test_folner_exit_codes(specs):
     assert res2.exit_code == 2
 
 
+def test_folner_local_budget_improves_on_the_best_ball(specs, tmp_path):
+    # on Z at r = 1, eps = 1/3 no ball of radius <= 2 passes; local moves from
+    # the best of them reach a 6-point interval, ratio 8/6
+    argv = ["folner", "--space", specs["z"], "--r", "1", "--eps", "1/3", "--budget"]
+    balls = run(argv + ["balls:2"])
+    assert balls.exit_code == 2
+    assert (balls.payload["best_ratio"], balls.payload["candidates_tested"]) == ("7/5", 3)
+    out = str(tmp_path / "folner.json")
+    local = run(argv + ["local:2,1", "--out", out])
+    assert local.exit_code == 0
+    p = local.payload
+    assert (len(p["F"]), p["neighborhood_size"], p["ratio"], p["candidates_tested"]) == (6, 8, "4/3", 9)
+    assert run(["verify", "--file", out]).exit_code == 0
+
+
 def test_paradox_command(specs):
     res = run(["paradox", "--space", specs["fg2"], "--window-radius", "4"])
     assert res.exit_code == 0
@@ -453,6 +468,13 @@ UNCHECKED_INPUTS = {
                           "--d", "1", "--bound", "4"],
     "quasi_negative_r": ["op", "--space", "{z}", "--window-radius", "3", "--a", "{diag}",
                          "--action", "quasi-projection", "--r", "-1"],
+    "subsets_budget_negative": ["folner", "--space", "{z}", "--r", "1", "--eps", "1/2",
+                                "--budget", "subsets-of-ball:-3"],
+    "balls_budget_negative": ["folner", "--space", "{fg2}", "--r", "1", "--eps", "1/2", "--budget", "balls:-1"],
+    "local_rounds_negative": ["folner", "--space", "{fg2}", "--r", "1", "--eps", "1/2", "--budget", "local:2,-1"],
+    "local_radius_negative": ["folner", "--space", "{z}", "--r", "1", "--eps", "1/2", "--budget", "local:-2,3"],
+    "classify_negative_c": ["classify", "--space", "{z}", "--window-radius", "1", "--map", "{three_pairs}",
+                            "--target-space", "{z}", "--target-window-radius", "2", "--c", "-1"],
 }
 
 
@@ -477,6 +499,7 @@ def test_malformed_input_exits_3(specs, tmp_path, argv):
                  nopairs=_op_file(tmp_path, "map.json", {"pair": []}),
                  pair_of_one=_op_file(tmp_path, "short.json", {"pairs": [[[0]]]}),
                  pair_an_int=_op_file(tmp_path, "int.json", {"pairs": [5]}),
+                 three_pairs=_op_file(tmp_path, "three.json", {"pairs": [[[-1], [0]], [[0], [0]], [[1], [1]]]}),
                  diag=_op_file(tmp_path, "diag.json", {"entries": [[[0], [0], 1, 0]]}),
                  nospace=_op_file(tmp_path, "nospace.json", {
                      "schema": "coarsekit/1", "kind": "colored_cover",
