@@ -56,7 +56,7 @@ class PartialTranslation:
 
     @property
     def displacement(self) -> int:
-        return _max_dist(Window(self.space, self.domain + self.codomain), self.domain, self.codomain)
+        return _max_dist(Window._canonical(self.space, self.domain + self.codomain), self.domain, self.codomain)
 
     def __call__(self, x):
         return self._map[x]
@@ -280,7 +280,7 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
     images = {}
     outside: dict = {}  # images outside the window, numbered n, n + 1, ... in both maps
     for name, t, test in (("plus", p.t_plus, p.in_plus), ("minus", p.t_minus, p.in_minus)):
-        ys = [None if y is None else space.normalize(y) for y in map(t, carrier)]
+        ys = [None if y is None else w._canon(y) for y in map(t, carrier)]
         ids = np.array([_image_id(w, outside, y) for y in ys], dtype=np.int64)
         defined = ids >= 0
         # the first earlier carrier point with the same image, where there is one

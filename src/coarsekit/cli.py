@@ -70,7 +70,7 @@ def _space_window(args):
     if args.window_radius is not None:
         return space, ball(space, _point_arg(space, args.center, "--center"), args.window_radius)
     if space.finite:
-        return space, Window(space, space.all_points())
+        return space, Window._canonical(space, space.all_points())
     raise MalformedSpec("need --window-radius or --window-file for an infinite space")
 
 

@@ -23,7 +23,7 @@ class CoarseMap:
             pairs = {p: target_space.normalize(mapping(p)) for p in source.points}
         else:
             pairs = {
-                source.space.normalize(k): target_space.normalize(v)
+                source._canon(k): target_space.normalize(v)
                 for k, v in (mapping.items() if isinstance(mapping, dict) else mapping)
             }
         for p in source.points:
@@ -114,6 +114,8 @@ def classify(
     proof."""
     if c is not None and c < 0:
         raise MalformedSpec("c must be >= 0")
+    if c is not None and target_window is None:
+        raise MalformedSpec("c needs a target window")
     env = expansion_envelopes(f)
     t_max = env.t_max
     embedding_threshold = max(1, ceil(t_max / 2))

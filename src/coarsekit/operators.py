@@ -163,14 +163,14 @@ class BandedOperator:
     def equals(self, other, tol: Optional[float] = None) -> bool:
         if tol is None:
             tol = 0 if (self.exact and other.exact) else FLOAT_TOL
-        return _top(self.sub(other).matrix) <= tol
+        return bool(_top(self.sub(other).matrix) <= tol)
 
     def restrict(self, indices) -> "BandedOperator":
         """Compression to rows and columns in the given index set."""
         from scipy import sparse as sp
 
         mask = np.zeros(len(self.window.points), dtype=np.int64)
-        mask[list(indices)] = 1
+        mask[indices if isinstance(indices, np.ndarray) else np.fromiter(indices, dtype=np.int64)] = 1
         P = sp.diags(mask, dtype=np.int64, format="csr")
         return BandedOperator(self.window, P @ self.matrix @ P)
 
@@ -206,7 +206,7 @@ def make_operator(w: Window, entries) -> BandedOperator:
         raise MalformedSpec(f"operator entries must be a list of [x, y, re, im], got {type(entries).__name__}")
     out: dict = {}
     for (x, y), v in items:
-        i, j = w.index(w.space.normalize(x)), w.index(w.space.normalize(y))
+        i, j = w.index(w._canon(x)), w.index(w._canon(y))
         out[(i, j)] = out.get((i, j), 0) + v
     return BandedOperator(w, out)
 
@@ -223,7 +223,7 @@ def zero_operator(w: Window) -> BandedOperator:
 
 def char_projection(S, w: Window) -> BandedOperator:
     """Diagonal 0/1 projection onto a subset of the window."""
-    return BandedOperator(w, {(i, i): 1 for i in (w.index(w.space.normalize(p)) for p in S)})
+    return BandedOperator(w, {(i, i): 1 for i in (w.index(w._canon(p)) for p in S)})
 
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
@@ -337,7 +337,7 @@ def verify_properly_infinite(
     p._check(x)
     p._check(y)
     w = p.window
-    I = [w.index(q) for q in w.interior(margin)]
+    I = np.flatnonzero(w.interior_mask(margin))
     tol = 0 if (p.exact and x.exact and y.exact) else FLOAT_TOL
     witness = None
 
@@ -671,7 +671,7 @@ def build_uf(wZ2: Window, levels: int, f) -> BandedOperator:
     if levels < fmax:
         raise LevelsTooSmall(f"levels = {levels} < max |f| = {fmax}")
     prod = ProductFiniteSpace(wZ2.space, levels)
-    w = Window(prod, [(p, n) for p in wZ2.points for n in range(1, levels + 1)])
+    w = Window._canonical(prod, [(p, n) for p in wZ2.points for n in range(1, levels + 1)])
     entries = {}
     for (p, n) in w.points:
         x, y = p
@@ -691,7 +691,7 @@ def interior_unitarity(u: BandedOperator, margin: int = 1) -> dict:
     """Exact check that u*u and uu* equal the identity on rows/columns indexed
     by the margin-interior of the window."""
     w = u.window
-    I = [w.index(p) for p in w.interior(margin)]
+    I = np.flatnonzero(w.interior_mask(margin))
     one = identity_operator(w).restrict(I)
     uu = u.adjoint().mul(u).restrict(I)
     uus = u.mul(u.adjoint()).restrict(I)

@@ -73,8 +73,9 @@ class Space:
         raise NotImplementedError
 
     def canonical_key(self, x):
-        """Sort key inducing the canonical total order on points."""
-        raise NotImplementedError
+        """Sort key inducing the canonical total order on points: by default
+        the points themselves."""
+        return x
 
     def origin(self) -> PointId:
         raise NotImplementedError
@@ -248,9 +249,6 @@ class GridSpace(Space):
         if self.dim == 1 and isinstance(x, (int, np.integer)):
             return (int(x),)
         raise UnknownPoint(f"not a Z^{self.dim} point: {x!r}")
-
-    def canonical_key(self, x):
-        return x
 
     def origin(self):
         return (0,) * self.dim
@@ -718,9 +716,6 @@ class TreeSpace(TreeMetricSpace):
             return x
         raise UnknownPoint(f"tree points are nonnegative ints, got {x!r}")
 
-    def canonical_key(self, x):
-        return x
-
     def origin(self):
         return 0
 
@@ -776,6 +771,14 @@ class TreeSpace(TreeMetricSpace):
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         return sorted(self._bfs(x, cutoff=r, cap=cap))
 
+    def ball_sizes(self, x, n_max, cap):
+        # one search out to n_max, binned by depth, not one search per radius
+        depth = list(self._bfs(x, n_max, cap).values())
+        sizes = np.cumsum(np.bincount(depth, minlength=n_max + 1)).tolist()
+        if sizes[-1] > cap:  # the search checks its cap only past radius 0
+            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
+        return sizes
+
     def all_points(self):
         if self.branching is not None:
             raise NotImplementedError("infinite tree")
@@ -807,9 +810,6 @@ class PointLineSpace(Space):
         if isinstance(x, (int, np.integer)) and int(x) in self._set:
             return int(x)
         raise UnknownPoint(f"{x!r} is not a coordinate of this point_line")
-
-    def canonical_key(self, x):
-        return x
 
     def origin(self):
         return self.coords[0]
@@ -1181,14 +1181,28 @@ def make_space(spec: dict) -> Space:
 # windows
 # ---------------------------------------------------------------------------
 
+def _same_types(a, b) -> bool:
+    """Whether a and b have the same types, tuple items included: (1,) and (1.0,) do not."""
+    return type(a) is type(b) and (type(a) is not tuple or all(map(_same_types, a, b)))
+
+
 class Window:
     """A finite ordered subset of a space, with ambient (not induced) distances."""
 
     def __init__(self, space: Space, points: Iterable):
-        pts = [space.normalize(p) for p in points]
-        keyed = sorted({space.canonical_key(p): p for p in pts}.items())
+        self._fill(space, map(space.normalize, points))
+
+    @classmethod
+    def _canonical(cls, space: Space, points: Iterable) -> "Window":
+        """``Window(space, points)`` of points that are already canonical, without ``normalize``."""
+        w = cls.__new__(cls)
+        w._fill(space, points)
+        return w
+
+    def _fill(self, space: Space, points: Iterable):
         self.space = space
-        self.points = tuple(p for _, p in keyed)
+        # of equal points the last is kept, and the rest sort by canonical key
+        self.points = tuple(sorted({p: p for p in points}.values(), key=space.canonical_key))
         self._index = {p: i for i, p in enumerate(self.points)}
         self.ball_center = self.ball_radius = None  # ball() sets both on the windows it builds
         self._graphs: dict = {}
@@ -1211,12 +1225,21 @@ class Window:
         except KeyError:
             raise UnknownPoint(f"{p!r} is not in this window") from None
 
+    def _canon(self, p):
+        """``space.normalize(p)``, but a point of this window with the same
+        types is that point, found without the call."""
+        try:
+            q = self.points[self._index[p]]
+        except (KeyError, TypeError):  # a miss, or unhashable such as a JSON list
+            return self.space.normalize(p)
+        return q if _same_types(p, q) else self.space.normalize(p)
+
     @property
     def is_ball(self) -> bool:
         return self.ball_center is not None and self.ball_radius is not None
 
     def subwindow(self, points) -> "Window":
-        return Window(self.space, points)
+        return Window._canonical(self.space, map(self._canon, points))
 
     def scale_graph(self, r: int) -> "sparse.csr_matrix":
         """Symmetric CSR adjacency of "d <= r" on this window, with sorted
@@ -1294,7 +1317,7 @@ def ball(space: Space, x, r: int, cap: int = BALL_CAP_DEFAULT) -> Window:
     if r < 0:
         raise MalformedSpec("ball radius must be >= 0")
     x = space.normalize(x)
-    w = Window(space, space.ball_points(x, r, cap=cap))
+    w = Window._canonical(space, space.ball_points(x, r, cap=cap))
     w.ball_center, w.ball_radius = x, r
     return w
 

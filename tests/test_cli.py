@@ -475,6 +475,8 @@ UNCHECKED_INPUTS = {
     "local_radius_negative": ["folner", "--space", "{z}", "--r", "1", "--eps", "1/2", "--budget", "local:-2,3"],
     "classify_negative_c": ["classify", "--space", "{z}", "--window-radius", "1", "--map", "{three_pairs}",
                             "--target-space", "{z}", "--target-window-radius", "2", "--c", "-1"],
+    "classify_c_without_target_window": ["classify", "--space", "{z}", "--window-radius", "1", "--map",
+                                         "{three_pairs}", "--target-space", "{z}", "--c", "5"],
 }
 
 

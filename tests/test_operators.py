@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -288,6 +289,21 @@ def test_properly_infinite_vacuous_zero():
     z = zero_operator(w)
     rep = ck.verify_properly_infinite(z, z, z, 1)
     assert rep.passed
+
+
+def test_every_properly_infinite_report_is_json():
+    w = ck.ball(Z, 0, 20)
+    ops = {"zero": zero_operator(w), "one": identity_operator(w), "shift": shift_operator(w),
+           "small": make_operator(w, {(p, p): 1e-5 for p in w.points}),
+           "half": make_operator(w, {(p, p): 0.5 for p in w.points})}
+    for p in ops.values():
+        for x in ops.values():
+            for y in ops.values():
+                rep = ck.verify_properly_infinite(p, x, y, 1)
+                assert json.loads(json.dumps(rep.to_json()))["passed"] is rep.passed
+    # 1e-5 I passes for p = 0 only through the absolute float tolerance; the
+    # report still has to be JSON
+    assert json.dumps(ck.verify_properly_infinite(ops["zero"], ops["small"], ops["small"], 1).to_json())
 
 
 # -- block-diagonal approximation -----------------------------------------------------

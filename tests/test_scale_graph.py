@@ -197,6 +197,28 @@ def test_growth_profile_on_trees_and_products_over_them():
     assert ck.growth_profile(path, 0, 6).sizes == (1, 2, 3, 4, 5, 6, 7)
 
 
+def test_tree_growth_profile_searches_once(monkeypatch):
+    # a path of 2,001 vertices from its middle: |B_n| = 2n + 1, so one search
+    # to n_max visits 2 n_max + 1 vertices, and a search per radius ~ n_max^2
+    path = ck.make_space({"kind": "tree", "edges": [[k, k + 1] for k in range(2000)]})
+    visited = []
+    real = spaces.TreeMetricSpace._bfs
+
+    def counted(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        visited.append(len(out))
+        return out
+
+    monkeypatch.setattr(spaces.TreeMetricSpace, "_bfs", counted)
+
+    def visits(n_max):
+        visited.clear()
+        assert ck.growth_profile(path, 1000, n_max).sizes == tuple(range(1, 2 * n_max + 2, 2))
+        return sum(visited)
+
+    assert visits(400) <= 4 * visits(100) + 4
+
+
 def test_tree_balls_stop_enumerating_at_cap(monkeypatch):
     T3 = ck.make_space({"kind": "tree", "branching": 3})
     calls = []

@@ -346,6 +346,6 @@ def test_verify_payload_normalize_calls_may_only_fall(monkeypatch):
     paradox = ser.paradox_to_payload(ck.paradox_free_group(2), b6)
     cover = ser.cover_to_payload(ck.witness_line(3, ck.ball(Z, (0,), 4000)))
     doubling = ser.doubling_to_payload(ck.matching_certificate(b6, 1).doubling)
-    assert _normalize_calls(monkeypatch, FreeGroupSpace, paradox) <= 7287
-    assert _normalize_calls(monkeypatch, GridSpace, cover) <= 16004
-    assert _normalize_calls(monkeypatch, FreeGroupSpace, doubling) <= 3884
+    assert _normalize_calls(monkeypatch, FreeGroupSpace, paradox) <= 4372
+    assert _normalize_calls(monkeypatch, GridSpace, cover) <= 8002
+    assert _normalize_calls(monkeypatch, FreeGroupSpace, doubling) <= 2426
