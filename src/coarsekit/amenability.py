@@ -10,7 +10,7 @@ transports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -26,7 +26,7 @@ from .errors import (
     Report,
 )
 from .maps import CoarseMap
-from .spaces import FreeGroupSpace, Space, Window, word_mul
+from .spaces import FreeGroupSpace, Space, Window
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ class PartialTranslation:
         return {"pairs": [[enc(a), enc(b)] for a, b in self.pairs]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParadoxicalDecomposition:
     """Carrier A = A_+ |_| A_- with partial translations t_+/- : A -> A_+/-.
 
@@ -74,7 +74,7 @@ class ParadoxicalDecomposition:
     same object can describe either a closed-form rule on an infinite space or
     an explicit window-materialized decomposition.  Translations may return
     None where they are undefined (possible near the boundary of transported
-    decompositions)."""
+    decompositions).  Frozen: :meth:`on` keeps the last window's evaluation."""
 
     space: Space
     displacement: int
@@ -84,27 +84,48 @@ class ParadoxicalDecomposition:
     t_plus: Callable[[Any], Optional[Any]]
     t_minus: Callable[[Any], Optional[Any]]
     tag: str = ""
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def on(self, w: Window) -> tuple:
+        """The rule evaluated on a window, each callable once per carrier
+        point: (cidx, carrier, member, ids, outside).  cidx holds the window
+        indices of the carrier points, and member and ids map each part,
+        "plus" and "minus", to an array over the carrier: the membership, and
+        the image under t_+/- as -1 where undefined, the window index of an
+        image in the window, and len(w) + k for outside[k], the k-th distinct
+        canonical image outside it in both maps.  The last window's
+        evaluation is kept, so checking and serialising one window evaluate
+        the rule once."""
+        if self._last and self._last[0] is w:
+            return self._last[1]
+        pts, n = w.points, len(w.points)
+        cidx = np.flatnonzero(np.fromiter(map(self.in_carrier, pts), dtype=bool, count=n))
+        carrier = [pts[i] for i in cidx.tolist()]
+        member = {name: np.fromiter(map(test, carrier), dtype=bool, count=len(carrier))
+                  for name, test in (("plus", self.in_plus), ("minus", self.in_minus))}
+        ids, outside = {}, {}
+        for name, t in (("plus", self.t_plus), ("minus", self.t_minus)):
+            ids[name] = np.array([_image_id(w, outside, y) for y in map(t, carrier)], dtype=np.int64)
+        self._last[:] = w, (cidx, carrier, member, ids, tuple(outside))
+        return self._last[1]
 
     def materialize(self, w: Window) -> dict:
         """Explicit pair lists on a window, for serialization and re-checking.
         Pairs whose image leaves the window are dropped (the membership sets
         are window-clipped, so keeping them would break containment)."""
-        enc = self.space.point_to_json
-        carrier = [p for p in w.points if self.in_carrier(p)]
-        plus = [p for p in carrier if self.in_plus(p)]
-        minus = [p for p in carrier if self.in_minus(p)]
+        enc, n = self.space.point_to_json, len(w.points)
+        _, carrier, member, ids, _ = self.on(w)
 
-        def pairs(t):  # one call of t per carrier point
-            images = ((p, t(p)) for p in carrier)
-            return [[enc(a), enc(b)] for a, b in images if b is not None and b in w]
+        def pairs(name):
+            return [[enc(a), enc(w.points[j])] for a, j in zip(carrier, ids[name].tolist()) if 0 <= j < n]
 
         return {
             "displacement": self.displacement,
             "carrier": [enc(p) for p in carrier],
-            "plus": [enc(p) for p in plus],
-            "minus": [enc(p) for p in minus],
-            "t_plus": pairs(self.t_plus),
-            "t_minus": pairs(self.t_minus),
+            "plus": [enc(p) for p, m in zip(carrier, member["plus"].tolist()) if m],
+            "minus": [enc(p) for p, m in zip(carrier, member["minus"].tolist()) if m],
+            "t_plus": pairs("plus"),
+            "t_minus": pairs("minus"),
             "tag": self.tag,
         }
 
@@ -134,10 +155,6 @@ def paradox_from_sets(space, displacement, plus: frozenset, minus: frozenset,
     )
 
 
-def _ab_suffix(word: str) -> str:
-    return word[len(word.rstrip("aAbB")):]
-
-
 def paradox_free_group(rank: int) -> ParadoxicalDecomposition:
     """The displacement-1 rule on the free group of the given rank.
 
@@ -153,31 +170,24 @@ def paradox_free_group(rank: int) -> ParadoxicalDecomposition:
         raise RankTooSmall(f"need rank >= 2, got {rank!r}")
     space = FreeGroupSpace(rank)
 
-    def in_plus(x):
-        s = _ab_suffix(x)
-        return s == "" or s[-1] in "aA"
-
+    # s(x) ends in b^+-1 exactly when x does, and in a^-1 exactly when x
+    # does; s(x) is a power of a exactly when x without its final a's does
+    # not end in b^+-1.  Where t moves x, x does not end in the inverse of
+    # the letter it appends, so the product needs no cancellation
     def in_minus(x):
-        s = _ab_suffix(x)
-        return s != "" and s[-1] in "bB"
+        return x.endswith(("b", "B"))
 
     def t_plus(x):
-        s = _ab_suffix(x)
-        if (s and s[-1] == "A") or all(c == "a" for c in s):
-            return x
-        return word_mul(x, "a")
+        return x + "a" if x.rstrip("a").endswith(("b", "B")) else x
 
     def t_minus(x):
-        s = _ab_suffix(x)
-        if s and s[-1] == "B":
-            return x
-        return word_mul(x, "b")
+        return x if x.endswith("B") else x + "b"
 
     return ParadoxicalDecomposition(
         space=space,
         displacement=1,
         in_carrier=lambda x: True,
-        in_plus=in_plus,
+        in_plus=lambda x: not x.endswith(("b", "B")),
         in_minus=in_minus,
         t_plus=t_plus,
         t_minus=t_minus,
@@ -229,9 +239,10 @@ def _max_dist(w: Window, xs, ys) -> int:
 
 def _image_id(w: Window, outside: dict, y) -> int:
     """-1 for no image, the window index of an image in the window, and
-    len(w) + k for the k-th distinct image outside it."""
+    len(w) + k for the k-th distinct canonical image outside it."""
     if y is None:
         return -1
+    y = w._canon(y)
     j = w._index.get(y)
     return outside.setdefault(y, len(w.points) + len(outside)) if j is None else j
 
@@ -244,18 +255,16 @@ def _first(mask) -> Optional[int]:
 def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
     """Re-check a decomposition on a window and its displacement-interior.
 
-    Each membership predicate and translation is called once per carrier
-    point; the checks then run on window index arrays.  Where several points
-    break one check, the witness is the first in window order."""
-    space = p.space
-    enc = space.point_to_json
+    The rule is evaluated once per window (:meth:`ParadoxicalDecomposition.on`)
+    and the checks run on window index arrays.  Where several points break
+    one check, the witness is the first in window order."""
+    enc = p.space.point_to_json
     pts, n = w.points, len(w.points)
     witness = None
-    in_carrier = np.fromiter(map(p.in_carrier, pts), dtype=bool, count=n)
-    cidx = np.flatnonzero(in_carrier)
-    carrier = [pts[i] for i in cidx.tolist()]
-    member = {name: np.fromiter(map(test, carrier), dtype=bool, count=len(carrier))
-              for name, test in (("plus", p.in_plus), ("minus", p.in_minus))}
+    cidx, carrier, member, all_ids, outside = p.on(w)
+    every = pts + outside  # the point of each image id
+    in_carrier = np.zeros(n, dtype=bool)
+    in_carrier[cidx] = True
     # a carrier point in both parts, else one in neither
     k = _first(member["plus"] & member["minus"])
     k = _first(~(member["plus"] | member["minus"])) if k is None else k
@@ -278,10 +287,8 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
     injective_ok, image_ok, disp_ok, disp_val = {}, {}, {}, {}
     interior_defined_ok, interior_surjective_ok = {}, {}
     images = {}
-    outside: dict = {}  # images outside the window, numbered n, n + 1, ... in both maps
-    for name, t, test in (("plus", p.t_plus, p.in_plus), ("minus", p.t_minus, p.in_minus)):
-        ys = [None if y is None else w._canon(y) for y in map(t, carrier)]
-        ids = np.array([_image_id(w, outside, y) for y in ys], dtype=np.int64)
+    for name, test in (("plus", p.in_plus), ("minus", p.in_minus)):
+        ids = all_ids[name]
         defined = ids >= 0
         # the first earlier carrier point with the same image, where there is one
         dk = np.flatnonzero(defined)
@@ -291,12 +298,12 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
         earlier[dk[repeat]] = dk[first[inv][repeat]]
         # an image in the carrier is tested on the membership array, any
         # other by the predicate
-        in_part, carried = np.zeros((2, n + len(outside)), dtype=bool)
+        in_part, carried = np.zeros((2, len(every)), dtype=bool)
         in_part[cidx], carried[cidx] = member[name], True
         img_bad = np.zeros(len(carrier), dtype=bool)
         img_bad[dk] = ~in_part[ids[dk]]
         for k in dk[~carried[ids[dk]]].tolist():
-            img_bad[k] = not test(ys[k])
+            img_bad[k] = not test(every[ids[k]])
         undefined_bad = ~defined & inner
         k = _first(undefined_bad | (earlier >= 0) | img_bad)
         if k is not None and witness is None:
@@ -305,10 +312,10 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
             elif earlier[k] >= 0:
                 witness = {"kind": f"collision_{name}", "pair": [enc(carrier[earlier[k]]), enc(carrier[k])]}
             else:
-                witness = {"kind": f"image_{name}", "pair": [enc(carrier[k]), enc(ys[k])]}
+                witness = {"kind": f"image_{name}", "pair": [enc(carrier[k]), enc(every[ids[k]])]}
         injective_ok[name] = not (earlier >= 0).any()
         image_ok[name] = not img_bad.any()
-        dmax = _max_dist(w, [carrier[k] for k in dk.tolist()], [ys[k] for k in dk.tolist()])
+        dmax = _max_dist(w, [carrier[k] for k in dk.tolist()], [every[j] for j in ids[dk].tolist()])
         disp_val[name] = dmax
         disp_ok[name] = dmax <= p.displacement
         if not disp_ok[name] and witness is None:
@@ -327,8 +334,7 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
     both = np.intersect1d(images["plus"], images["minus"])
     disjoint = not len(both)
     if not disjoint and witness is None:
-        point = pts[both[0]] if both[0] < n else list(outside)[both[0] - n]
-        witness = {"kind": "images_overlap", "point": enc(point)}
+        witness = {"kind": "images_overlap", "point": enc(every[both[0]])}
     return ParadoxReport(
         partition_ok,
         injective_ok,
@@ -352,7 +358,8 @@ def transport_paradox(
     sigma_+/-(f(x)) = f(t_+/-(x)) for x in the source window; the result is a
     window-materialized decomposition on the image."""
     src = f.source
-    carrier = [x for x in src.points if p.in_carrier(x)]
+    _, carrier, member, ids, _ = p.on(src)
+    n = len(src.points)
     values = {}
     for x in carrier:
         y = f(x)
@@ -363,19 +370,17 @@ def transport_paradox(
         values[y] = x
 
     dt = f.target_space
-    plus_img, minus_img = [], []
+    plus, minus = member["plus"].tolist(), member["minus"].tolist()
+    plus_img = [f(x) for x, m in zip(carrier, plus) if m]
+    minus_img = [f(x) for x, m, mp in zip(carrier, minus, plus) if m and not mp]
     tp_pairs, tm_pairs = [], []
     disp = 0
-    for x in carrier:
+    for x, jp, jm in zip(carrier, ids["plus"].tolist(), ids["minus"].tolist()):
         fx = f(x)
-        if p.in_plus(x):
-            plus_img.append(fx)
-        elif p.in_minus(x):
-            minus_img.append(fx)
-        for t, acc in ((p.t_plus, tp_pairs), (p.t_minus, tm_pairs)):
-            y = t(x)
-            if y is None or y not in src:
+        for j, acc in ((jp, tp_pairs), (jm, tm_pairs)):
+            if not 0 <= j < n:  # undefined, or outside the source window
                 continue
+            y = src.points[j]
             d = dt.dist(fx, f(y))
             if declared_bound is not None and d > declared_bound:
                 raise ExpansionUnbounded(

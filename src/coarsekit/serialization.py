@@ -54,20 +54,21 @@ def envelope(kind: str, space: Space | None = None, window: Window | None = None
 
 
 # -- the payload format -----------------------------------------------------
-# A normaliser maps (space, JSON value, or None if absent) to the checked value,
-# normalising each point once; a point the space rejects raises its own error.
+# A normaliser maps (space, JSON value, or None if absent) to the checked value.
+# A reader of points gets, for the space, the window's _canon once the payload's
+# window is read and space.normalize before; a rejected point raises its own error.
 
 class _Mistyped(MalformedSpec):
     """A normaliser's verdict on a value of the wrong JSON type: what it wants."""
 
 
-def _nat(space, v) -> int:
+def _nat(_, v) -> int:
     if not is_nat(v):
         raise _Mistyped("int >= 0")
     return v
 
 
-def _rational(space, v) -> Fraction:
+def _rational(_, v) -> Fraction:
     if isinstance(v, str):
         try:
             return Fraction(v)
@@ -76,7 +77,7 @@ def _rational(space, v) -> Fraction:
     raise _Mistyped("rational string such as '1/10'")
 
 
-def _list(space, v) -> list:
+def _list(_, v) -> list:
     if not isinstance(v, list):
         raise _Mistyped("list")
     return v
@@ -84,21 +85,20 @@ def _list(space, v) -> list:
 
 def _nested(depth: int, noun: str):
     """The normaliser of points nested in ``depth`` levels of lists, as tuples."""
-    def read(space, v, depth=depth):
+    def read(canon, v, depth=depth):
         if not isinstance(v, list):
             raise _Mistyped(noun)
         if depth == 1:
-            return tuple(map(space.normalize, v))
-        return tuple(read(space, x, depth - 1) for x in v)
+            return tuple(map(canon, v))
+        return tuple(read(canon, x, depth - 1) for x in v)
     return read
 
 
-def _point_map(space, v) -> dict:
+def _point_map(canon, v) -> dict:
     """[[a, b], ...] as {a: b}."""
     if not (isinstance(v, list) and all(isinstance(ab, list) and len(ab) == 2 for ab in v)):
         raise _Mistyped("list of [a, b] point pairs")
-    norm = space.normalize
-    return {norm(a): norm(b) for a, b in v}
+    return {canon(a): canon(b) for a, b in v}
 
 
 def _window(space, v) -> Window:
@@ -143,12 +143,14 @@ def read_payload(data, kind: str) -> tuple[Space, dict]:
     """The space of a payload of the given kind, and its FIELDS normalised.  A
     missing or mistyped field raises MalformedSpec naming the kind and field."""
     space = make_space(payload_field(data, "space"))
-    fields = {}
-    for name, read in FIELDS[kind].items():
+    fields, canon = {}, space.normalize
+    for name, read in FIELDS[kind].items():  # "window" first, where a kind has one
         try:
-            fields[name] = read(space, data.get(name))
+            fields[name] = read(space if name == "window" else canon, data.get(name))
         except _Mistyped as exc:
             raise MalformedSpec(f"a {kind} payload needs a {name!r} {exc}") from None
+        if name == "window" and fields[name] is not None:
+            canon = fields[name]._canon
     return space, fields
 
 
@@ -272,7 +274,7 @@ def _verify_folner(data) -> tuple[bool, dict]:
 def _verify_paradox(data) -> tuple[bool, dict]:
     p, w, carrier = _paradox_and_window(data)
     ok, report = _result(verify_paradox(p, w))
-    if ok and carrier != [p.space.point_to_json(x) for x in w.points if p.in_carrier(x)]:
+    if ok and carrier != [p.space.point_to_json(x) for x in p.on(w)[1]]:
         report.update(passed=False, witness={"kind": "stated_carrier"})
     return report["passed"], report
 

@@ -48,6 +48,8 @@ def word_mul(u: str, v: str) -> str:
 
 def word_dist(u: str, v: str) -> int:
     # |u^-1 v| = |u| + |v| - 2 * (longest common prefix)
+    if v.startswith(u) or u.startswith(v):  # one extends the other, as a neighbour or an image does
+        return abs(len(u) - len(v))
     k = 0
     m = min(len(u), len(v))
     while k < m and u[k] == v[k]:
@@ -242,10 +244,11 @@ class GridSpace(Space):
         self.dim = dim
 
     def normalize(self, x):
-        if isinstance(x, (list, tuple)) and len(x) == self.dim and all(
-            isinstance(c, (int, np.integer)) for c in x
-        ):
-            return tuple(int(c) for c in x)
+        if isinstance(x, (list, tuple)) and len(x) == self.dim:
+            if {*map(type, x)} == {int}:  # plain ints, as JSON and ball() spell them
+                return tuple(x)
+            if all(isinstance(c, (int, np.integer)) for c in x):
+                return tuple(int(c) for c in x)
         if self.dim == 1 and isinstance(x, (int, np.integer)):
             return (int(x),)
         raise UnknownPoint(f"not a Z^{self.dim} point: {x!r}")
@@ -531,22 +534,20 @@ class TreeMetricSpace(Space):
 
     def _bfs(self, src, cutoff: int, cap: Optional[int] = None) -> dict:
         """Distances from src out to radius cutoff, in breadth-first order with
-        neighbours in ``neighbors`` order; raises EnumerationOverflow as soon as
-        more than cap points are reached."""
+        neighbours in ``neighbors`` order; raises EnumerationOverflow once more
+        than cap points are reached, before the next vertex is expanded."""
         lengths = {src: 0}
-        frontier = [src]
-        level = 0
-        while frontier and level < cutoff:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in lengths:
-                        lengths[u] = level
-                        nxt.append(u)
-                if cap is not None and len(lengths) > cap:
-                    raise EnumerationOverflow(f"{self.kind} ball around {src!r} exceeds cap {cap}")
-            frontier = nxt
+        order = [src]
+        for v in order:
+            if cap is not None and len(lengths) > cap:
+                raise EnumerationOverflow(f"{self.kind} ball around {src!r} exceeds cap {cap}")
+            level = lengths[v] + 1
+            if level > cutoff:
+                break
+            for u in self.neighbors(v):
+                if u not in lengths:
+                    lengths[u] = level
+                    order.append(u)
         return lengths
 
     def _closure(self, points) -> tuple:
@@ -584,19 +585,17 @@ class FreeGroupSpace(TreeMetricSpace):
             raise MalformedSpec(f"free_group rank must be in 1..26, got {rank!r}")
         self.rank = rank
         self.letters = [c for g in _LETTERS[:rank] for c in (g, g.upper())]
-        self._letterset = set(self.letters)
-        self._word = re.compile(f"[{''.join(self.letters)}]*")
-        self._cancelling = re.compile("|".join(c + c.swapcase() for c in self.letters))
+        # a reduced word: letters, none followed by its inverse
+        self._reduced = re.compile("(?:" + "|".join(f"{c}(?!{c.swapcase()})" for c in self.letters) + ")*")
 
     def normalize(self, x):
+        if isinstance(x, str) and self._reduced.fullmatch(x):
+            return x
         if not isinstance(x, str):
             raise UnknownPoint(f"free group points are strings, got {x!r}")
-        if self._word.fullmatch(x) is None:
-            c = next(c for c in x if c not in self._letterset)
-            raise UnknownPoint(f"letter {c!r} not valid for rank {self.rank}")
-        if self._cancelling.search(x):
-            raise UnknownPoint(f"word {x!r} is not reduced")
-        return x
+        bad = [c for c in x if c not in self.letters]
+        raise UnknownPoint(f"letter {bad[0]!r} not valid for rank {self.rank}" if bad
+                           else f"word {x!r} is not reduced")
 
     def canonical_key(self, x):
         return (len(x), x)
@@ -615,6 +614,32 @@ class FreeGroupSpace(TreeMetricSpace):
             total += sphere
             sphere *= 2 * self.rank - 1
         return min(total, cap + 1)
+
+    def neighborhood_size(self, F, r):
+        # The Cayley graph is the 2k-regular tree (Serre, Trees): a vertex off the
+        # prefix closure H of F lies at d(h, F) plus its depth below the h in H it
+        # hangs from, in one of the 2k - deg_H h branches there of 2k - 1 children each
+        F = list(F)
+        if not F:
+            return 0
+        if self.ball_count(None, r, BALL_CAP_DEFAULT) > BALL_CAP_DEFAULT:  # where the union of balls would
+            raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {BALL_CAP_DEFAULT}")
+        parent, node = self._closure(F)
+        depth, up = _lift(parent)
+        # low[h]: the least depth of a point of F below h, by doubling up the
+        # parent links; then d(h, F) = depth h + least (low - 2 depth) above h
+        low = np.full(len(parent), 1 << 62)
+        low[node] = depth[node]
+        for anc in up:
+            np.minimum.at(low, anc, low.copy())
+        d = low - 2 * depth
+        for anc in up:
+            d = np.minimum(d, d[anc])
+        d += depth
+        near = d <= r
+        rho, q = r - d[near], 2 * self.rank - 1
+        free = 2 * self.rank - np.bincount(parent[parent >= 0], minlength=len(parent))[near] - (parent[near] >= 0)
+        return int(near.sum() + (free * (rho if q == 1 else (q ** rho - 1) // (q - 1))).sum())
 
     def _closure(self, points):
         # the closure is the set of prefixes; a word whose parent (itself minus
@@ -641,7 +666,7 @@ class FreeGroupSpace(TreeMetricSpace):
                 parent[k] = q
                 kids[(q, words[k][-1])] = k
         node = np.arange(len(words)) if len(words) == len(points) else [known[p] for p in points]
-        return parent, node
+        return np.asarray(parent, dtype=np.int64), node
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         if self.ball_count(x, r, cap) > cap:
@@ -774,10 +799,7 @@ class TreeSpace(TreeMetricSpace):
     def ball_sizes(self, x, n_max, cap):
         # one search out to n_max, binned by depth, not one search per radius
         depth = list(self._bfs(x, n_max, cap).values())
-        sizes = np.cumsum(np.bincount(depth, minlength=n_max + 1)).tolist()
-        if sizes[-1] > cap:  # the search checks its cap only past radius 0
-            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
-        return sizes
+        return np.cumsum(np.bincount(depth, minlength=n_max + 1)).tolist()
 
     def all_points(self):
         if self.branching is not None:
@@ -1112,10 +1134,8 @@ class CustomSpace(Space):
         self._pos = {p: i for i, p in enumerate(points)}
 
     def normalize(self, x):
-        if isinstance(x, np.integer):
-            x = int(x)
-        if x in self._pos:
-            return x
+        if x in self._pos:  # the space's own point, however x spells it (1.0 or np.int64(1) for 1)
+            return self.points[self._pos[x]]
         raise UnknownPoint(f"{x!r} is not a point of this custom space")
 
     def canonical_key(self, x):
@@ -1228,11 +1248,13 @@ class Window:
     def _canon(self, p):
         """``space.normalize(p)``, but a point of this window with the same
         types is that point, found without the call."""
+        if isinstance(p, list):  # a JSON point: unhashable, so never found
+            return self.space.normalize(p)
         try:
             q = self.points[self._index[p]]
-        except (KeyError, TypeError):  # a miss, or unhashable such as a JSON list
+        except (KeyError, TypeError):  # a miss, or unhashable
             return self.space.normalize(p)
-        return q if _same_types(p, q) else self.space.normalize(p)
+        return q if type(p) is type(q) is not tuple or _same_types(p, q) else self.space.normalize(p)
 
     @property
     def is_ball(self) -> bool:

@@ -126,14 +126,41 @@ def test_payload_readers_normalize_each_json_point_once(monkeypatch):
     paradox = ser.paradox_to_payload(ck.paradox_free_group(2), b6)
     cover = ser.cover_to_payload(ck.witness_line(3, ck.ball(Z, (0,), 400)))
     doubling = ser.doubling_to_payload(ck.matching_certificate(b6, 1).doubling)
-    # the ball window's centre, and every point of the fields the readers read
     want = {
-        "paradox": 1 + len(paradox["plus"]) + len(paradox["minus"])
-        + 2 * (len(paradox["t_plus"]) + len(paradox["t_minus"])),
+        # a word of the window is found in it: only the ball window's centre is normalised
+        "paradox": 1,
+        # a JSON list cannot be looked up: the centre, and every point of the fields the reader reads
         "cover": 1 + sum(len(piece) for color in cover["colors"] for piece in color),
-        "doubling": 1 + len(doubling["interior"]) + 2 * (len(doubling["u_plus"]) + len(doubling["u_minus"])),
+        "doubling": 1,
     }
     for name, payload in (("paradox", paradox), ("cover", cover), ("doubling", doubling)):
         text = ser.canonical_dumps(payload)
         got = _normalize_calls(monkeypatch, lambda: ser.verify_payload(json.loads(text)))
         assert got == want[name], name
+
+
+@pytest.mark.parametrize("forge", ["unreduced_image", "segment_outside_the_budget"])
+def test_a_forged_point_outside_the_window_is_still_normalised_and_exits_3(monkeypatch, tmp_path, forge):
+    from coarsekit.cli import run
+    from coarsekit.components import SegmentFamily
+    from coarsekit.errors import SegmentOutsideWindow
+
+    b = ck.ball(F2, "", 3)
+    if forge == "unreduced_image":
+        payload = ser.paradox_to_payload(ck.paradox_free_group(2), b)
+        payload["t_plus"].append(["aaa", "aAa"])  # no window word, so not found: normalize refuses it
+        error, match = UnknownPoint, "not reduced"
+    else:
+        payload = ser.segments_to_payload(SegmentFamily(F2, 1, (("", "a"), ("aaaa", "aaaaa"))), b)
+        error, match = SegmentOutsideWindow, "'aaaa' is outside the budget window"
+    data = json.loads(ser.canonical_dumps(payload))
+
+    def read():
+        with pytest.raises(error, match=match):
+            ser.verify_payload(data)
+
+    # the ball's centre, then the forged word ("aaaa" and "aaaaa" for the segment)
+    assert _normalize_calls(monkeypatch, read) == (2 if forge == "unreduced_image" else 3)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--file", str(path)]).exit_code == 3
