@@ -26,7 +26,7 @@ from .errors import (
     Report,
 )
 from .maps import CoarseMap
-from .spaces import FreeGroupSpace, Space, Window
+from .spaces import FreeGroupSpace, Space, Window, _same_types
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +37,13 @@ class PartialTranslation:
     """A bounded-displacement bijection between two subsets, stored as pairs."""
 
     def __init__(self, space: Space, pairs):
-        pairs = [(space.normalize(a), space.normalize(b)) for a, b in pairs]
-        dom = [a for a, _ in pairs]
-        cod = [b for _, b in pairs]
-        if len(set(dom)) != len(dom) or len(set(cod)) != len(cod):
+        flat = space.normalize_all(x for a, b in pairs for x in (a, b))
+        pairs = list(zip(flat[::2], flat[1::2]))
+        self._map = dict(pairs)
+        if len(self._map) != len(pairs) or len(set(self._map.values())) != len(pairs):
             raise MalformedSpec("pairing is not a bijection")
         self.space = space
-        self.pairs = tuple(sorted(pairs, key=lambda ab: space.canonical_key(ab[0])))
-        self._map = dict(self.pairs)
+        self.pairs = tuple((a, self._map[a]) for a in space.canonical_sorted(self._map))
 
     @property
     def domain(self):
@@ -56,7 +55,8 @@ class PartialTranslation:
 
     @property
     def displacement(self) -> int:
-        return _max_dist(Window._canonical(self.space, self.domain + self.codomain), self.domain, self.codomain)
+        w = Window._canonical(self.space, self.domain + self.codomain)
+        return _max_dist(w, _point_ids(w, self.domain, {}), _point_ids(w, self.codomain, {}), w.points)
 
     def __call__(self, x):
         return self._map[x]
@@ -105,7 +105,7 @@ class ParadoxicalDecomposition:
                   for name, test in (("plus", self.in_plus), ("minus", self.in_minus))}
         ids, outside = {}, {}
         for name, t in (("plus", self.t_plus), ("minus", self.t_minus)):
-            ids[name] = np.array([_image_id(w, outside, y) for y in map(t, carrier)], dtype=np.int64)
+            ids[name] = _image_ids(w, list(map(t, carrier)), outside)
         self._last[:] = w, (cidx, carrier, member, ids, tuple(outside))
         return self._last[1]
 
@@ -220,31 +220,46 @@ class ParadoxReport(Report):
         )
 
 
-def _max_dist(w: Window, xs, ys) -> int:
-    """The largest d(xs[k], ys[k]), 0 for no pairs: pairs inside the window in
-    one kernel call over window indices, the others one ``dist`` call each.
-    Where a distance lies outside int64 every pair takes ``dist``, so the
-    maximum is the exact Python int."""
-    index, space = w._index, w.space
-    I = np.array([index.get(x, -1) for x in xs], dtype=np.int64)
-    J = np.array([index.get(y, -1) for y in ys], dtype=np.int64)
-    inside = (I >= 0) & (J >= 0)
+def _max_dist(w: Window, I, J, every) -> int:
+    """The largest d(every[I[k]], every[J[k]]), 0 for no pairs, over id arrays
+    whose ids below len(w) are window indices: pairs inside the window in one
+    kernel call, the others one ``dist`` call each.  Where a distance lies
+    outside int64 every pair takes ``dist``, so the maximum is the exact
+    Python int."""
+    space, inside = w.space, (I < len(w.points)) & (J < len(w.points))
     try:
         d = space.paired_dist(w.layout, I[inside], J[inside])
-    except IntegerOverflow:
-        return max(map(space.dist, xs, ys))
+    except IntegerOverflow:  # then every pair takes dist
+        d, inside = np.zeros(0, dtype=np.int64), np.zeros_like(inside)
     return max([int(d.max()) if len(d) else 0,
-                *(space.dist(xs[k], ys[k]) for k in np.flatnonzero(~inside).tolist())])
+                *(space.dist(every[i], every[j]) for i, j in zip(I[~inside].tolist(), J[~inside].tolist()))])
 
 
-def _image_id(w: Window, outside: dict, y) -> int:
-    """-1 for no image, the window index of an image in the window, and
-    len(w) + k for the k-th distinct canonical image outside it."""
-    if y is None:
-        return -1
-    y = w._canon(y)
-    j = w._index.get(y)
-    return outside.setdefault(y, len(w.points) + len(outside)) if j is None else j
+def _point_ids(w: Window, pts, outside: dict) -> np.ndarray:
+    """The window index of each point, and len(w) + k for the k-th distinct
+    point outside the window, which ``outside`` records."""
+    get, n = w._index.get, len(w.points)
+    return np.array([j if (j := get(p)) is not None else outside.setdefault(p, n + len(outside))
+                     for p in pts], dtype=np.int64)
+
+
+def _image_ids(w: Window, ys: list, outside: dict) -> np.ndarray:
+    """Per image, -1 for None, its window index, or len(w) + k for the k-th
+    distinct canonical image outside the window, which ``outside`` records.
+    One lookup finds a window point of the same types; only a miss meets
+    ``normalize``, since a rule may return any value there."""
+    get, pts, n, ids = w._index.get, w.points, len(w.points), []
+    for y in ys:
+        try:
+            j = get(y)
+        except TypeError:  # unhashable, as a JSON list is
+            j = None
+        if y is not None and (j is None or not (type(y) is type(q := pts[j]) is not tuple or _same_types(y, q))):
+            y = w.space.normalize(y)
+            j = get(y)
+            j = outside.setdefault(y, n + len(outside)) if j is None else j
+        ids.append(-1 if y is None else j)
+    return np.array(ids, dtype=np.int64)
 
 
 def _first(mask) -> Optional[int]:
@@ -315,7 +330,7 @@ def verify_paradox(p: ParadoxicalDecomposition, w: Window) -> ParadoxReport:
                 witness = {"kind": f"image_{name}", "pair": [enc(carrier[k]), enc(every[ids[k]])]}
         injective_ok[name] = not (earlier >= 0).any()
         image_ok[name] = not img_bad.any()
-        dmax = _max_dist(w, [carrier[k] for k in dk.tolist()], [every[j] for j in ids[dk].tolist()])
+        dmax = _max_dist(w, cidx[dk], ids[dk], every)
         disp_val[name] = dmax
         disp_ok[name] = dmax <= p.displacement
         if not disp_ok[name] and witness is None:
@@ -521,11 +536,8 @@ def folner_search_report(
             if tested >= FOLNER_MAX_CANDIDATES:
                 break
             improved = False
-            moves = [("drop", p) for p in sorted(F, key=space.canonical_key)]
-            boundary = sorted(
-                space.neighborhood(F, r) - F, key=space.canonical_key
-            )
-            moves += [("add", p) for p in boundary]
+            moves = [("drop", p) for p in space.canonical_sorted(F)]
+            moves += [("add", p) for p in space.canonical_sorted(space.neighborhood(F, r) - F)]
             for kind, p in moves:
                 if tested >= FOLNER_MAX_CANDIDATES:
                     break
@@ -537,7 +549,7 @@ def folner_search_report(
                 if ratio < best:
                     best = ratio
                     F = cand
-                    best_set = tuple(sorted(cand, key=space.canonical_key))
+                    best_set = tuple(space.canonical_sorted(cand))
                     improved = True
                     break
             if not improved:
@@ -566,7 +578,7 @@ def _subset_neighborhood_sizes(space, points, r):
 
 
 def _folner_exhaustive(space, r, eps, base, ball_radius) -> FolnerSearchReport:
-    ground = sorted(space.ball_points(base, ball_radius), key=space.canonical_key)
+    ground = space.canonical_sorted(space.ball_points(base, ball_radius))
     m = len(ground)
     if m > 22:
         raise MalformedSpec(f"exhaustive budget over {m} points (2^{m} subsets) is too large")
@@ -596,6 +608,8 @@ def folner_search(space, r, eps, budget=None) -> Optional[FolnerCertificate]:
 def isoperimetric_profile(w: Window, r: int, mode: str = "greedy", size_cap: Optional[int] = None):
     """Per size, the minimal |N_r(F)| / |F| found over F inside the window
     (neighborhoods are ambient).  Returns a sorted list of (size, Fraction)."""
+    if r < 0:
+        raise MalformedSpec("scale must be >= 0")
     space = w.space
     n = len(w.points)
     size_cap = size_cap if size_cap is not None else n
@@ -653,34 +667,31 @@ class WindowedDoubling:
     u_minus: dict
 
     def to_json(self) -> dict:
-        enc = self.window.space.point_to_json
+        space = self.window.space
+        enc = space.point_to_json
         return {
             "r": self.r,
             "interior": [enc(p) for p in self.interior],
-            "u_plus": [[enc(a), enc(b)] for a, b in sorted(
-                self.u_plus.items(), key=lambda ab: self.window.space.canonical_key(ab[0])
-            )],
-            "u_minus": [[enc(a), enc(b)] for a, b in sorted(
-                self.u_minus.items(), key=lambda ab: self.window.space.canonical_key(ab[0])
-            )],
+            "u_plus": [[enc(a), enc(self.u_plus[a])] for a in space.canonical_sorted(self.u_plus)],
+            "u_minus": [[enc(a), enc(self.u_minus[a])] for a in space.canonical_sorted(self.u_minus)],
         }
 
 
 def verify_doubling(d: WindowedDoubling) -> dict:
-    """Recheck injectivity, image disjointness, displacement, and domains."""
-    w = d.window
-    interior = set(d.interior)
-    pairs = [*d.u_plus.items(), *d.u_minus.items()]
+    """Recheck injectivity, image disjointness, displacement, and domains, on
+    ids of the points (:func:`_point_ids`), each point looked up once."""
+    w, outside = d.window, {}
+    interior = np.unique(_point_ids(w, d.interior, outside))
+    (Ap, Bp), (Am, Bm) = ((_point_ids(w, m, outside), _point_ids(w, m.values(), outside))
+                          for m in (d.u_plus, d.u_minus))
     report = {
-        "domains_ok": set(d.u_plus) == interior and set(d.u_minus) == interior,
-        "injective_ok": len(set(d.u_plus.values())) == len(d.u_plus)
-        and len(set(d.u_minus.values())) == len(d.u_minus),
-        "disjoint_ok": not (set(d.u_plus.values()) & set(d.u_minus.values())),
-        "displacement_ok": not pairs or _max_dist(w, *zip(*pairs)) <= d.r,
-        "range_ok": all(
-            b in w for m in (d.u_plus, d.u_minus) for b in m.values()
-        ),
-        "interior_ok": set(d.interior) == set(w.interior(d.r)),
+        "domains_ok": np.array_equal(np.sort(Ap), interior) and np.array_equal(np.sort(Am), interior),
+        "injective_ok": len(np.unique(Bp)) == len(Bp) and len(np.unique(Bm)) == len(Bm),
+        "disjoint_ok": not len(np.intersect1d(Bp, Bm)),
+        "displacement_ok": not len(Ap) + len(Am) or _max_dist(
+            w, np.concatenate([Ap, Am]), np.concatenate([Bp, Bm]), w.points + tuple(outside)) <= d.r,
+        "range_ok": bool((Bp < len(w.points)).all() and (Bm < len(w.points)).all()),
+        "interior_ok": np.array_equal(interior, np.flatnonzero(w.interior_mask(d.r))),
     }
     report["ok"] = all(report.values())
     return report
@@ -735,13 +746,14 @@ def matching_certificate(w: Window, r: int) -> MatchingOutcome:
     flow = res.flow
 
     if res.flow_value == 2 * n_int:
-        u_plus, u_minus = {}, {}
-        for k, idx in enumerate(int_idx.tolist()):
-            lo, hi = flow.indptr[1 + k], flow.indptr[2 + k]
-            out = flow.indices[lo:hi][flow.data[lo:hi] > 0]
-            a, b = np.sort(target_ids[out - 1 - n_int])[:2].tolist()
-            u_plus[w.points[idx]] = w.points[a]
-            u_minus[w.points[idx]] = w.points[b]
+        # each interior node sends one unit to each of two targets: the
+        # positive entries of its flow row, the lesser target to u_plus
+        lo, hi = flow.indptr[1], flow.indptr[1 + n_int]
+        row = np.repeat(np.arange(n_int), np.diff(flow.indptr[1:2 + n_int]))
+        pos = flow.data[lo:hi] > 0
+        tgt = target_ids[flow.indices[lo:hi][pos] - 1 - n_int]
+        ab = tgt[np.lexsort((tgt, row[pos]))].reshape(n_int, 2).T.tolist()
+        u_plus, u_minus = (dict(zip(interior, map(w.points.__getitem__, t))) for t in ab)
         doubling = WindowedDoubling(w, r, tuple(interior), u_plus, u_minus)
         return MatchingOutcome(True, doubling, None, None, int(res.flow_value))
 

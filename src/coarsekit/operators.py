@@ -228,8 +228,12 @@ def char_projection(S, w: Window) -> BandedOperator:
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
     """v delta_x = delta_{t(x)}, over the pairs with both endpoints in the window."""
-    pairs = [(a, b) for a, b in t.pairs if a in w and b in w]
-    return BandedOperator(w, {(w.index(b), w.index(a)): 1 for a, b in pairs}, exact=True)
+    from scipy import sparse as sp
+
+    get, n = w._index.get, len(w)
+    I, J = (np.array([get(p, -1) for p in pts], dtype=np.int64) for pts in (t.codomain, t.domain))
+    keep = (I >= 0) & (J >= 0)
+    return BandedOperator(w, sp.csr_matrix((np.ones(len(I[keep]), dtype=np.int64), (I[keep], J[keep])), shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +513,8 @@ def cancellation_witness(fam: SegmentFamily, w: Window, s: int) -> CancellationW
     B = {p for seg in fam.segments for p in seg[1:]}
     C = set(fam.all_points())
     rest = [p for p in w.points if p not in C]
-    p_op = char_projection(sorted(A, key=w.space.canonical_key) + rest, w)
-    q_op = char_projection(sorted(B, key=w.space.canonical_key) + rest, w)
+    p_op = char_projection(w.space.canonical_sorted(A) + rest, w)
+    q_op = char_projection(w.space.canonical_sorted(B) + rest, w)
     lasts = fam.endpoints()
     D = w.space.pairwise_dist(fam.basepoints(), lasts)
     probe = next((bp for bp, row in zip(fam.basepoints(), D) if row.min() > s), None)

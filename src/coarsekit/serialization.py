@@ -216,7 +216,7 @@ def _paradox_and_window(data: dict):
     space, f = read_payload(data, "paradox_window")
     p = paradox_from_sets(space, f["displacement"], frozenset(f["plus"]), frozenset(f["minus"]),
                           f["t_plus"], f["t_minus"], data.get("tag", ""))
-    return p, f["window"], f["carrier"]
+    return p, f["window"], f["carrier"], f["plus"] + f["minus"]
 
 
 def matching_cut_to_payload(w: Window, r: int, outcome: MatchingOutcome) -> dict:
@@ -272,10 +272,13 @@ def _verify_folner(data) -> tuple[bool, dict]:
 
 
 def _verify_paradox(data) -> tuple[bool, dict]:
-    p, w, carrier = _paradox_and_window(data)
+    p, w, carrier, parts = _paradox_and_window(data)
     ok, report = _result(verify_paradox(p, w))
+    out = next((x for x in parts if x not in w), None)  # the rule is checked on w only
     if ok and carrier != [p.space.point_to_json(x) for x in p.on(w)[1]]:
         report.update(passed=False, witness={"kind": "stated_carrier"})
+    elif ok and out is not None:
+        report.update(passed=False, witness={"kind": "part_outside_window", "point": p.space.point_to_json(out)})
     return report["passed"], report
 
 

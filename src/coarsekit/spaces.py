@@ -74,10 +74,18 @@ class Space:
         """Return the canonical encoding of ``x``, or raise UnknownPoint."""
         raise NotImplementedError
 
+    def normalize_all(self, xs) -> list:
+        """``normalize`` of each of xs, in order, raising at the first it refuses."""
+        return list(map(self.normalize, xs))
+
     def canonical_key(self, x):
         """Sort key inducing the canonical total order on points: by default
         the points themselves."""
         return x
+
+    def canonical_sorted(self, points) -> list:
+        """The points in canonical order; equal keys keep their order."""
+        return sorted(points, key=self.canonical_key)
 
     def origin(self) -> PointId:
         raise NotImplementedError
@@ -292,6 +300,8 @@ class GridSpace(Space):
 
     def neighborhood_size(self, F, r):
         # the r-ball offsets added to the codes of F, deduplicated
+        if r < 0:
+            return 0
         box = self._box(list(F), r)
         if box is None:
             return super().neighborhood_size(F, r)
@@ -587,6 +597,9 @@ class FreeGroupSpace(TreeMetricSpace):
         self.letters = [c for g in _LETTERS[:rank] for c in (g, g.upper())]
         # a reduced word: letters, none followed by its inverse
         self._reduced = re.compile("(?:" + "|".join(f"{c}(?!{c.swapcase()})" for c in self.letters) + ")*")
+        self._follow = {c: [s for s in self.letters if s != c.swapcase()] for c in self.letters}
+        self._alphabet = "".join(self.letters) + "\n"  # and the separator of normalize_all
+        self._cancelling = [c + c.swapcase() for c in self.letters]
 
     def normalize(self, x):
         if isinstance(x, str) and self._reduced.fullmatch(x):
@@ -597,8 +610,27 @@ class FreeGroupSpace(TreeMetricSpace):
         raise UnknownPoint(f"letter {bad[0]!r} not valid for rank {self.rank}" if bad
                            else f"word {x!r} is not reduced")
 
+    def normalize_all(self, xs):
+        # one pass over the words joined by newlines, where no word holds one:
+        # only letters, none next to its inverse; else word by word, to raise
+        xs = list(xs)
+        try:
+            text = "\n".join(xs)
+        except TypeError:  # a non-string
+            return super().normalize_all(xs)
+        if (text.strip(self._alphabet) or text.count("\n") != len(xs) - 1
+                or any(map(text.__contains__, self._cancelling))):
+            return super().normalize_all(xs)
+        return xs
+
     def canonical_key(self, x):
         return (len(x), x)
+
+    def canonical_sorted(self, points):
+        # by (len, word) in two stable C-level sorts, with no key tuple per word
+        out = sorted(points)
+        out.sort(key=len)
+        return out
 
     def origin(self):
         return ""
@@ -671,7 +703,22 @@ class FreeGroupSpace(TreeMetricSpace):
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         if self.ball_count(x, r, cap) > cap:
             raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {cap}")
-        return list(self._bfs(x, r))
+        # level by level, in the breadth-first order of _bfs: a word off the
+        # centre's prefix path has the children w + s, s any letter but the
+        # inverse of its last; the prefix p on the path, at index `at`, steps
+        # back to p[:-1] in place of p + (inverse of its last), and not along `back`
+        out, level, at, back, follow = [], [x], 0, None, self._follow
+        for _ in range(r):
+            out += level
+            k = len(level) if at is None else at
+            nxt = [w + s for w in level[:k] for s in follow[w[-1]]]
+            if at is not None:
+                p = level[at]
+                kids = [p[:-1] if s == p[-1:].swapcase() else p + s for s in self.letters if s != back]
+                at, back = (len(nxt) + kids.index(p[:-1]), p[-1]) if p else (None, None)
+                nxt += kids + [w + s for w in level[k + 1:] for s in follow[w[-1]]]
+            level = nxt
+        return out + level
 
     def neighbors(self, x):
         # x * s for each letter s: it cancels the last letter of x, or appends s
@@ -794,7 +841,30 @@ class TreeSpace(TreeMetricSpace):
         return list(self._adj[x])
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
-        return sorted(self._bfs(x, cutoff=r, cap=cap))
+        b = self.branching
+        if b is None:
+            return sorted(self._bfs(x, cutoff=r, cap=cap))
+        if b == 1:  # a ray
+            runs = [range(max(0, x - r), x + r + 1)]
+        else:
+            # the b-ary numbering lists each depth as one run of ints, and the
+            # ball meets depth L in the descendants there of one ancestor of x:
+            # the highest, j steps up, with 2j + L - depth(x) <= r
+            anc = [x]
+            while anc[-1]:
+                anc.append((anc[-1] - 1) // b)
+            top, runs, size = len(anc) - 1, [], 0
+            for L in range(max(0, top - r), top + r + 1):
+                j = min(top, (r + top - L) // 2)
+                width = b ** (L - top + j)
+                first = anc[j] * width + (width - 1) // (b - 1)
+                runs.append(range(first, first + width))
+                size += width
+                if size > cap:  # no need to list further depths
+                    break
+        if sum(q.stop - q.start for q in runs) > cap:
+            raise EnumerationOverflow(f"{self.kind} ball around {x!r} exceeds cap {cap}")
+        return list(itertools.chain.from_iterable(runs))
 
     def ball_sizes(self, x, n_max, cap):
         # one search out to n_max, binned by depth, not one search per radius
@@ -1022,6 +1092,14 @@ class ProductFiniteSpace(Space):
             s += (self.n - 1) * self.base.ball_count(a, r - 1, cap)
         return min(s, cap + 1)
 
+    def ball_sizes(self, x, n_max, cap):
+        # |B_n((a, i))| = S_n + (levels - 1) S_(n-1), from one call for the base's sizes S
+        S = self.base.ball_sizes(x[0], n_max, cap)
+        sizes = [s + (self.n - 1) * t for s, t in zip(S, [0] + S)]
+        if sizes[-1] > cap:
+            raise EnumerationOverflow(f"ball size exceeds cap {cap}")
+        return sizes
+
     def neighbors(self, x):
         a, i = x
         out = [(p, i) for p in self.base.neighbors(a)]
@@ -1210,7 +1288,7 @@ class Window:
     """A finite ordered subset of a space, with ambient (not induced) distances."""
 
     def __init__(self, space: Space, points: Iterable):
-        self._fill(space, map(space.normalize, points))
+        self._fill(space, space.normalize_all(points))
 
     @classmethod
     def _canonical(cls, space: Space, points: Iterable) -> "Window":
@@ -1222,7 +1300,7 @@ class Window:
     def _fill(self, space: Space, points: Iterable):
         self.space = space
         # of equal points the last is kept, and the rest sort by canonical key
-        self.points = tuple(sorted({p: p for p in points}.values(), key=space.canonical_key))
+        self.points = tuple(space.canonical_sorted({p: p for p in points}.values()))
         self._index = {p: i for i, p in enumerate(self.points)}
         self.ball_center = self.ball_radius = None  # ball() sets both on the windows it builds
         self._graphs: dict = {}

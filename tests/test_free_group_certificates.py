@@ -148,11 +148,12 @@ def test_free_group_neighborhood_size_on_named_sets(rank):
 
 
 def test_free_group_neighborhood_size_makes_no_search(monkeypatch):
+    # free-group balls are generated, not searched: the gate counts every ball
     calls = []
-    bfs = TreeMetricSpace._bfs
-    monkeypatch.setattr(TreeMetricSpace, "_bfs", lambda self, *a, **k: calls.append(a) or bfs(self, *a, **k))
+    balls = FreeGroupSpace.ball_points
+    monkeypatch.setattr(FreeGroupSpace, "ball_points", lambda self, *a, **k: calls.append(a) or balls(self, *a, **k))
     F3 = FREE[3]
-    B5 = F3.ball_points("", 5)  # one search, for the set itself
+    B5 = F3.ball_points("", 5)  # one ball, for the set itself
     calls.clear()
     assert F3.neighborhood_size(B5, 1) == F3.ball_count("", 6, 10**9)
     assert F3.neighborhood_size(["ab" * 30, ""], 2) == 2 * F3.ball_count("", 2, 10**9)

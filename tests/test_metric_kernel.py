@@ -165,8 +165,9 @@ def test_only_space_defines_the_derived_metric_methods():
                if c.__module__ == spaces.__name__]
     defining = lambda name: {c.__name__ for c in classes if name in vars(c)}
     assert defining("pairwise_dist") == {"Space"}
-    # a tree bins one breadth-first search by depth instead of one search per radius
-    assert defining("ball_sizes") == {"Space", "TreeSpace"}
+    # a tree bins one breadth-first search by depth instead of one search per
+    # radius, and a product reads all its sizes off one call of its base's
+    assert defining("ball_sizes") == {"Space", "TreeSpace", "ProductFiniteSpace"}
     assert defining("ball_size") == set()
     assert defining("diameter") == {"Space", "PointLineSpace"}
     assert not hasattr(spaces, "pairwise_dist") and not hasattr(ck.amenability, "neighborhood_points")
