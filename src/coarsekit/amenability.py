@@ -26,7 +26,7 @@ from .errors import (
     Report,
 )
 from .maps import CoarseMap
-from .spaces import FreeGroupSpace, Space, Window, _same_types
+from .spaces import FreeGroupSpace, Space, Window
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class PartialTranslation:
     @property
     def displacement(self) -> int:
         w = Window._canonical(self.space, self.domain + self.codomain)
-        return _max_dist(w, _point_ids(w, self.domain, {}), _point_ids(w, self.codomain, {}), w.points)
+        return _max_dist(w, w.ids(self.domain), w.ids(self.codomain), w.points)
 
     def __call__(self, x):
         return self._map[x]
@@ -91,11 +91,10 @@ class ParadoxicalDecomposition:
         point: (cidx, carrier, member, ids, outside).  cidx holds the window
         indices of the carrier points, and member and ids map each part,
         "plus" and "minus", to an array over the carrier: the membership, and
-        the image under t_+/- as -1 where undefined, the window index of an
-        image in the window, and len(w) + k for outside[k], the k-th distinct
-        canonical image outside it in both maps.  The last window's
-        evaluation is kept, so checking and serialising one window evaluate
-        the rule once."""
+        the :meth:`Window.ids` of the images under t_+/- (-1 where t is
+        undefined), with the images outside the window of both maps in
+        outside.  The last window's evaluation is kept, so checking and
+        serialising one window evaluate the rule once."""
         if self._last and self._last[0] is w:
             return self._last[1]
         pts, n = w.points, len(w.points)
@@ -105,7 +104,9 @@ class ParadoxicalDecomposition:
                   for name, test in (("plus", self.in_plus), ("minus", self.in_minus))}
         ids, outside = {}, {}
         for name, t in (("plus", self.t_plus), ("minus", self.t_minus)):
-            ids[name] = _image_ids(w, list(map(t, carrier)), outside)
+            ys = list(map(t, carrier))
+            ids[name] = np.full(len(ys), -1, dtype=np.int64)  # -1 where t is undefined
+            ids[name][[y is not None for y in ys]] = w.ids([y for y in ys if y is not None], outside)
         self._last[:] = w, (cidx, carrier, member, ids, tuple(outside))
         return self._last[1]
 
@@ -233,33 +234,6 @@ def _max_dist(w: Window, I, J, every) -> int:
         d, inside = np.zeros(0, dtype=np.int64), np.zeros_like(inside)
     return max([int(d.max()) if len(d) else 0,
                 *(space.dist(every[i], every[j]) for i, j in zip(I[~inside].tolist(), J[~inside].tolist()))])
-
-
-def _point_ids(w: Window, pts, outside: dict) -> np.ndarray:
-    """The window index of each point, and len(w) + k for the k-th distinct
-    point outside the window, which ``outside`` records."""
-    get, n = w._index.get, len(w.points)
-    return np.array([j if (j := get(p)) is not None else outside.setdefault(p, n + len(outside))
-                     for p in pts], dtype=np.int64)
-
-
-def _image_ids(w: Window, ys: list, outside: dict) -> np.ndarray:
-    """Per image, -1 for None, its window index, or len(w) + k for the k-th
-    distinct canonical image outside the window, which ``outside`` records.
-    One lookup finds a window point of the same types; only a miss meets
-    ``normalize``, since a rule may return any value there."""
-    get, pts, n, ids = w._index.get, w.points, len(w.points), []
-    for y in ys:
-        try:
-            j = get(y)
-        except TypeError:  # unhashable, as a JSON list is
-            j = None
-        if y is not None and (j is None or not (type(y) is type(q := pts[j]) is not tuple or _same_types(y, q))):
-            y = w.space.normalize(y)
-            j = get(y)
-            j = outside.setdefault(y, n + len(outside)) if j is None else j
-        ids.append(-1 if y is None else j)
-    return np.array(ids, dtype=np.int64)
 
 
 def _first(mask) -> Optional[int]:
@@ -679,11 +653,10 @@ class WindowedDoubling:
 
 def verify_doubling(d: WindowedDoubling) -> dict:
     """Recheck injectivity, image disjointness, displacement, and domains, on
-    ids of the points (:func:`_point_ids`), each point looked up once."""
+    ids of the points (:meth:`Window.ids`), each point looked up once."""
     w, outside = d.window, {}
-    interior = np.unique(_point_ids(w, d.interior, outside))
-    (Ap, Bp), (Am, Bm) = ((_point_ids(w, m, outside), _point_ids(w, m.values(), outside))
-                          for m in (d.u_plus, d.u_minus))
+    interior = np.unique(w.ids(d.interior, outside))
+    (Ap, Bp), (Am, Bm) = ((w.ids(m, outside), w.ids(m.values(), outside)) for m in (d.u_plus, d.u_minus))
     report = {
         "domains_ok": np.array_equal(np.sort(Ap), interior) and np.array_equal(np.sort(Am), interior),
         "injective_ok": len(np.unique(Bp)) == len(Bp) and len(np.unique(Bm)) == len(Bm),

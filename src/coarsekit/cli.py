@@ -220,7 +220,7 @@ def _cmd_segments(args):
         fam = components.extract_segments(space, args.r, args.count, budget)
     except NoSegments as exc:
         return CommandResult("infeasible", serialization.envelope("no_segments", body={"reason": str(exc)}), str(exc))
-    return _checked(serialization.segments_to_payload(fam), components.verify_segments(fam),
+    return _checked(serialization.segments_to_payload(fam, budget), components.verify_segments(fam),
                     f"{args.count} segments, lengths {list(fam.lengths)}")
 
 

@@ -30,9 +30,8 @@ class ScalePartition:
 
     def labels(self) -> np.ndarray:
         lab = np.empty(len(self.window.points), dtype=np.int64)
-        for ci, cls in enumerate(self.classes):
-            for p in cls:
-                lab[self.window.index(p)] = ci
+        lab[self.window.ids([p for cls in self.classes for p in cls])] = np.repeat(
+            np.arange(len(self.classes)), [len(cls) for cls in self.classes])
         return lab
 
     def to_json(self) -> dict:

@@ -68,7 +68,7 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
     pieces = list(cover.pieces())
     sizes = [len(piece) for _, _, piece in pieces]
     # the pieces' window indices end to end; raises UnknownPoint outside the window
-    idx = np.array([w.index(p) for _, _, piece in pieces for p in piece], dtype=np.int64)
+    idx = w.ids([p for _, _, piece in pieces for p in piece])
     repeat = np.ones(len(idx), dtype=bool)
     repeat[np.unique(idx, return_index=True)[1]] = False
     partition_ok = not repeat.any()
@@ -190,7 +190,7 @@ def witness_grid2(r: int, w: Window) -> ColoredCover:
     while len(colors) < 3:
         colors = colors + ((),)
     pieces = [piece for fam in colors for piece in fam]
-    idx = [w.index(p) for piece in pieces for p in piece]
+    idx = w.ids([p for piece in pieces for p in piece])
     bound = max(w.space.piece_diameters(w.layout, idx, [len(piece) for piece in pieces]), default=0)
     return ColoredCover(w, r, bound, colors)
 

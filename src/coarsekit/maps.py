@@ -20,16 +20,15 @@ class CoarseMap:
         self.source = source
         self.target_space = target_space
         if callable(mapping):
-            pairs = {p: target_space.normalize(mapping(p)) for p in source.points}
+            pairs = {i: target_space.normalize(mapping(p)) for i, p in enumerate(source.points)}
         else:
-            pairs = {
-                source._canon(k): target_space.normalize(v)
-                for k, v in (mapping.items() if isinstance(mapping, dict) else mapping)
-            }
-        for p in source.points:
-            if p not in pairs:
+            items = list(mapping.items() if isinstance(mapping, dict) else mapping)
+            keys = source.ids([k for k, _ in items], {}).tolist()
+            pairs = {i: target_space.normalize(v) for i, (_, v) in zip(keys, items)}
+        for i, p in enumerate(source.points):
+            if i not in pairs:
                 raise MalformedSpec(f"map is not total on the source window: missing {p!r}")
-        self.mapping = {p: pairs[p] for p in source.points}
+        self.mapping = {p: pairs[i] for i, p in enumerate(source.points)}
 
     def __call__(self, p):
         try:

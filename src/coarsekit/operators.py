@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .amenability import PartialTranslation
-from .components import ClassLayout, SegmentFamily, scale_layout
+from .components import ClassLayout, SegmentFamily, _segment_rows, scale_layout
 from .covers import ColoredCover
 from .errors import (
     ClassTooLarge,
@@ -199,14 +199,14 @@ def _json_entry(row):
 def make_operator(w: Window, entries) -> BandedOperator:
     """Entries as {(x, y): value} keyed by points, or [[x, y, re, im], ...]."""
     if isinstance(entries, dict):
-        items = entries.items()
+        items = list(entries.items())
     elif isinstance(entries, list):
-        items = map(_json_entry, entries)
+        items = list(map(_json_entry, entries))
     else:
         raise MalformedSpec(f"operator entries must be a list of [x, y, re, im], got {type(entries).__name__}")
     out: dict = {}
-    for (x, y), v in items:
-        i, j = w.index(w._canon(x)), w.index(w._canon(y))
+    flat = w.ids([p for (x, y), _ in items for p in (x, y)]).tolist()
+    for i, j, (_, v) in zip(flat[::2], flat[1::2], items):
         out[(i, j)] = out.get((i, j), 0) + v
     return BandedOperator(w, out)
 
@@ -223,17 +223,17 @@ def zero_operator(w: Window) -> BandedOperator:
 
 def char_projection(S, w: Window) -> BandedOperator:
     """Diagonal 0/1 projection onto a subset of the window."""
-    return BandedOperator(w, {(i, i): 1 for i in (w.index(w._canon(p)) for p in S)})
+    return BandedOperator(w, {(i, i): 1 for i in w.ids(S).tolist()})
 
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
     """v delta_x = delta_{t(x)}, over the pairs with both endpoints in the window."""
     from scipy import sparse as sp
 
-    get, n = w._index.get, len(w)
-    I, J = (np.array([get(p, -1) for p in pts], dtype=np.int64) for pts in (t.codomain, t.domain))
-    keep = (I >= 0) & (J >= 0)
-    return BandedOperator(w, sp.csr_matrix((np.ones(len(I[keep]), dtype=np.int64), (I[keep], J[keep])), shape=(n, n)))
+    n = len(w)
+    pairs = [(a, b) for a, b in t.pairs if a in w and b in w]  # canonical: none is normalised
+    I, J = w.ids([b for _, b in pairs]), w.ids([a for a, _ in pairs])
+    return BandedOperator(w, sp.csr_matrix((np.ones(len(I), dtype=np.int64), (I, J)), shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
 
     rows, cols, vals = [], [], []
     for cls, color in zip(coloring.classes, coloring.color_of_class):
-        idx = [w.index(p) for p in cls]
+        idx = w.ids(cls).tolist()
         rows += [i for i in idx for _ in idx]
         cols += idx * len(idx)
         vals += np.asarray(coloring.models[color], dtype=np.complex128).ravel().tolist()
@@ -479,14 +479,14 @@ def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
 def segment_shift(fam: SegmentFamily, w: Window) -> BandedOperator:
     """The unit shift along each segment (zero on last points), identity off
     the segments."""
-    seg_pts = fam.all_points()
-    for p in seg_pts:
-        if p not in w:
-            raise SegmentOutsideWindow(f"segment point {p!r} is outside the window")
-    in_seg = set(seg_pts)
-    entries = {(i, i): 1 for i, p in enumerate(w.points) if p not in in_seg}
-    for seg in fam.segments:
-        entries.update({(w.index(b), w.index(a)): 1 for a, b in zip(seg, seg[1:])})
+    outside = {}
+    ids = w.ids(fam.all_points(), outside)
+    if outside:
+        raise SegmentOutsideWindow(f"segment point {next(iter(outside))!r} is outside the window")
+    entries = {(i, i): 1 for i in np.setdiff1d(np.arange(len(w)), ids).tolist()}
+    for rows in _segment_rows(fam.segments):
+        run = ids[rows].tolist()
+        entries.update({(b, a): 1 for a, b in zip(run, run[1:])})
     return BandedOperator(w, entries, exact=True)
 
 
@@ -595,7 +595,7 @@ def _incidence(w: Window, pieces):
     """Bool CSR incidence of window points (rows) in pieces (columns)."""
     from scipy import sparse as sp
 
-    rows = [w.index(p) for piece in pieces for p in piece]
+    rows = w.ids([p for piece in pieces for p in piece])
     cols = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
     return sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
                          shape=(len(w.points), len(pieces)))
@@ -676,8 +676,8 @@ def build_uf(wZ2: Window, levels: int, f) -> BandedOperator:
         raise LevelsTooSmall(f"levels = {levels} < max |f| = {fmax}")
     prod = ProductFiniteSpace(wZ2.space, levels)
     w = Window._canonical(prod, [(p, n) for p in wZ2.points for n in range(1, levels + 1)])
-    entries = {}
-    for (p, n) in w.points:
+    targets = {}  # by window index
+    for j, (p, n) in enumerate(w.points):
         x, y = p
         fx = fmap[x]
         if fx > 0 and n <= fx:
@@ -687,8 +687,8 @@ def build_uf(wZ2: Window, levels: int, f) -> BandedOperator:
         else:
             target = (p, n)
         if target in w:
-            entries[(w.index(target), w.index((p, n)))] = 1
-    return BandedOperator(w, entries, exact=True)
+            targets[j] = target
+    return BandedOperator(w, dict.fromkeys(zip(w.ids(targets.values()).tolist(), targets), 1), exact=True)
 
 
 def interior_unitarity(u: BandedOperator, margin: int = 1) -> dict:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from .amenability import (
     FolnerCertificate,
     MatchingOutcome,
@@ -24,7 +26,7 @@ from .components import SegmentFamily, components_at_scale, verify_segments
 from .covers import ColoredCover, verify_decomposition
 from .errors import MalformedSpec, SegmentOutsideWindow
 from .operators import BandedOperator, make_operator
-from .spaces import Space, Window, is_nat, make_space, window_from_json
+from .spaces import Space, Window, is_nat, make_space, scale_pairs, window_from_json
 
 SCHEMA = "coarsekit/1"
 
@@ -55,8 +57,8 @@ def envelope(kind: str, space: Space | None = None, window: Window | None = None
 
 # -- the payload format -----------------------------------------------------
 # A normaliser maps (space, JSON value, or None if absent) to the checked value.
-# A reader of points gets, for the space, the window's _canon once the payload's
-# window is read and space.normalize before; a rejected point raises its own error.
+# A reader of points gets, for the space, a function from a JSON point list to its
+# tuple of points (see read_payload); a rejected point raises its own error.
 
 class _Mistyped(MalformedSpec):
     """A normaliser's verdict on a value of the wrong JSON type: what it wants."""
@@ -85,20 +87,21 @@ def _list(_, v) -> list:
 
 def _nested(depth: int, noun: str):
     """The normaliser of points nested in ``depth`` levels of lists, as tuples."""
-    def read(canon, v, depth=depth):
+    def read(points, v, depth=depth):
         if not isinstance(v, list):
             raise _Mistyped(noun)
         if depth == 1:
-            return tuple(map(canon, v))
-        return tuple(read(canon, x, depth - 1) for x in v)
+            return points(v)
+        return tuple(read(points, x, depth - 1) for x in v)
     return read
 
 
-def _point_map(canon, v) -> dict:
+def _point_map(points, v) -> dict:
     """[[a, b], ...] as {a: b}."""
     if not (isinstance(v, list) and all(isinstance(ab, list) and len(ab) == 2 for ab in v)):
         raise _Mistyped("list of [a, b] point pairs")
-    return {canon(a): canon(b) for a, b in v}
+    flat = points([x for ab in v for x in ab])
+    return dict(zip(flat[::2], flat[1::2]))
 
 
 def _window(space, v) -> Window:
@@ -139,19 +142,30 @@ FIELDS = {
 }
 
 
-def read_payload(data, kind: str) -> tuple[Space, dict]:
-    """The space of a payload of the given kind, and its FIELDS normalised.  A
-    missing or mistyped field raises MalformedSpec naming the kind and field."""
-    space = make_space(payload_field(data, "space"))
-    fields, canon = {}, space.normalize
+def read_payload(data, kind: str) -> tuple[Space, dict, dict]:
+    """The space of a payload of the given kind, its FIELDS normalised, and the
+    canonical points outside the payload's window that its point fields hold,
+    numbered as :meth:`Window.ids` numbers them.  A missing or mistyped field
+    raises MalformedSpec naming the kind and field."""
+    space, fields, outside, every = make_space(payload_field(data, "space")), {}, {}, []
+    w = None
+
+    def points(v):  # once the window is read, one ids call per list, handing back its points
+        if w is None:
+            return tuple(map(space.normalize, v))
+        ids = w.ids(v, outside).tolist()
+        every.extend(list(outside)[len(every) - len(w):])  # the point of each id
+        return tuple(map(every.__getitem__, ids))
+
     for name, read in FIELDS[kind].items():  # "window" first, where a kind has one
         try:
-            fields[name] = read(space if name == "window" else canon, data.get(name))
+            fields[name] = read(space if name == "window" else points, data.get(name))
         except _Mistyped as exc:
             raise MalformedSpec(f"a {kind} payload needs a {name!r} {exc}") from None
         if name == "window" and fields[name] is not None:
-            canon = fields[name]._canon
-    return space, fields
+            w = fields[name]
+            every += w.points
+    return space, fields, outside
 
 
 # -- builders and readers ---------------------------------------------------
@@ -174,11 +188,9 @@ def segments_to_payload(fam: SegmentFamily, budget: Window | None = None) -> dic
 
 def segments_from_payload(data: dict) -> SegmentFamily:
     """The family; a point outside the payload's budget window raises SegmentOutsideWindow."""
-    space, f = read_payload(data, "segment_family")
-    w = f["window"]
-    outside = [] if w is None else [p for s in f["segments"] for p in s if p not in w]
-    if outside:
-        raise SegmentOutsideWindow(f"segment point {outside[0]!r} is outside the budget window")
+    space, f, outside = read_payload(data, "segment_family")
+    if outside:  # the reader found these outside the budget window
+        raise SegmentOutsideWindow(f"segment point {next(iter(outside))!r} is outside the budget window")
     return SegmentFamily(space, f["r"], f["segments"])
 
 
@@ -191,7 +203,7 @@ def folner_from_payload(data: dict) -> FolnerCertificate:
 
 
 def _folner_and_ratio(data: dict):
-    space, f = read_payload(data, "folner_certificate")
+    space, f, _ = read_payload(data, "folner_certificate")
     ratio = f.pop("ratio")
     return FolnerCertificate(space, **f), ratio
 
@@ -213,10 +225,11 @@ def paradox_from_payload(data: dict):
 
 
 def _paradox_and_window(data: dict):
-    space, f = read_payload(data, "paradox_window")
+    space, f, outside = read_payload(data, "paradox_window")
     p = paradox_from_sets(space, f["displacement"], frozenset(f["plus"]), frozenset(f["minus"]),
                           f["t_plus"], f["t_minus"], data.get("tag", ""))
-    return p, f["window"], f["carrier"], f["plus"] + f["minus"]
+    # the part points that the reader found outside the window
+    return p, f["window"], f["carrier"], [x for x in f["plus"] + f["minus"] if x in outside]
 
 
 def matching_cut_to_payload(w: Window, r: int, outcome: MatchingOutcome) -> dict:
@@ -230,29 +243,33 @@ def operator_to_payload(a: BandedOperator) -> dict:
 
 
 def operator_from_payload(data: dict) -> BandedOperator:
-    _, f = read_payload(data, "banded_operator")
+    _, f, _ = read_payload(data, "banded_operator")
     return make_operator(f["window"], f["entries"])
 
 
 # -- re-verification --------------------------------------------------------
 
 def _verify_partition(data) -> tuple[bool, dict]:
-    _, f = read_payload(data, "scale_partition")
+    _, f, _ = read_payload(data, "scale_partition")
     have = {frozenset(c) for c in components_at_scale(f["window"], f["r"]).classes}
     ok = have == {frozenset(c) for c in f["classes"]}
     return ok, {"matches_recomputation": ok}
 
 
 def _verify_matching_cut(data) -> tuple[bool, dict]:
-    space, f = read_payload(data, "matching_cut")
+    _, f, outside = read_payload(data, "matching_cut")
     w, r, F = f["window"], f["r"], f["cut"]
-    in_interior = set(F) <= set(w.interior(r))
-    nbrs = {q for q in space.neighborhood(F, r) if q in w}
-    violating = len(nbrs) < 2 * len(F) if F else False
-    ok = in_interior and violating and len(nbrs) == f["cut_neighborhood_size"]
+    inside = w.ids([x for x in F if x not in outside])  # the reader found the rest outside w
+    in_interior = len(inside) == len(F) and bool(w.interior_mask(r)[inside].all())
+    # |N_r(F) ∩ w|: F's window points and their partners in the scale-r pairs
+    # (the pairs, not the scale graph: a verify process need not import scipy)
+    ii, jj = scale_pairs(w, r)
+    size = len(np.union1d(inside, np.concatenate([jj[np.isin(ii, inside)], ii[np.isin(jj, inside)]])))
+    violating = size < 2 * len(F) if F else False
+    ok = in_interior and violating and size == f["cut_neighborhood_size"]
     return ok, {
         "cut_in_interior": in_interior,
-        "neighborhood_size": len(nbrs),
+        "neighborhood_size": size,
         "violates_doubling": violating,
     }
 
@@ -272,13 +289,12 @@ def _verify_folner(data) -> tuple[bool, dict]:
 
 
 def _verify_paradox(data) -> tuple[bool, dict]:
-    p, w, carrier, parts = _paradox_and_window(data)
-    ok, report = _result(verify_paradox(p, w))
-    out = next((x for x in parts if x not in w), None)  # the rule is checked on w only
+    p, w, carrier, out = _paradox_and_window(data)
+    ok, report = _result(verify_paradox(p, w))  # the rule is checked on w only
     if ok and carrier != [p.space.point_to_json(x) for x in p.on(w)[1]]:
         report.update(passed=False, witness={"kind": "stated_carrier"})
-    elif ok and out is not None:
-        report.update(passed=False, witness={"kind": "part_outside_window", "point": p.space.point_to_json(out)})
+    elif ok and out:
+        report.update(passed=False, witness={"kind": "part_outside_window", "point": p.space.point_to_json(out[0])})
     return report["passed"], report
 
 

@@ -1323,23 +1323,34 @@ class Window:
         except KeyError:
             raise UnknownPoint(f"{p!r} is not in this window") from None
 
-    def _canon(self, p):
-        """``space.normalize(p)``, but a point of this window with the same
-        types is that point, found without the call."""
-        if isinstance(p, list):  # a JSON point: unhashable, so never found
-            return self.space.normalize(p)
-        try:
-            q = self.points[self._index[p]]
-        except (KeyError, TypeError):  # a miss, or unhashable
-            return self.space.normalize(p)
-        return q if type(p) is type(q) is not tuple or _same_types(p, q) else self.space.normalize(p)
+    def ids(self, points, outside: Optional[dict] = None) -> np.ndarray:
+        """The index of ``space.normalize(p)`` for each p, as an int64 array.
+        A hit of the same types as the window's point, (1,) but not (1.0,),
+        skips the call; a JSON list is not looked up.  Given ``outside``, the
+        k-th distinct point outside the window gets len(self) + k, recorded
+        there; without it such a point raises UnknownPoint."""
+        get, pts, n, out = self._index.get, self.points, len(self.points), []
+        for p in points:
+            try:
+                j = None if type(p) is list else get(p)  # a JSON point is never found
+            except TypeError:  # unhashable
+                j = None
+            if j is None or not ((q := pts[j]) is p or type(p) is type(q) is not tuple or _same_types(p, q)):
+                q = self.space.normalize(p)
+                j = get(q)
+                if j is None:
+                    if outside is None:
+                        raise UnknownPoint(f"{q!r} is not in this window")
+                    j = outside.setdefault(q, n + len(outside))
+            out.append(j)
+        return np.array(out, dtype=np.int64)
 
     @property
     def is_ball(self) -> bool:
         return self.ball_center is not None and self.ball_radius is not None
 
     def subwindow(self, points) -> "Window":
-        return Window._canonical(self.space, map(self._canon, points))
+        return Window._canonical(self.space, map(self.points.__getitem__, self.ids(points).tolist()))
 
     def scale_graph(self, r: int) -> "sparse.csr_matrix":
         """Symmetric CSR adjacency of "d <= r" on this window, with sorted

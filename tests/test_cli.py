@@ -551,6 +551,20 @@ def test_verify_refuses_degenerate_certificates(tmp_path, payload, code, error):
     assert res.payload.get("error") == error
 
 
+def test_segments_payload_carries_its_budget_and_verify_refuses_a_point_outside(specs, tmp_path):
+    out = tmp_path / "segments.json"
+    res = run(["segments", "--space", specs["z"], "--r", "1", "--count", "2", "--budget-radius", "10",
+               "--out", str(out)])
+    assert res.exit_code == 0
+    data = json.loads(out.read_text())
+    assert data["window"] == {"ball": {"center": [0], "radius": 10}}
+    assert run(["verify", "--file", str(out)]).exit_code == 0
+    data["segments"][-1].append([11])  # one step past the last point, and past the budget
+    out.write_text(json.dumps(data))
+    res = run(["verify", "--file", str(out)])
+    assert res.exit_code == 3 and res.payload["error"] == "SegmentOutsideWindow"
+
+
 # -- grid coordinates near and beyond int64 -----------------------------------
 
 def _cli_process(argv):

@@ -65,7 +65,7 @@ CASES = [
                                   "--r", "2"]], 0,
      "15a4e7481737763033e0a6562ea6bd9bd12d69b8b3cab676534f4c86560d928f"),
     ("segments", [["segments", "--space", "{z}", "--r", "1", "--count", "4", "--budget-radius", "400"]], 0,
-     "75c09b658201fafd538c62f3fb0b755920a683cdae2ceaa13cbc0948b737b312"),
+     "71977790d6b6961627ea58cded691cdb3b5c73bc44586aa82b1838a97aea5183"),
     ("segments_none", [["segments", "--space", "{pl}", "--r", "1", "--count", "2", "--budget-radius", "1"]], 2,
      "5935f8603475d8e3a86555ecfa4e50c964966b215c40c4ede812c0a4d7978d53"),
     ("asdim_witness_line", [["asdim", "witness", "--construction", "line", *Z_BALL, "40", "--r", "2"]], 0,

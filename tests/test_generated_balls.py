@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import coarsekit as ck
 from coarsekit import serialization as ser
 from coarsekit import spaces
-from coarsekit.amenability import PartialTranslation, WindowedDoubling, _max_dist, _point_ids
+from coarsekit.amenability import PartialTranslation, WindowedDoubling, _max_dist
 from coarsekit.cli import run
 from coarsekit.errors import EnumerationOverflow, MalformedSpec
 from coarsekit.spaces import FreeGroupSpace, TreeMetricSpace, TreeSpace
@@ -165,8 +165,8 @@ def test_empty_doubling_checks():
 def test_max_dist_takes_dist_for_points_outside_the_window():
     w = ck.ball(FREE[2], "", 1)
     outside = {}
-    I = _point_ids(w, ["", "a", "bbb"], outside)
-    J = _point_ids(w, ["aaaa", "A", ""], outside)
+    I = w.ids(["", "a", "bbb"], outside)
+    J = w.ids(["aaaa", "A", ""], outside)
     assert outside == {"bbb": len(w), "aaaa": len(w) + 1}
     assert _max_dist(w, I, J, w.points + tuple(outside)) == 4
 

@@ -47,6 +47,9 @@ def files(tmp_path):
     out["paradox"] = str(tmp_path / "paradox_cert.json")
     assert _child(["paradox", "--space", out["fg2"], "--window-radius", "3",
                    "--out", out["paradox"]])[0] == 0
+    out["cut"] = str(tmp_path / "cut_cert.json")
+    assert _child(["matching", "--space", out["z"], "--window-radius", "50", "--r", "1",
+                   "--out", out["cut"]])[0] == 2
     return out
 
 
@@ -68,11 +71,12 @@ def _child(argv, what="cli"):
     ("cli", ["classify", "--space", "{z}", "--window-radius", "5", "--map", "{map}",
              "--target-space", "{z}"], {SPARSE, CSGRAPH}),
     ("cli", ["verify", "--file", "{paradox}"], {SPARSE, CSGRAPH}),
+    ("cli", ["verify", "--file", "{cut}"], {SPARSE, CSGRAPH}),
     ("cli", ["space", "--space", "{z2}", "--window-radius", "6", "--r", "1"], {CSGRAPH}),
     ("cli", ["op", "--space", "{z}", "--window-radius", "3", "--a", "{a}", "--b", "{b}",
              "--action", "add"], {CSGRAPH}),
 ], ids=["import_coarsekit", "import_cli", "paradox", "folner", "classify", "verify_paradox",
-        "space", "op_add"])
+        "verify_matching_cut", "space", "op_add"])
 def test_process_loads_no_unused_scipy(files, what, argv, absent):
     code, loaded = _child([a.format(**files) for a in argv], what)
     assert code == 0

@@ -1,7 +1,8 @@
 """A structural guard: each step that several modules share has one home.
 Payloads come from ``serialization.envelope``, check reports share one
 ``to_json``, ``ClassLayout.of`` labels components, a tree distance climbs once,
-and only ``ball`` marks a window as a ball."""
+only ``ball`` marks a window as a ball, and ``Window.ids`` turns points into
+window indices."""
 
 import ast
 import inspect
@@ -59,3 +60,37 @@ def test_tree_distance_and_ball_windows_have_one_path():
     w = ck.ball(ck.make_space({"kind": "grid", "dim": 1}), [2], 3)
     assert (w.ball_center, w.ball_radius, w.is_ball) == ((2,), 3, True)
     assert not spaces.Window(w.space, w.points).is_ball
+
+
+def _scopes(tree):
+    """Each node of a module with the names of the classes and functions around
+    it, and whether a loop or comprehension encloses it."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def visit(node, names, in_loop):
+        yield node, names, in_loop
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = names + (node.name,)
+        in_loop = in_loop or isinstance(node, loops)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, names, in_loop)
+
+    return visit(tree, (), False)
+
+
+def test_one_method_looks_points_up_in_a_window():
+    readers, loop_lookups = set(), set()
+    for m in MODULES:
+        for node, names, in_loop in _scopes(_tree(m)):
+            if (isinstance(node, ast.Attribute) and node.attr == "_index"
+                    or isinstance(node, ast.Name) and node.id == "_same_types"):
+                readers.add((m.__name__, names[:1]))
+            if (in_loop and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "index"):
+                loop_lookups.add((m.__name__, ast.unparse(node.func.value)))
+    # _same_types names itself in its own recursion
+    assert readers == {("coarsekit.spaces", ("Window",)), ("coarsekit.spaces", ("_same_types",))}
+    # the one lookup in a loop is list.index on the free-group generator's list of words
+    assert loop_lookups == {("coarsekit.spaces", "kids")}
+    for name in ("_canon", "_point_ids", "_image_ids"):
+        assert not any(hasattr(m, name) for m in MODULES) and not hasattr(spaces.Window, name)
