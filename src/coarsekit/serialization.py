@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -86,13 +87,19 @@ def _list(_, v) -> list:
 
 
 def _nested(depth: int, noun: str):
-    """The normaliser of points nested in ``depth`` levels of lists, as tuples."""
-    def read(points, v, depth=depth):
+    """The normaliser of points nested in ``depth`` levels of lists, as tuples.
+    All the points go through one ``points`` call, then take the nesting back."""
+    def lists(v, depth):  # the innermost lists, in order
         if not isinstance(v, list):
             raise _Mistyped(noun)
-        if depth == 1:
-            return points(v)
-        return tuple(read(points, x, depth - 1) for x in v)
+        return [v] if depth == 1 else [u for x in v for u in lists(x, depth - 1)]
+
+    def read(points, v):
+        it = iter(points([p for u in lists(v, depth) for p in u]))
+
+        def shape(v, depth):
+            return tuple(islice(it, len(v))) if depth == 1 else tuple(shape(x, depth - 1) for x in v)
+        return shape(v, depth)
     return read
 
 
@@ -142,15 +149,13 @@ FIELDS = {
 }
 
 
-def read_payload(data, kind: str) -> tuple[Space, dict, dict]:
-    """The space of a payload of the given kind, its FIELDS normalised, and the
-    canonical points outside the payload's window that its point fields hold,
-    numbered as :meth:`Window.ids` numbers them.  A missing or mistyped field
-    raises MalformedSpec naming the kind and field."""
+def read_payload(data, kind: str) -> tuple[Space, dict]:
+    """The space of a payload of the given kind, and its FIELDS normalised.  A
+    missing or mistyped field raises MalformedSpec naming the kind and field."""
     space, fields, outside, every = make_space(payload_field(data, "space")), {}, {}, []
     w = None
 
-    def points(v):  # once the window is read, one ids call per list, handing back its points
+    def points(v):  # once the window is read, one ids call per field, handing back its points
         if w is None:
             return tuple(map(space.normalize, v))
         ids = w.ids(v, outside).tolist()
@@ -165,7 +170,7 @@ def read_payload(data, kind: str) -> tuple[Space, dict, dict]:
         if name == "window" and fields[name] is not None:
             w = fields[name]
             every += w.points
-    return space, fields, outside
+    return space, fields
 
 
 # -- builders and readers ---------------------------------------------------
@@ -188,9 +193,11 @@ def segments_to_payload(fam: SegmentFamily, budget: Window | None = None) -> dic
 
 def segments_from_payload(data: dict) -> SegmentFamily:
     """The family; a point outside the payload's budget window raises SegmentOutsideWindow."""
-    space, f, outside = read_payload(data, "segment_family")
-    if outside:  # the reader found these outside the budget window
-        raise SegmentOutsideWindow(f"segment point {next(iter(outside))!r} is outside the budget window")
+    space, f = read_payload(data, "segment_family")
+    w = f["window"]
+    outside = [] if w is None else [p for s in f["segments"] for p in s if p not in w]
+    if outside:
+        raise SegmentOutsideWindow(f"segment point {outside[0]!r} is outside the budget window")
     return SegmentFamily(space, f["r"], f["segments"])
 
 
@@ -203,7 +210,7 @@ def folner_from_payload(data: dict) -> FolnerCertificate:
 
 
 def _folner_and_ratio(data: dict):
-    space, f, _ = read_payload(data, "folner_certificate")
+    space, f = read_payload(data, "folner_certificate")
     ratio = f.pop("ratio")
     return FolnerCertificate(space, **f), ratio
 
@@ -225,11 +232,10 @@ def paradox_from_payload(data: dict):
 
 
 def _paradox_and_window(data: dict):
-    space, f, outside = read_payload(data, "paradox_window")
+    space, f = read_payload(data, "paradox_window")
     p = paradox_from_sets(space, f["displacement"], frozenset(f["plus"]), frozenset(f["minus"]),
                           f["t_plus"], f["t_minus"], data.get("tag", ""))
-    # the part points that the reader found outside the window
-    return p, f["window"], f["carrier"], [x for x in f["plus"] + f["minus"] if x in outside]
+    return p, f["window"], f["carrier"], f["plus"] + f["minus"]
 
 
 def matching_cut_to_payload(w: Window, r: int, outcome: MatchingOutcome) -> dict:
@@ -243,28 +249,38 @@ def operator_to_payload(a: BandedOperator) -> dict:
 
 
 def operator_from_payload(data: dict) -> BandedOperator:
-    _, f, _ = read_payload(data, "banded_operator")
+    _, f = read_payload(data, "banded_operator")
     return make_operator(f["window"], f["entries"])
 
 
 # -- re-verification --------------------------------------------------------
 
 def _verify_partition(data) -> tuple[bool, dict]:
-    _, f, _ = read_payload(data, "scale_partition")
+    _, f = read_payload(data, "scale_partition")
     have = {frozenset(c) for c in components_at_scale(f["window"], f["r"]).classes}
     ok = have == {frozenset(c) for c in f["classes"]}
     return ok, {"matches_recomputation": ok}
 
 
 def _verify_matching_cut(data) -> tuple[bool, dict]:
-    _, f, outside = read_payload(data, "matching_cut")
+    _, f = read_payload(data, "matching_cut")
     w, r, F = f["window"], f["r"], f["cut"]
-    inside = w.ids([x for x in F if x not in outside])  # the reader found the rest outside w
+    s, everyone, inside = w.space, np.arange(len(w)), w.ids([x for x in F if x in w])
     in_interior = len(inside) == len(F) and bool(w.interior_mask(r)[inside].all())
-    # |N_r(F) ∩ w|: F's window points and their partners in the scale-r pairs
-    # (the pairs, not the scale graph: a verify process need not import scipy)
-    ii, jj = scale_pairs(w, r)
-    size = len(np.union1d(inside, np.concatenate([jj[np.isin(ii, inside)], ii[np.isin(jj, inside)]])))
+    # |N_r(F) ∩ w| from the scale-r pairs, which off a ball of a geodesic space
+    # cost no more than the interior check did.  On such a ball they number at
+    # most n D / 2, D the center's degree, and F's rows of distances, |F| n of
+    # them, are read instead when fewer or when the pairs pass 2^23
+    near, geodesic_ball = np.isin(everyone, inside), w.is_ball and s.geodesic_extension
+    D = int((s.paired_dist(w.layout, w.index(w.ball_center), everyone) <= r).sum()) if geodesic_ball else 0
+    if not geodesic_ball or near.sum() > D and len(w) * D <= 1 << 24:
+        ii, jj = scale_pairs(w, r)  # not the scale graph: a verify process need not import scipy
+        near[jj[np.isin(ii, inside)]] = near[ii[np.isin(jj, inside)]] = True
+    else:
+        step = max(1, (1 << 20) // len(w))  # rows at a time: memory stays near 8 MB an array
+        for lo in range(0, len(inside), step):
+            near |= (s.paired_dist(w.layout, inside[lo:lo + step, None], everyone) <= r).any(axis=0)
+    size = int(near.sum())
     violating = size < 2 * len(F) if F else False
     ok = in_interior and violating and size == f["cut_neighborhood_size"]
     return ok, {
@@ -289,12 +305,13 @@ def _verify_folner(data) -> tuple[bool, dict]:
 
 
 def _verify_paradox(data) -> tuple[bool, dict]:
-    p, w, carrier, out = _paradox_and_window(data)
-    ok, report = _result(verify_paradox(p, w))  # the rule is checked on w only
+    p, w, carrier, parts = _paradox_and_window(data)
+    ok, report = _result(verify_paradox(p, w))
+    out = next((x for x in parts if x not in w), None)  # the rule is checked on w only
     if ok and carrier != [p.space.point_to_json(x) for x in p.on(w)[1]]:
         report.update(passed=False, witness={"kind": "stated_carrier"})
-    elif ok and out:
-        report.update(passed=False, witness={"kind": "part_outside_window", "point": p.space.point_to_json(out[0])})
+    elif ok and out is not None:
+        report.update(passed=False, witness={"kind": "part_outside_window", "point": p.space.point_to_json(out)})
     return report["passed"], report
 
 

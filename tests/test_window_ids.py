@@ -132,23 +132,30 @@ def test_own_points_skip_normalize_and_lists_skip_the_lookup(monkeypatch):
     assert len(calls) == len(w)
 
 
-def test_readers_call_ids_once_per_list_and_hand_back_window_points(monkeypatch):
+def test_readers_call_ids_once_per_field_and_hand_back_window_points(monkeypatch):
     b = ck.ball(F2, "", 4)
+    # a cover of singletons in two colors, and one with a piece of three points
+    colors = (tuple((p,) for p in b.points[::2]), ((),) + tuple((p,) for p in b.points[1::2]))
     payloads = {
         "paradox": (ser.paradox_to_payload(ck.paradox_free_group(2), b), 4),  # plus, minus, t_plus, t_minus
         "doubling": (ser.doubling_to_payload(ck.matching_certificate(b, 1).doubling), 3),
-        "segments": (ser.segments_to_payload(ck.extract_segments(F2, 1, 2, b), b), 2),
+        "segments": (ser.segments_to_payload(ck.extract_segments(F2, 1, 2, b), b), 1),
+        "cover": (ser.cover_to_payload(ck.ColoredCover(b, 1, 0, colors)), 1),
+        "cover3": (ser.cover_to_payload(ck.ColoredCover(b, 1, 2, ((b.points[:3],) + colors[0], ()))), 1),
     }
+    nested = {"segments": "segments", "cover": "colors", "cover3": "colors"}
     calls = []
     real = spaces.Window.ids
     monkeypatch.setattr(spaces.Window, "ids", lambda self, *a: calls.append(len(a[0])) or real(self, *a))
     for name, (payload, lists) in payloads.items():
         calls.clear()
         kind = payload["kind"]
-        _, f, _ = ser.read_payload(json.loads(ser.canonical_dumps(payload)), kind)
+        _, f = ser.read_payload(json.loads(ser.canonical_dumps(payload)), kind)
         assert len(calls) == lists, name
+        if name in nested:  # the nesting comes back as it was written
+            assert json.loads(json.dumps(f[nested[name]])) == payload[nested[name]], name
         own = {id(p) for p in f["window"].points}
-        words = [p for field, v in f.items() if field not in ("window", "r", "displacement", "carrier")
+        words = [p for field, v in f.items() if field not in ("window", "r", "bound", "displacement", "carrier")
                  for p in _words(v)]
         assert words and all(id(p) in own for p in words), name
 
@@ -249,6 +256,52 @@ def test_matching_cut_check_makes_no_ball_or_neighborhood_call(monkeypatch):
         ser.verify_payload(payload)
     # reading a ball window makes its ball, and nothing else makes one
     assert calls == ["ball_points"] * sum(w.is_ball for _, w, _, _, _ in CUTS)
+
+
+def _count_distances(monkeypatch):
+    """Patch the metric kernel to count the distances it computes and the
+    scale_pairs calls it answers; returns the counter."""
+    count = {"distances": 0, "scale_pairs": 0}
+    for cls in (spaces.GridSpace, spaces.TreeMetricSpace):
+        def paired(self, lay, I, J, f=vars(cls)["paired_dist"]):
+            count["distances"] += np.broadcast(np.asarray(I), np.asarray(J)).size
+            return f(self, lay, I, J)
+
+        def pairs(self, lay, r, f=vars(cls)["scale_pairs"]):
+            count["scale_pairs"] += 1
+            return f(self, lay, r)
+        monkeypatch.setattr(cls, "paired_dist", paired)
+        monkeypatch.setattr(cls, "scale_pairs", pairs)
+    return count
+
+
+def test_matching_cut_check_of_a_huge_scale_reads_the_cut_rows_only(monkeypatch):
+    # r past the radius of a ball window: every pair is at scale r, so the
+    # pairs would number n^2 / 2; the cut's rows of distances are |F| n
+    cases = [(ck.ball(F2, "", 8), 16, ["", "a", "bA"]), (ck.ball(Z, (0,), 50000), 40000, [(0,)]),
+             (ck.ball(Z, (0,), 50), 10**30, [(0,), (50,)])]
+    count = _count_distances(monkeypatch)
+    for w, r, F in cases:
+        F = [w.space.normalize(p) for p in F]
+        size = sum(any(w.space.dist(p, q) <= r for p in F) for q in w.points)
+        want = {"cut_in_interior": set(F) <= set(w.interior(r)), "neighborhood_size": size,
+                "violates_doubling": False}
+        count.update(distances=0, scale_pairs=0)
+        assert ser.verify_payload(_cut_payload(w, r, F, size)) == (False, want)
+        # a row from the center for the interior and one for the largest degree
+        assert count["distances"] <= (len(F) + 2) * len(w) and count["scale_pairs"] == 0
+
+
+def test_matching_cut_check_of_a_wide_cut_reads_the_pairs():
+    # a cut of nearly every point at a small scale: |F| n distances would be
+    # quadratic, the scale-1 pairs are linear in n
+    w = ck.ball(Z, (0,), 20000)
+    F = w.interior(1)
+    want_ok, want = _cut_report_by_sets(Z, w, 1, F, len(w))
+    with pytest.MonkeyPatch.context() as mp:
+        count = _count_distances(mp)
+        assert ser.verify_payload(_cut_payload(w, 1, F, len(w))) == (want_ok, want)
+    assert want_ok and count["distances"] <= 2 * len(w) and count["scale_pairs"] == 1
 
 
 @pytest.mark.parametrize("forge, code", [("valid", 0), ("moved_out_of_interior", 1), ("outside_window", 1),
