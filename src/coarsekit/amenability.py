@@ -26,7 +26,7 @@ from .errors import (
     Report,
 )
 from .maps import CoarseMap
-from .spaces import FreeGroupSpace, Space, Window
+from .spaces import BALL_CAP_DEFAULT, FreeGroupSpace, GridSpace, Space, Window
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +102,10 @@ class ParadoxicalDecomposition:
         carrier = [pts[i] for i in cidx.tolist()]
         member = {name: np.fromiter(map(test, carrier), dtype=bool, count=len(carrier))
                   for name, test in (("plus", self.in_plus), ("minus", self.in_minus))}
-        ids, outside = {}, {}
-        for name, t in (("plus", self.t_plus), ("minus", self.t_minus)):
-            ys = list(map(t, carrier))
-            ids[name] = np.full(len(ys), -1, dtype=np.int64)  # -1 where t is undefined
-            ids[name][[y is not None for y in ys]] = w.ids([y for y in ys if y is not None], outside)
+        ys, outside = [*map(self.t_plus, carrier), *map(self.t_minus, carrier)], {}
+        both = np.full(len(ys), -1, dtype=np.int64)  # -1 where t is undefined
+        both[[y is not None for y in ys]] = w.ids([y for y in ys if y is not None], outside)
+        ids = {"plus": both[:len(carrier)], "minus": both[len(carrier):]}
         self._last[:] = w, (cidx, carrier, member, ids, tuple(outside))
         return self._last[1]
 
@@ -483,33 +482,36 @@ def folner_search_report(
     if budget.subsets_of_ball is not None:
         return _folner_exhaustive(space, r, eps, base, budget.subsets_of_ball)
 
-    tested = 0
-    best: Optional[Fraction] = None
-    best_set = None
-    cert = None
-    prev_pts = None
+    # grids, free groups and their products count balls in closed form, and in
+    # their graph metrics N_r(B_j) = B_(j+r): where both counts are exact, the
+    # candidate balls are counted, and only the best one is listed
+    counted = isinstance(getattr(space, "base", space), (GridSpace, FreeGroupSpace))
+    tested, best, best_j, best_set, size = 0, None, None, None, None
     for j in range(budget.ball_radius_max + 1):
         if tested >= FOLNER_MAX_CANDIDATES:
             break
-        F = tuple(space.ball_points(base, j))
-        if prev_pts is not None and len(F) == len(prev_pts):
+        n = space.ball_count(base, j + r, BALL_CAP_DEFAULT) if counted else BALL_CAP_DEFAULT + 1
+        F = None if n <= BALL_CAP_DEFAULT else tuple(space.ball_points(base, j))
+        m = space.ball_count(base, j, BALL_CAP_DEFAULT) if F is None else len(F)
+        if m == size:
             break  # space exhausted around the basepoint
-        prev_pts = F
-        n = space.neighborhood_size(F, r)
-        ratio = Fraction(n, len(F))
+        size = m
+        if F is not None:
+            n = space.neighborhood_size(F, r)
+        ratio = Fraction(n, size)
         tested += 1
         if best is None or ratio < best:
-            best, best_set = ratio, F
+            best, best_j, best_set = ratio, j, F
         if ratio <= bound:
-            cert = FolnerCertificate(space, F, r, eps, n)
             break
+    if best_set is None:  # j = 0 always runs
+        best_set = tuple(space.ball_points(base, best_j))
 
-    if cert is None and budget.local_rounds > 0 and best_set is not None:
+    if best > bound and budget.local_rounds > 0:
         F = set(best_set)
         for _ in range(budget.local_rounds):
             if tested >= FOLNER_MAX_CANDIDATES:
                 break
-            improved = False
             moves = [("drop", p) for p in space.canonical_sorted(F)]
             moves += [("add", p) for p in space.canonical_sorted(space.neighborhood(F, r) - F)]
             for kind, p in moves:
@@ -520,16 +522,13 @@ def folner_search_report(
                     continue
                 ratio = _ratio_of(space, tuple(cand), r)
                 tested += 1
-                if ratio < best:
-                    best = ratio
-                    F = cand
-                    best_set = tuple(space.canonical_sorted(cand))
-                    improved = True
+                if ratio < best:  # the first move that improves is taken
+                    best, F, best_set = ratio, cand, tuple(space.canonical_sorted(cand))
                     break
-            if not improved:
+            else:  # no move improves
                 break
-        if best <= bound:  # best = |N_r(best_set)| / |best_set|
-            cert = FolnerCertificate(space, best_set, r, eps, int(best * len(best_set)))
+    # best = |N_r(best_set)| / |best_set|
+    cert = FolnerCertificate(space, best_set, r, eps, int(best * len(best_set))) if best <= bound else None
     return FolnerSearchReport(cert, best, best_set, tested)
 
 
@@ -655,8 +654,10 @@ def verify_doubling(d: WindowedDoubling) -> dict:
     """Recheck injectivity, image disjointness, displacement, and domains, on
     ids of the points (:meth:`Window.ids`), each point looked up once."""
     w, outside = d.window, {}
-    interior = np.unique(w.ids(d.interior, outside))
-    (Ap, Bp), (Am, Bm) = ((w.ids(m, outside), w.ids(m.values(), outside)) for m in (d.u_plus, d.u_minus))
+    parts = (d.interior, d.u_plus, d.u_plus.values(), d.u_minus, d.u_minus.values())
+    ids = w.ids([p for part in parts for p in part], outside)
+    interior, Ap, Bp, Am, Bm = np.split(ids, np.cumsum([len(part) for part in parts])[:-1])
+    interior = np.unique(interior)
     report = {
         "domains_ok": np.array_equal(np.sort(Ap), interior) and np.array_equal(np.sort(Am), interior),
         "injective_ok": len(np.unique(Bp)) == len(Bp) and len(np.unique(Bm)) == len(Bm),

@@ -223,7 +223,8 @@ def zero_operator(w: Window) -> BandedOperator:
 
 def char_projection(S, w: Window) -> BandedOperator:
     """Diagonal 0/1 projection onto a subset of the window."""
-    return BandedOperator(w, {(i, i): 1 for i in w.ids(S).tolist()})
+    ids = w.ids(S).tolist()
+    return BandedOperator(w, {(i, i): 1 for i in ids})
 
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
@@ -462,14 +463,16 @@ def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
     model of each class's color on the rows and columns of that class."""
     from scipy import sparse as sp
 
-    rows, cols, vals = [], [], []
-    for cls, color in zip(coloring.classes, coloring.color_of_class):
-        idx = w.ids(cls).tolist()
-        rows += [i for i in idx for _ in idx]
-        cols += idx * len(idx)
-        vals += np.asarray(coloring.models[color], dtype=np.complex128).ravel().tolist()
+    size = np.array([len(cls) for cls in coloring.classes], dtype=np.int64)
+    idx = w.ids([p for cls in coloring.classes for p in cls])
+    # entry k of a class's m x m model, row-major, is at (k // m, k % m) of its idx[at:]
+    of = np.repeat(np.arange(len(size)), size**2)
+    k = np.arange(len(of)) - np.repeat(np.cumsum(size**2) - size**2, size**2)
+    at, m = (np.cumsum(size) - size)[of], size[of]
+    models = [np.asarray(M, dtype=np.complex128).ravel() for M in coloring.models]
+    vals = np.concatenate([np.zeros(0, dtype=np.complex128), *map(models.__getitem__, coloring.color_of_class)])
     n = len(w.points)
-    return BandedOperator(w, sp.coo_matrix((vals, (rows, cols)), shape=(n, n)), exact=False)
+    return BandedOperator(w, sp.coo_matrix((vals, (idx[at + k // m], idx[at + k % m])), shape=(n, n)), exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,11 @@ def _nested(depth: int, noun: str):
 
 def _point_map(points, v) -> dict:
     """[[a, b], ...] as {a: b}."""
-    if not (isinstance(v, list) and all(isinstance(ab, list) and len(ab) == 2 for ab in v)):
+    # flattened in the pass that checks the pairs: one that is not a pair is left out
+    flat = [x for ab in v if isinstance(ab, list) and len(ab) == 2 for x in ab] if isinstance(v, list) else None
+    if flat is None or len(flat) != 2 * len(v):
         raise _Mistyped("list of [a, b] point pairs")
-    flat = points([x for ab in v for x in ab])
+    flat = points(flat)
     return dict(zip(flat[::2], flat[1::2]))
 
 

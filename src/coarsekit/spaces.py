@@ -35,17 +35,6 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # reduced-word helpers (free groups)
 # ---------------------------------------------------------------------------
 
-def word_mul(u: str, v: str) -> str:
-    """Reduced product of two reduced words (lowercase letter = generator,
-    uppercase = its inverse)."""
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == v[j].swapcase():
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
-
-
 def word_dist(u: str, v: str) -> int:
     # |u^-1 v| = |u| + |v| - 2 * (longest common prefix)
     if v.startswith(u) or u.startswith(v):  # one extends the other, as a neighbour or an image does
@@ -920,11 +909,19 @@ class PointLineSpace(Space):
     # the points are coordinates in Z, so distances are those of one-dimensional grid points
     dim = 1
     layout = GridSpace.layout
+    _box = GridSpace._box
     paired_dist = GridSpace.paired_dist
     piece_diameters = GridSpace.piece_diameters
 
     def diameter(self, pts):
         return max(pts) - min(pts) if len(pts) else 0
+
+    def scale_pairs(self, lay, r):
+        # the coordinates ascend: one sweep, from 0 so that key + r stays in int64
+        span = int(lay[-1, 0] - lay[0, 0]) if isinstance(lay, np.ndarray) else 1 << 62
+        if span >= 1 << 62:
+            return super().scale_pairs(lay, r)
+        return _sweep_pairs(lay[:, 0] - lay[0, 0], min(r, span))
 
     def to_spec(self):
         return {"kind": "point_line", "coords": list(self.coords)}
@@ -1011,14 +1008,29 @@ class DisjointUnionSpace(Space):
 
     def scale_pairs(self, lay, r):
         # the layout is the points, block-major, so each block is one run of
-        # indices, and so are the later blocks within r of a block
+        # indices, and so are the later blocks within r of a block; no
+        # distance passes _reach[-1], so r is cut there and stays in int64
+        r = min(r, self._reach[-1])
         blk = np.array([k for k, _ in lay], dtype=np.int64)
         start = np.searchsorted(blk, np.arange(len(self.blocks) + 1)).tolist()
         last = np.searchsorted(self._reach, r + np.array(self._base), side="right").tolist()
-        out_i, out_j = [], []
+        out_i, out_j, swept = [], [], set()
+        # the point_line blocks in one sweep: block k's coordinates, less its
+        # least, plus k strides, each the widest span plus r (cut to that span) plus 1
+        line = np.flatnonzero(np.array([b.kind == "point_line" for b in self.blocks])[blk])
+        c = _int64_coords([lay[i][1] for i in line.tolist()], 1)
+        if c is not None and len(c):
+            first, size = _runs(blk[line])
+            off = c[:, 0] - np.repeat(c[first, 0], size)
+            r_cut = min(r, int(off.max()))
+            if len(self.blocks) * (int(off.max()) + r_cut + 1) < 1 << 62:
+                ii, jj = _sweep_pairs(off + blk[line] * (int(off.max()) + r_cut + 1), r_cut)
+                out_i.append(line[ii])
+                out_j.append(line[jj])
+                swept = set(blk[line].tolist())
         for k in np.unique(blk).tolist():
             lo, hi = start[k], start[k + 1]
-            if hi - lo > 1:
+            if hi - lo > 1 and k not in swept:
                 b = self.blocks[k]
                 si, sj = b.scale_pairs(b.layout([p for _, p in lay[lo:hi]]), r)
                 out_i.append(si + lo)
@@ -1323,12 +1335,51 @@ class Window:
         except KeyError:
             raise UnknownPoint(f"{p!r} is not in this window") from None
 
+    @cached_property
+    def _codes(self):
+        # (low, high, strides, codes) of the bounding box of an int64 grid or
+        # point_line layout; canonical order is lexicographic, so codes ascend
+        box = isinstance(self.space, (GridSpace, PointLineSpace)) and self.space._box(self.layout, 0)
+        return box and (self.layout.min(axis=0), self.layout.max(axis=0), *box)
+
     def ids(self, points, outside: Optional[dict] = None) -> np.ndarray:
         """The index of ``space.normalize(p)`` for each p, as an int64 array.
         A hit of the same types as the window's point, (1,) but not (1.0,),
         skips the call; a JSON list is not looked up.  Given ``outside``, the
         k-th distinct point outside the window gets len(self) + k, recorded
-        there; without it such a point raises UnknownPoint."""
+        there; without it such a point raises UnknownPoint.  A grid or
+        point_line field is first looked up as an array (:meth:`_found`), and
+        only what that misses goes point by point, in order."""
+        found = self._found(points)
+        if found is None:
+            return np.array(self._each(points, outside), dtype=np.int64)
+        miss = np.flatnonzero(found < 0)
+        found[miss] = self._each([points[k] for k in miss.tolist()], outside)
+        return found
+
+    def _found(self, points) -> Optional[np.ndarray]:
+        """Each point's index or -1, by one searchsorted on the window's codes,
+        for a list of dim plain ints each (plain ints, on a point_line); else None."""
+        grid = self.space.kind == "grid"
+        # the first point turns a field of the window's own tuples away at once
+        if not (type(points) is list and points and type(points[0]) is (list if grid else int) and self._codes):
+            return None
+        if grid and ({*map(type, points)} != {list} or {*map(len, points)} != {self.space.dim}):
+            return None
+        flat = list(itertools.chain.from_iterable(points)) if grid else points
+        a = np.asarray(flat) if {*map(type, flat)} == {int} else None
+        if a is None or a.dtype != np.int64:  # not all plain ints, or one past int64
+            return None
+        low, high, strides, codes = self._codes
+        a, found = a.reshape(len(points), -1), np.full(len(points), -1, dtype=np.int64)
+        inside = np.flatnonzero(((a >= low) & (a <= high)).all(axis=1))
+        q = (a[inside] - low) @ strides
+        pos = np.minimum(np.searchsorted(codes, q), len(codes) - 1)
+        hit = codes[pos] == q
+        found[inside[hit]] = pos[hit]
+        return found
+
+    def _each(self, points, outside) -> list:
         get, pts, n, out = self._index.get, self.points, len(self.points), []
         for p in points:
             try:
@@ -1343,7 +1394,7 @@ class Window:
                         raise UnknownPoint(f"{q!r} is not in this window")
                     j = outside.setdefault(q, n + len(outside))
             out.append(j)
-        return np.array(out, dtype=np.int64)
+        return out
 
     @property
     def is_ball(self) -> bool:
@@ -1478,23 +1529,18 @@ def scale_pairs(w: Window, r: int):
     return w.space.scale_pairs(w.layout, r)
 
 
+def _sweep_pairs(key: np.ndarray, r: int):
+    """Index pairs (i, j), i < j, of ascending int64 keys with key[j] - key[i]
+    <= r, in order of i then j; key + r must not leave int64."""
+    cnt = np.searchsorted(key, key + r, side="right") - np.arange(1, len(key) + 1)
+    i = np.repeat(np.arange(len(key)), cnt)
+    return i, i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
 def _pair_arrays(out_i: list, out_j: list):
     if not out_i:
         return (np.empty(0, dtype=np.int64),) * 2
     return np.concatenate(out_i).astype(np.int64), np.concatenate(out_j).astype(np.int64)
-
-
-def _pairs_bruteforce(w: Window, r: int):
-    """The test oracle for :func:`scale_pairs`: one ``dist`` call per pair."""
-    s = w.space
-    pts = w.points
-    out_i, out_j = [], []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if s.dist(pts[i], pts[j]) <= r:
-                out_i.append(i)
-                out_j.append(j)
-    return np.array(out_i, dtype=np.int64), np.array(out_j, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,9 @@ def test_window_points_are_found_without_normalize(monkeypatch):
     assert _normalize_calls(monkeypatch, lambda: make_operator(w, entries)) == 0
     assert _normalize_calls(monkeypatch, lambda: ck.char_projection(w.points[::3], w)) == 0
     assert _normalize_calls(monkeypatch, lambda: w.subwindow(w.points[::2])) == 0
-    # JSON rows hold lists, which cannot be looked up: each point is normalised once
+    # JSON rows hold lists of plain ints, found by one searchsorted: none is normalised
     rows = [[list(p), list(q), 1, 0] for p, q in entries]
-    assert _normalize_calls(monkeypatch, lambda: make_operator(w, rows)) == 2 * len(rows)
+    assert _normalize_calls(monkeypatch, lambda: make_operator(w, rows)) == 0
     assert make_operator(w, rows).equals(make_operator(w, entries), tol=0)
 
 
@@ -129,8 +129,8 @@ def test_payload_readers_normalize_each_json_point_once(monkeypatch):
     want = {
         # a word of the window is found in it: only the ball window's centre is normalised
         "paradox": 1,
-        # a JSON list cannot be looked up: the centre, and every point of the fields the reader reads
-        "cover": 1 + sum(len(piece) for color in cover["colors"] for piece in color),
+        # a field of plain int lists is found by one searchsorted: only the centre
+        "cover": 1,
         "doubling": 1,
     }
     for name, payload in (("paradox", paradox), ("cover", cover), ("doubling", doubling)):

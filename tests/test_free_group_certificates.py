@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import word_mul
 
 import coarsekit as ck
 from coarsekit import serialization as ser
 from coarsekit.errors import EnumerationOverflow, UnknownPoint
-from coarsekit.spaces import FreeGroupSpace, GridSpace, Space, TreeMetricSpace, TreeSpace, word_mul
+from coarsekit.spaces import FreeGroupSpace, GridSpace, Space, TreeMetricSpace, TreeSpace
 
 FREE = {k: FreeGroupSpace(k) for k in (1, 2, 3)}
 F2 = FREE[2]
@@ -159,7 +160,7 @@ def test_free_group_neighborhood_size_makes_no_search(monkeypatch):
     assert F3.neighborhood_size(["ab" * 30, ""], 2) == 2 * F3.ball_count("", 2, 10**9)
     report = ck.folner_search_report(F3, 1, "1/10", ck.FolnerBudget(ball_radius_max=4, basepoint="ab"))
     assert report.certificate is None and report.candidates_tested == 5
-    assert calls == [("ab", 0), ("ab", 1), ("ab", 2), ("ab", 3), ("ab", 4)]  # the candidate balls only
+    assert calls == [("ab", 4)]  # the candidates are counted: only the best ball is listed
 
 
 @pytest.mark.parametrize("radius", [10**7, 10**30])

@@ -1,16 +1,19 @@
 """The cached scale graph and the vectorised distances, checked against the
 brute-force oracles on every space kind, plus complexity gates."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import pairs_bruteforce
 from scipy.sparse.csgraph import shortest_path
 
 import coarsekit as ck
 from coarsekit import spaces
 from coarsekit.errors import EnumerationOverflow
-from coarsekit.spaces import _pairs_bruteforce
 
 
 def _custom_spec(rng, n, name="p"):
@@ -72,7 +75,7 @@ def test_scale_graph_matches_bruteforce(kind, seed, as_ball):
     n = len(w)
     for r in (0, 1, 2, 3):
         g = w.scale_graph(r)
-        ii, jj = _pairs_bruteforce(w, r)
+        ii, jj = pairs_bruteforce(w, r)
         want = {(int(a), int(b)) for a, b in zip(ii, jj)}
         want |= {(b, a) for a, b in want}
         rows = np.repeat(np.arange(n), np.diff(g.indptr))
@@ -96,11 +99,19 @@ def test_pairwise_dist_matches_dist(kind, seed):
     assert D.tolist() == [[w.space.dist(p, q) for q in pts] for p in half]
 
 
-def test_product_towers_never_fall_back_to_bruteforce(monkeypatch):
-    def refuse(w, r):
-        raise AssertionError("brute-force pair enumeration")
+def test_no_module_under_src_defines_or_calls_a_bruteforce_oracle():
+    # the oracle lives in tests/oracles.py; with no definition, import or call
+    # of it under src/, no path of any kind can fall back to it
+    for path in pathlib.Path(spaces.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = ({n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+                 | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                 | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                 | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names})
+        assert not {n for n in names if "bruteforce" in n or n == "word_mul"}, path.name
 
-    monkeypatch.setattr(spaces, "_pairs_bruteforce", refuse)
+
+def test_product_towers_never_fall_back_to_bruteforce():
     Z2 = ck.make_space({"kind": "grid", "dim": 2})
     u = ck.build_uf(ck.ball(Z2, (0, 0), 6), 2, lambda x: 1 if x % 2 else -1)
     rep = ck.interior_unitarity(u, 1)
@@ -132,13 +143,9 @@ def test_witness_and_verifier_enumerate_pairs_once(monkeypatch):
     assert calls == [2]
 
 
-def _refuse(w, r):
-    raise AssertionError("brute-force pair enumeration")
-
-
 @pytest.mark.parametrize("kind", KINDS)
-def test_no_kind_falls_back_to_bruteforce(kind, monkeypatch):
-    monkeypatch.setattr(spaces, "_pairs_bruteforce", _refuse)
+def test_no_kind_falls_back_to_bruteforce(kind):
+    # src/ holds no brute-force oracle to fall back to (the structural test above)
     for as_ball in (True, False):
         w = _window(kind, 0, as_ball)
         for r in (1, 2, 3):
@@ -178,7 +185,7 @@ def test_disjoint_union_block_runs_match_bruteforce(seed):
     assert max(space.diams) > 2 and not kept.all()
     for r in (1, 2, 5, 12, 30, 60):
         ii, jj = ck.scale_pairs(w, r)
-        bi, bj = _pairs_bruteforce(w, r)
+        bi, bj = pairs_bruteforce(w, r)
         assert sorted(zip(ii.tolist(), jj.tolist())) == list(zip(bi.tolist(), bj.tolist()))
 
 
@@ -269,8 +276,8 @@ def test_grid_folner_ball_search_enumerates_no_neighbourhood_ball(monkeypatch):
 
     rep = ck.folner_search_report(GRIDS[2], 1, Fraction(1, 10), ck.FolnerBudget())
     assert rep.certificate is not None and ck.verify_folner(rep.certificate)["ok"]
-    # one ball per candidate F, none for the neighbourhoods N_1(F)
-    assert calls == list(range(rep.candidates_tested))
+    # the candidates are counted (N_1(B_j) = B_(j+1)): only the certificate's ball is listed
+    assert calls == [rep.candidates_tested - 1]
 
 
 def test_grid_codes_never_wrap_on_a_huge_bounding_box():
@@ -278,7 +285,7 @@ def test_grid_codes_never_wrap_on_a_huge_bounding_box():
     # and (0, 11) looked one step from (4, 0)
     pts = [(0, 0), (0, 2**62), (4, 0), (0, 11)]
     w = ck.Window(GRIDS[2], pts)
-    assert [a.tolist() for a in ck.scale_pairs(w, 1)] == [a.tolist() for a in _pairs_bruteforce(w, 1)]
+    assert [a.tolist() for a in ck.scale_pairs(w, 1)] == [a.tolist() for a in pairs_bruteforce(w, 1)]
     assert GRIDS[2].neighborhood_size(pts, 1) == len(GRIDS[2].neighborhood(pts, 1)) == 20
 
 

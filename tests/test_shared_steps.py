@@ -86,11 +86,12 @@ def test_one_method_looks_points_up_in_a_window():
                     or isinstance(node, ast.Name) and node.id == "_same_types"):
                 readers.add((m.__name__, names[:1]))
             if (in_loop and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "index"):
+                    and node.func.attr in ("index", "ids")):
                 loop_lookups.add((m.__name__, ast.unparse(node.func.value)))
     # _same_types names itself in its own recursion
     assert readers == {("coarsekit.spaces", ("Window",)), ("coarsekit.spaces", ("_same_types",))}
-    # the one lookup in a loop is list.index on the free-group generator's list of words
+    # the one lookup in a loop is list.index on the free-group generator's list of
+    # words: no w.index, and no w.ids, which takes a whole field in one call
     assert loop_lookups == {("coarsekit.spaces", "kids")}
     for name in ("_canon", "_point_ids", "_image_ids"):
         assert not any(hasattr(m, name) for m in MODULES) and not hasattr(spaces.Window, name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pairs_bruteforce, word_mul
 from scipy.sparse.csgraph import shortest_path
 
 import coarsekit as ck
@@ -15,7 +16,6 @@ from coarsekit.errors import (
     MetricViolation,
     UnknownPoint,
 )
-from coarsekit.spaces import _pairs_bruteforce, word_mul
 
 
 def test_grid_line_distance():
@@ -311,7 +311,7 @@ def _assert_composite_pairs(w, radii, monkeypatch):
         m.setattr(spaces.Window, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
         for r in radii:
             w.scale_graph(r)
-            ii, jj = _pairs_bruteforce(w, r)
+            ii, jj = pairs_bruteforce(w, r)
             assert _pairs_as_set(w, r) == set(zip(ii.tolist(), jj.tolist()))
     assert built == []
 

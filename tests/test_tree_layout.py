@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import pairs_bruteforce, word_mul
 
 import coarsekit as ck
 from coarsekit import serialization as ser
 from coarsekit.errors import IntegerOverflow
 from coarsekit.amenability import ParadoxReport, PartialTranslation
-from coarsekit.spaces import TreeMetricSpace, TreeSpace, _pairs_bruteforce, scale_pairs, word_mul
+from coarsekit.spaces import TreeMetricSpace, TreeSpace, scale_pairs
 
 F = {k: ck.make_space({"kind": "free_group", "rank": k}) for k in (1, 2, 3)}
 T = {b: ck.make_space({"kind": "tree", "branching": b}) for b in (1, 2, 3)}
@@ -85,7 +86,7 @@ def test_layout_kernels_match_the_oracles(case, seed):
     assert space.pairwise_dist(pts, pts[: n // 2]).tolist() == D[:, : n // 2].tolist()
     for r in range(5):
         g = w.scale_graph(r)
-        ii, jj = _pairs_bruteforce(w, r)
+        ii, jj = pairs_bruteforce(w, r)
         assert {(int(a), int(b)) for a, b in zip(*g.nonzero()) if a < b} == set(zip(ii.tolist(), jj.tolist()))
         assert g.nnz == 2 * len(ii)
         # each pair once

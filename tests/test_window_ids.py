@@ -128,8 +128,27 @@ def test_own_points_skip_normalize_and_lists_skip_the_lookup(monkeypatch):
     assert w.ids(w.points).tolist() == list(range(len(w)))
     assert calls == []
     w._index = _NoLists(w._index)
+    # plain int lists are found by one searchsorted on the window's codes
     assert w.ids([list(p) for p in w.points]).tolist() == list(range(len(w)))
-    assert len(calls) == len(w)
+    assert calls == []
+
+
+def test_a_field_of_other_values_goes_point_by_point(monkeypatch):
+    # one point that is not a list of plain ints sends the whole field through
+    # the lookup and normalize, in order; (1.0,) is still refused there
+    w = ck.ball(Z, (0,), 6)
+    calls = []
+    norm = spaces.GridSpace.normalize
+    monkeypatch.setattr(spaces.GridSpace, "normalize", lambda self, x: calls.append(x) or norm(self, x))
+    rows = [list(p) for p in w.points]
+    for odd in ([1.0], (1.0,), [1, 2]):
+        calls.clear()
+        with pytest.raises(UnknownPoint):
+            w.ids(rows + [odd])
+        assert calls == rows + [odd]
+    calls.clear()
+    assert w.ids(rows + [(1,)]).tolist() == list(range(len(w))) + [w.index((1,))]
+    assert calls == rows  # the tuple is found by the lookup
 
 
 def test_readers_call_ids_once_per_field_and_hand_back_window_points(monkeypatch):
