@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import amenability, components, covers, maps, operators, serialization
 from .errors import CoarseKitError, Infeasible, MalformedSpec, NoSegments
 from .spaces import (
+    METRIC_CHECK_CAP,
     Window,
     ball,
     bounded_geometry_profile,
@@ -175,11 +176,10 @@ def _cmd_space(args):
         "bounded_geometry_profile": bounded_geometry_profile(w, args.r),
         "profile_scale": args.r,
     }
-    if len(w.points) <= 300:
+    ok = True
+    if len(w.points) <= METRIC_CHECK_CAP:
         body["metric_check"] = verify_metric(w)
         ok = body["metric_check"]["ok"]
-    else:
-        ok = True
     payload = serialization.envelope("space_report", space, w, body)
     return _verdict(ok, payload, f"window of {len(w.points)} points, profile {body['bounded_geometry_profile']}")
 

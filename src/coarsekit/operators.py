@@ -36,6 +36,8 @@ from .spaces import GridSpace, ProductFiniteSpace, Window
 
 FLOAT_TOL = 1e-9
 DENSE_NORM_LIMIT = 512
+POWER_TOL = 1e-9  # power iteration stops once two estimates agree to this relative tolerance
+POWER_MAX_ITER = 10_000
 # An exact result is refused when a float64 bound on its entries reaches this.
 # Sums are bounded by their float64 value, products by |A| @ |B| in float64;
 # either falls short of the exact magnitude by a relative (k+1)*2^-53 at most
@@ -249,7 +251,7 @@ class NormEstimate:
     method: str
 
 
-def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_000) -> NormEstimate:
+def op_norm_detailed(a: BandedOperator) -> NormEstimate:
     """The largest block norm over the components of the support of A and A* taken
     together: exact up to DENSE_NORM_LIMIT points (batched SVDs of blocks of one
     size, 2^20 cells at a time), power iteration on B*B for each larger block B."""
@@ -261,7 +263,7 @@ def op_norm_detailed(a: BandedOperator, tol: float = 1e-9, max_iter: int = 10_00
     # the components that hold entries; the rest are single points
     held = np.flatnonzero(np.bincount(lay.labels[C.row], minlength=len(lay.sizes)))
     large = lay.sizes[held] > DENSE_NORM_LIMIT
-    power = [_power_norm(A, lay.classes[c], tol, max_iter) for c in held[large].tolist()]
+    power = [_power_norm(A, lay.classes[c]) for c in held[large].tolist()]
     best = 0.0
     for _, _, B in _dense_blocks(C, lay, held[~large]):
         best = max(best, float(np.linalg.svd(B, compute_uv=False)[:, 0].max()))
@@ -290,7 +292,7 @@ def _dense_blocks(C, lay: ClassLayout, ids):
             yield s, batch, B
 
 
-def _power_norm(A, idx, tol, max_iter) -> NormEstimate:
+def _power_norm(A, idx) -> NormEstimate:
     """Power iteration on B*B for the block B of A on the indices idx."""
     A = A[idx][:, idx]
     AH = A.conj().T.tocsr()
@@ -299,17 +301,17 @@ def _power_norm(A, idx, tol, max_iter) -> NormEstimate:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     prev = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         u = AH @ (A @ v)
         nu = np.linalg.norm(u)
         if nu == 0:
             return NormEstimate(0.0, True, it, "power")
         v = u / nu
         est = math.sqrt(nu)
-        if abs(est - prev) <= tol * max(est, 1.0):
+        if abs(est - prev) <= POWER_TOL * max(est, 1.0):
             return NormEstimate(est, True, it, "power")
         prev = est
-    return NormEstimate(prev, False, max_iter, "power")
+    return NormEstimate(prev, False, POWER_MAX_ITER, "power")
 
 
 def op_norm(a: BandedOperator) -> float:

@@ -27,6 +27,7 @@ from .errors import (
 PointId = Any
 
 BALL_CAP_DEFAULT = 2_000_000
+METRIC_CHECK_CAP = 300  # verify_metric tries every triple of the window
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -909,7 +910,6 @@ class PointLineSpace(Space):
     # the points are coordinates in Z, so distances are those of one-dimensional grid points
     dim = 1
     layout = GridSpace.layout
-    _box = GridSpace._box
     paired_dist = GridSpace.paired_dist
     piece_diameters = GridSpace.piece_diameters
 
@@ -1205,15 +1205,21 @@ class CustomSpace(Space):
             raise MalformedSpec("custom space needs at least one point")
         if len(set(points)) != len(points):
             raise MalformedSpec("custom point ids must be distinct")
-        D = np.asarray(table)
+        D = np.asarray(table)  # a ragged table raises ValueError
         n = len(points)
         if D.shape != (n, n):
             raise MalformedSpec(f"distance table must be {n}x{n}, got {D.shape}")
-        if not np.issubdtype(D.dtype, np.integer):
-            Df = np.asarray(table, dtype=float)
-            if not np.all(Df == np.round(Df)):
+        if D.dtype.kind in "Of":  # floats, or ints past int64 (objects)
+            D = D.astype(float)
+            if not np.all(D == np.round(D)):
                 raise MalformedSpec("distance table entries must be integers")
-            D = Df.astype(np.int64)
+            inside = np.all(np.abs(D) < 2.0**63)  # strict: float(2**63 - 1) is 2.0**63
+        elif D.dtype.kind in "biu":
+            inside = D.dtype.kind != "u" or int(D.max()) < 2**63
+        else:  # strings
+            raise MalformedSpec("distance table entries must be integers")
+        if not inside:  # refused before the cast, which would wrap or warn
+            raise MalformedSpec("custom dist: a distance table entry lies outside int64")
         D = D.astype(np.int64)
         for axiom, idx in _metric_failures(D).items():  # raise on the first one
             witness = tuple(points[i] for i in idx)
@@ -1224,9 +1230,10 @@ class CustomSpace(Space):
         self._pos = {p: i for i, p in enumerate(points)}
 
     def normalize(self, x):
-        if x in self._pos:  # the space's own point, however x spells it (1.0 or np.int64(1) for 1)
+        try:  # the space's own point, however x spells it (1.0 or np.int64(1) for 1)
             return self.points[self._pos[x]]
-        raise UnknownPoint(f"{x!r} is not a point of this custom space")
+        except (KeyError, TypeError):  # not a point, or unhashable
+            raise UnknownPoint(f"{x!r} is not a point of this custom space") from None
 
     def canonical_key(self, x):
         return self._pos[x]
@@ -1284,6 +1291,8 @@ def make_space(spec: dict) -> Space:
             return CustomSpace(spec["points"], spec["dist"])
     except KeyError as exc:
         raise MalformedSpec(f"{kind} spec missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type, or a ragged table
+        raise MalformedSpec(f"{kind} spec has a malformed field: {exc}") from exc
     raise MalformedSpec(f"unknown space kind {kind!r}")
 
 
@@ -1335,21 +1344,14 @@ class Window:
         except KeyError:
             raise UnknownPoint(f"{p!r} is not in this window") from None
 
-    @cached_property
-    def _codes(self):
-        # (low, high, strides, codes) of the bounding box of an int64 grid or
-        # point_line layout; canonical order is lexicographic, so codes ascend
-        box = isinstance(self.space, (GridSpace, PointLineSpace)) and self.space._box(self.layout, 0)
-        return box and (self.layout.min(axis=0), self.layout.max(axis=0), *box)
-
     def ids(self, points, outside: Optional[dict] = None) -> np.ndarray:
         """The index of ``space.normalize(p)`` for each p, as an int64 array.
         A hit of the same types as the window's point, (1,) but not (1.0,),
         skips the call; a JSON list is not looked up.  Given ``outside``, the
         k-th distinct point outside the window gets len(self) + k, recorded
-        there; without it such a point raises UnknownPoint.  A grid or
-        point_line field is first looked up as an array (:meth:`_found`), and
-        only what that misses goes point by point, in order."""
+        there; without it such a point raises UnknownPoint.  A field of plain
+        JSON values is first looked up whole (:meth:`_found`), and only what
+        that misses goes point by point, in order."""
         found = self._found(points)
         if found is None:
             return np.array(self._each(points, outside), dtype=np.int64)
@@ -1358,26 +1360,23 @@ class Window:
         return found
 
     def _found(self, points) -> Optional[np.ndarray]:
-        """Each point's index or -1, by one searchsorted on the window's codes,
-        for a list of dim plain ints each (plain ints, on a point_line); else None."""
-        grid = self.space.kind == "grid"
+        """Each point's index or -1, by one C-level pass over the window's dict, for
+        a list of plain ints or of plain strs, or on a grid a list of lists of dim
+        plain ints (looked up as the tuples normalize makes of them); else None."""
         # the first point turns a field of the window's own tuples away at once
-        if not (type(points) is list and points and type(points[0]) is (list if grid else int) and self._codes):
+        if type(points) is not list or not points or type(points[0]) not in (int, str, list):
             return None
-        if grid and ({*map(type, points)} != {list} or {*map(len, points)} != {self.space.dim}):
+        kinds = {*map(type, points)}
+        if kinds == {list} and self.space.kind == "grid" and {*map(len, points)} == {self.space.dim}:
+            flat = list(itertools.chain.from_iterable(points))
+            if {*map(type, flat)} != {int}:
+                return None
+            keys = zip(*[iter(flat)] * self.space.dim)
+        elif kinds == {int} or kinds == {str}:
+            keys = points
+        else:
             return None
-        flat = list(itertools.chain.from_iterable(points)) if grid else points
-        a = np.asarray(flat) if {*map(type, flat)} == {int} else None
-        if a is None or a.dtype != np.int64:  # not all plain ints, or one past int64
-            return None
-        low, high, strides, codes = self._codes
-        a, found = a.reshape(len(points), -1), np.full(len(points), -1, dtype=np.int64)
-        inside = np.flatnonzero(((a >= low) & (a <= high)).all(axis=1))
-        q = (a[inside] - low) @ strides
-        pos = np.minimum(np.searchsorted(codes, q), len(codes) - 1)
-        hit = codes[pos] == q
-        found[inside[hit]] = pos[hit]
-        return found
+        return np.fromiter(map(self._index.get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(points))
 
     def _each(self, points, outside) -> list:
         get, pts, n, out = self._index.get, self.points, len(self.points), []
@@ -1556,12 +1555,11 @@ def bounded_geometry_profile(w: Window, r: int) -> int:
     return int(np.diff(w.scale_graph(r).indptr).max()) + 1
 
 
-def verify_metric(w: Window, cap: int = 300) -> dict:
-    """Exhaustively check the metric axioms on a window (|w| <= cap)."""
+def verify_metric(w: Window) -> dict:
+    """Exhaustively check the metric axioms on a window (|w| <= METRIC_CHECK_CAP)."""
     pts = w.points
-    n = len(pts)
-    if n > cap:
-        raise MalformedSpec(f"window of size {n} exceeds exhaustive-check cap {cap}")
+    if len(pts) > METRIC_CHECK_CAP:
+        raise MalformedSpec(f"window of size {len(pts)} exceeds exhaustive-check cap {METRIC_CHECK_CAP}")
     failures = _metric_failures(w.space.pairwise_dist(pts, pts))
     witness = failures.get("triangle", failures.get("zero"))
     report = {

@@ -1,7 +1,7 @@
 """Array kernels against the per-point code they replace: the sorted sweep of
 scale pairs on point lines and disjoint unions (against one ``dist`` call per
 pair), the counted Folner ball search (against the listing loop, kept here as
-it was), and the searchsorted lookup of grid and point_line fields in
+it was), and the one dict pass over a field of plain JSON points in
 ``Window.ids`` (against ``normalize``, then ``index``)."""
 
 from fractions import Fraction
@@ -17,6 +17,9 @@ import coarsekit as ck
 from coarsekit import spaces
 from coarsekit.amenability import FOLNER_MAX_CANDIDATES, FolnerCertificate, FolnerSearchReport, _ratio_of
 from coarsekit.errors import CoarseKitError
+
+# run again under two string-hash seeds (see pyproject.toml)
+pytestmark = pytest.mark.hashseed
 
 SEARCH = settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 
@@ -187,17 +190,24 @@ def test_counted_search_exhausts_and_overflows_as_the_listing_search(spec, r, bu
         assert want[:2] == ("raise", "EnumerationOverflow")
 
 
-# -- Window.ids: a JSON field of grid points in one searchsorted ----------------------
+# -- Window.ids: a field of plain JSON points in one dict pass ---------------------
 
+_LINE = (0, 1, 2, 3, 5)
 IDS_SPACES = {
     "grid1": {"kind": "grid", "dim": 1},
     "grid2": {"kind": "grid", "dim": 2},
     "grid3": {"kind": "grid", "dim": 3},
     "point_line": {"kind": "point_line", "coords": [-9, -4, -3, 0, 2, 7, 8, 15, 2**62 - 1, 2**63 + 1]},
+    "free_group": {"kind": "free_group", "rank": 2},
+    "tree": {"kind": "tree", "branching": 3},
+    "edge_tree": {"kind": "tree", "edges": [[k, (k - 1) // 2] for k in range(1, 20)]},
+    "custom_int": {"kind": "custom", "points": list(_LINE), "dist": [[abs(a - b) for b in _LINE] for a in _LINE]},
+    "custom_str": {"kind": "custom", "points": ["p", "q", "s", "t"],
+                   "dist": [[abs(a - b) for b in range(4)] for a in range(4)]},
 }
-# centres of the windows: near 0, and where the coordinates leave int64 or
-# pass the 2^62 guard, so that the window has no codes
-CENTRES = [0, -5, 37, 2**62 - 3, 2**63 + 1, -2**63 - 2]
+# centres of the grid windows: near 0, past 2^62, and where the coordinates leave int64
+CENTRES = [0, -5, 37, 2**62 - 3, 2**62 + 5, -2**62 - 7, 2**63 + 1, -2**63 - 2]
+WORDS = ["", "a", "bA", "aab", "BaB"]
 
 
 def _window(space, pick, r, sparse):
@@ -205,43 +215,68 @@ def _window(space, pick, r, sparse):
     line a run of its coordinates."""
     if space.kind == "point_line":
         return ck.Window(space, space.coords[pick % 4:pick % 4 + 2 + r + (pick % 5)])
-    c = CENTRES[pick % len(CENTRES)]
-    w = ck.ball(space, (c,) + (pick % 3,) * (space.dim - 1), r)
+    if space.kind == "grid":
+        c = CENTRES[pick % len(CENTRES)]
+        centre = (c,) + (pick % 3,) * (space.dim - 1)
+    elif space.kind == "free_group":
+        centre = WORDS[pick % len(WORDS)]
+    elif space.kind == "tree":
+        centre = pick % 20
+    else:
+        centre = space.points[pick % len(space.points)]
+    w = ck.ball(space, centre, r)
     return ck.Window(space, w.points[::3]) if sparse else w
 
 
 def _odd_values(space, w):
-    """Values that numpy does not read as int64 points of the window's
-    dimension, or that are not plain int lists: each sends the field point by
-    point."""
+    """Values that are not plain JSON points of the window's kind (floats,
+    bools, numpy ints, tuples, None, nested or mistyped lists), and plain
+    values that no point of it spells (ints past int64, a word that is not
+    reduced, strings on an int kind and ints on a string kind)."""
     p = list(w.points[0]) if space.kind == "grid" else w.points[0]
     if space.kind == "point_line":
         return [1.0, float(p), True, np.int64(p % 1000), 2**63, -2**63 - 1, "1", [p], (p,), None]
-    return [[1.0] * space.dim, tuple(float(c) for c in p), (1.0,), [True] * space.dim, (True,) * space.dim,
-            [np.int64(c % 1000) for c in p], [2**63] + p[1:], [-2**63 - 1] + p[1:], p + [0], p[:-1], ["1"] * space.dim,
-            "1", tuple(p), None, [[c] for c in p]]
+    if space.kind == "grid":
+        return [[1.0] * space.dim, tuple(float(c) for c in p), (1.0,), [True] * space.dim, (True,) * space.dim,
+                [np.int64(c % 1000) for c in p], [2**63] + p[1:], [-2**63 - 1] + p[1:], p + [0], p[:-1],
+                ["1"] * space.dim, "1", tuple(p), None, [[c] for c in p]]
+    if type(p) is str:
+        return [p + "aA", "Aa" + p, "z", np.str_(p), 1, True, 1.0, [p], (p,), None]
+    return [True, 1.0, float(p), np.int64(p), -1, 2**63, "1", [p], (p,), None]
+
+
+def _plain(space, field):
+    """Whether Window._found looks the field up whole: plain ints, or plain
+    strs, or on a grid lists of dim plain ints."""
+    kinds = {*map(type, field)}
+    if kinds == {list} and space.kind == "grid":
+        return all(len(q) == space.dim and {*map(type, q)} == {int} for q in field)
+    return kinds == {int} or kinds == {str}
 
 
 @pytest.mark.parametrize("name", IDS_SPACES)
 @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), pick=st.integers(0, 10**6), r=st.integers(0, 4), sparse=st.booleans(),
-       with_outside=st.booleans(), odd=st.booleans())
-def test_array_ids_are_the_per_point_ids(name, data, pick, r, sparse, with_outside, odd):
+       with_outside=st.booleans(), odd=st.booleans(), wrapped=st.booleans())
+def test_array_ids_are_the_per_point_ids(name, data, pick, r, sparse, with_outside, odd, wrapped):
     space = ck.make_space(IDS_SPACES[name])
     w = _window(space, pick, r, sparse)
-    grid = space.kind == "grid"
     # plain JSON forms of the window's points and of points near it, outside it
-    near = [q for p in w.points[:4] for q in space.ball_points(p, 2)] if grid else list(space.coords)
+    if space.kind == "point_line":
+        near = list(space.coords)
+    else:
+        near = [q for p in w.points[:4] for q in space.ball_points(p, 2)]
     pool = [space.point_to_json(q) for q in (*w.points, *near)]
     field = data.draw(st.lists(st.sampled_from(pool), max_size=25))
     if odd:
         field.insert(data.draw(st.integers(0, len(field))), data.draw(st.sampled_from(_odd_values(space, w))))
+    if wrapped:  # each point one list deeper: int lists off a grid, or nested lists on one
+        field = [[q] for q in field]
     want = _outcome(lambda ps, out: _ids_by_definition(w, ps, out), field, with_outside)
     assert _outcome(w.ids, field, with_outside) == want
-    # a field of plain int lists within int64, in a window with codes, takes the array path
-    coords = [] if odd else [c for q in field for c in (q if grid else [q])]
-    if coords and w._codes and -2**63 <= min(coords) and max(coords) < 2**63:
-        assert w._found(field) is not None
+    # a field of plain ints, plain strs or (on a grid) plain int lists, at any
+    # magnitude, is looked up whole; any other field goes point by point
+    assert (w._found(field) is not None) == _plain(space, field)
 
 
 def test_named_array_lookups():
@@ -255,12 +290,26 @@ def test_named_array_lookups():
         w.ids([[0], [4], [1.0]])  # the first miss raises, before the float is reached
     with pytest.raises(ck.errors.UnknownPoint, match=r"^not a Z\^1 point: \(1\.0,\)$"):
         w.ids([[0], (1.0,)])
-    # a point inside the bounding box but not in the window, and one off it
+    # a miss between the window's points, and one beyond them
     b = ck.Window(Z2, [(0, 0), (2, 2), (0, 2)])
     assert b.ids([[1, 1], [0, 2], [3, 0], [2, 2]], {}).tolist() == [3, 1, 4, 2]
-    # a window whose box would pass 2^62 cells has no codes, and still finds its points
+    # a bool hashes as the int it equals, but is no plain int: its field goes point by point
+    tree = ck.ball(ck.make_space(IDS_SPACES["tree"]), 0, 1)
+    for win, field in ((w, [[0], [True], [1]]), (b, [[0, 2], [False, False]]), (tree, [0, True, 2])):
+        assert win._found(field) is None and win.ids(field).tolist() == _ids_by_definition(win, field, None)
+    # a window whose box would pass 2^62 cells needs no layout: the dict pass finds its points
     huge = ck.Window(Z2, [(0, 0), (0, 2**62), (4, 0)])
-    assert huge._codes is None and huge.ids([[4, 0], [0, 2**62]]).tolist() == [2, 1]
+    assert huge._found([[4, 0], [0, 2**62], [1, 1]]).tolist() == [2, 1, -1]
+    assert huge.ids([[4, 0], [0, 2**62]]).tolist() == [2, 1] and "layout" not in vars(huge)
+    # a word that is not reduced misses the dict and is refused by normalize, after
+    # the earlier misses are numbered
+    F2 = ck.make_space(IDS_SPACES["free_group"])
+    f = ck.ball(F2, "", 1)
+    outside = {}
+    assert f.ids(["a", "bb", "", "ab", "bb"], outside).tolist() == [3, 5, 0, 6, 5]
+    assert outside == {"bb": 5, "ab": 6}
+    with pytest.raises(ck.errors.UnknownPoint, match="is not reduced"):
+        f.ids(["a", "bb", "aA", "ab"], {})
 
 
 def test_rebuild_places_each_model_on_its_class_rows_and_columns():

@@ -12,7 +12,7 @@ import pytest
 
 import coarsekit as ck
 from coarsekit import serialization
-from coarsekit.cli import run
+from coarsekit.cli import main, run
 from coarsekit.errors import IntegerOverflow
 
 Z = ck.make_space({"kind": "grid", "dim": 1})
@@ -654,3 +654,41 @@ def test_help_exits_0_and_a_parse_failure_exits_3(argv, code, capsys):
     res = run(argv)
     assert res.exit_code == code and res.payload == {}
     assert ("usage: coarsekit" in capsys.readouterr().out) == (code == 0)
+
+
+# -- malformed space specs ----------------------------------------------------
+
+# each exited 1 with a traceback, but the two past int64, which were reported
+# as a negative distance (or raised a RuntimeWarning under -W error); the last
+# item is what the refusal must name: the kind or the field
+_MALFORMED_SPECS = [
+    ({"kind": "custom", "points": [0, 1], "dist": [[0, 1], [1]]}, "custom"),
+    ({"kind": "custom", "points": [0, 1], "dist": [["a", "b"], ["b", "a"]]}, "distance table"),
+    ({"kind": "custom", "points": [0, 1], "dist": [["0", "1"], ["1", "0"]]}, "distance table"),
+    ({"kind": "custom", "points": 5, "dist": [[0]]}, "custom"),
+    ({"kind": "custom", "points": [[1, 2], [3, 4]], "dist": [[0, 1], [1, 0]]}, "custom"),
+    ({"kind": "custom", "points": [0, 1], "dist": [[0, 2**63 + 5], [2**63 + 5, 0]]}, "custom dist"),
+    ({"kind": "custom", "points": [0, 1], "dist": [[0, 1e30], [1e30, 0]]}, "custom dist"),
+    ({"kind": "tree", "edges": [["a", "b"]]}, "tree"),
+    ({"kind": "tree", "edges": [5]}, "tree"),
+    ({"kind": "tree", "edges": 5}, "tree"),
+    ({"kind": "disjoint_union", "blocks": 5, "gaps": []}, "disjoint_union"),
+    ({"kind": "disjoint_union", "blocks": [{"kind": "point_line", "coords": [0]}], "gaps": 5}, "disjoint_union"),
+    ({"kind": "point_line", "coords": 5}, "point_line"),
+]
+
+
+def test_malformed_specs_exit_3_with_a_named_error(tmp_path, capsys):
+    cases = [(["space", "--space", _op_file(tmp_path, f"s{k}.json", spec)], "MalformedSpec", name)
+             for k, (spec, name) in enumerate(_MALFORMED_SPECS)]
+    # an unhashable point of a custom space raised TypeError
+    custom = _op_file(tmp_path, "custom.json", {"kind": "custom", "points": [0, 1], "dist": [[0, 1], [1, 0]]})
+    window = _op_file(tmp_path, "w.json", {"points": [[0], 1]})
+    cases += [(["space", "--space", custom, "--center", "[1]", "--window-radius", "1"], "UnknownPoint", "[1]"),
+              (["space", "--space", custom, "--window-file", window], "UnknownPoint", "[0]")]
+    for argv, error, name in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert (code, payload["error"]) == (3, error), argv
+        assert name in payload["reason"] and "Traceback" not in err

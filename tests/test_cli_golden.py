@@ -16,6 +16,9 @@ import pytest
 from coarsekit import serialization
 from coarsekit.cli import run
 
+# run again under two string-hash seeds (see pyproject.toml)
+pytestmark = pytest.mark.hashseed
+
 FILES = {
     "z": {"kind": "grid", "dim": 1},
     "z2": {"kind": "grid", "dim": 2},

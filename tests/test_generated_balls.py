@@ -20,6 +20,9 @@ from coarsekit.cli import run
 from coarsekit.errors import EnumerationOverflow, MalformedSpec
 from coarsekit.spaces import FreeGroupSpace, TreeMetricSpace, TreeSpace
 
+# run again under two string-hash seeds (see pyproject.toml)
+pytestmark = pytest.mark.hashseed
+
 FREE = {k: FreeGroupSpace(k) for k in (1, 2, 3)}
 TREES = {b: TreeSpace(branching=b) for b in (1, 2, 3, 4)}
 

@@ -5,6 +5,7 @@ only ``ball`` marks a window as a ball, and ``Window.ids`` turns points into
 window indices."""
 
 import ast
+import functools
 import inspect
 import pathlib
 
@@ -95,3 +96,6 @@ def test_one_method_looks_points_up_in_a_window():
     assert loop_lookups == {("coarsekit.spaces", "kids")}
     for name in ("_canon", "_point_ids", "_image_ids"):
         assert not any(hasattr(m, name) for m in MODULES) and not hasattr(spaces.Window, name)
+    # the window's dict is its one point index: no second one is cached beside it
+    cached = [k for k, v in vars(spaces.Window).items() if isinstance(v, functools.cached_property)]
+    assert cached == ["layout"]

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 import coarsekit as ck
 from coarsekit import spaces
 from coarsekit.errors import (
+    CoarseKitError,
     EnumerationOverflow,
     IntegerOverflow,
     MalformedSpec,
@@ -357,6 +358,38 @@ def test_make_space_rejects_bad_specs():
     ):
         with pytest.raises(MalformedSpec):
             ck.make_space(bad)
+
+
+_SPECS = [
+    {"kind": "grid", "dim": 2},
+    {"kind": "free_group", "rank": 2},
+    {"kind": "tree", "branching": 3},
+    {"kind": "tree", "edges": [[0, 1], [1, 2]]},
+    {"kind": "point_line", "coords": [0, 2, 5]},
+    {"kind": "disjoint_union", "gaps": [2],
+     "blocks": [{"kind": "point_line", "coords": [0, 1]}, {"kind": "custom", "points": ["p"], "dist": [[0]]}]},
+    {"kind": "product_finite", "base": {"kind": "grid", "dim": 1}, "n": 2},
+    {"kind": "custom", "points": [0, "q"], "dist": [[0, 1], [1, 0]]},
+]
+# JSON values: scalars (ints past int64 and past float among them), and nested,
+# ragged and mixed lists and dicts of them
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("abq", max_size=2)
+    | st.sampled_from([2**63 + 5, -2**63 - 1, 2**64, 2**1100, 1.5, 1e30, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["kind", "dim", "a"]), inner,
+                                                                 max_size=2),
+    max_leaves=10)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_SPECS), data=st.data())
+def test_make_space_builds_or_refuses_any_json_field(spec, data):
+    field = data.draw(st.sampled_from(sorted(set(spec) - {"kind"})))
+    value = data.draw(_JSON | st.sampled_from(_SPECS) | st.lists(st.sampled_from(_SPECS), max_size=3))
+    try:
+        ck.make_space(dict(spec, **{field: value}))
+    except CoarseKitError:
+        pass
 
 
 

@@ -19,6 +19,9 @@ from coarsekit import spaces
 from coarsekit.cli import run
 from coarsekit.errors import CoarseKitError, UnknownPoint
 
+# run again under two string-hash seeds (see pyproject.toml)
+pytestmark = pytest.mark.hashseed
+
 Z = ck.make_space({"kind": "grid", "dim": 1})
 Z2 = ck.make_space({"kind": "grid", "dim": 2})
 F2 = ck.make_space({"kind": "free_group", "rank": 2})
