@@ -41,10 +41,10 @@ class ScalePartition:
 
 class ClassLayout:
     """The classes of a labelling of indices 0..n-1 numbered in first-occurrence
-    order, as ``connected_components`` numbers them: class c holds the indices
-    labelled c, ascending, so the classes run in the order of their first
-    indices.  ``sizes`` has the size of each class, ``order`` the indices
-    class by class, and ``pos`` the position of each index inside its class."""
+    order: class c holds the indices labelled c, ascending, so the classes run
+    in the order of their first indices.  ``sizes`` has the size of each class,
+    ``order`` the indices class by class, and ``pos`` the position of each
+    index inside its class."""
 
     def __init__(self, labels: np.ndarray):
         self.labels = labels
@@ -55,11 +55,10 @@ class ClassLayout:
         self.pos[self.order] = np.arange(len(labels)) - np.repeat(self._starts, self.sizes)
 
     @classmethod
-    def of(cls, graph) -> "ClassLayout":
-        """The connected components of a sparse graph, read as undirected."""
-        from scipy.sparse.csgraph import connected_components
-
-        return cls(connected_components(graph, directed=False)[1])
+    def of(cls, indptr, indices) -> "ClassLayout":
+        """The components of the graph whose CSR row x lists edges x-y, read as undirected."""
+        root = _hook_and_shortcut(indptr, indices)[0]
+        return cls((np.cumsum(root == np.arange(len(root))) - 1)[root])
 
     @cached_property
     def classes(self) -> list:
@@ -68,11 +67,34 @@ class ClassLayout:
         return [flat[a:a + s] for a, s in zip(self._starts.tolist(), self.sizes.tolist())]
 
 
+def _hook_and_shortcut(indptr, indices) -> tuple:
+    """The least index connected to each index in the graph of :meth:`ClassLayout.of`,
+    and the rounds taken (Shiloach and Vishkin, J. Algorithms 3, 1982).  A round
+    hooks each root to the least root it has an edge to (the first to each row's
+    first entry, the least in sorted rows that list each edge at both ends), then
+    jumps pointers to the roots and drops the edges inside a tree.  Pointers only
+    go down, so a tree's root is its least index; a tree with an edge out merges
+    within two rounds, so there are at most 2 ceil(log2 n) + 1."""
+    n = len(indptr) - 1
+    root, nonempty = np.arange(n), indptr[:-1] < indptr[1:]
+    root[nonempty] = np.minimum(root[nonempty], indices[indptr[:-1][nonempty]])
+    i, j, rounds = np.repeat(np.arange(n), np.diff(indptr)), indices, 1
+    while True:
+        while not np.array_equal(up := root[root], root):
+            root = up
+        if not (cross := root[i] != root[j]).any():
+            return root, rounds
+        i, j = i[cross], j[cross]
+        a, b = root[i], root[j]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        rounds += 1
+
+
 def scale_layout(w: Window, r: int) -> ClassLayout:
     """The ~_r classes of a window as a class layout over its indices."""
     if r < 0:
         raise MalformedSpec("scale must be >= 0")
-    return ClassLayout.of(w.scale_graph(r))
+    return ClassLayout.of(*w.scale_rows(r))
 
 
 def components_at_scale(w: Window, r: int) -> ScalePartition:
@@ -243,7 +265,7 @@ def _segment_in(w, r, keep, reach, steps, need_m):
     """The window indices of the first segment of need_m points grown in a
     ~_r class of the indices keep, classes in canonical order, from the
     class's first point, then its farthest."""
-    for members in ClassLayout.of(reach).classes:
+    for members in ClassLayout.of(reach.indptr, reach.indices).classes:
         if len(members) < need_m:
             continue
         s0 = members[0]

@@ -87,9 +87,10 @@ def verify_decomposition(cover: ColoredCover) -> CoverReport:
             witness = {"kind": "uncovered", "point": enc(w.points[i])}
 
     separation_ok = True
-    g = w.scale_graph(cover.r).tocoo()
-    upper = g.row < g.col  # each pair once, in row-major order
-    ii, jj = g.row[upper], g.col[upper]
+    indptr, indices = w.scale_rows(cover.r)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    upper = rows < indices  # each pair once, in row-major order
+    ii, jj = rows[upper], indices[upper]
     if len(ii):
         bad = (
             (color_of[ii] == color_of[jj])
@@ -199,8 +200,6 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     """Two-color annulus pattern on a tree-like space: annuli of width 2r by
     distance from the root, colored by parity, pieces the r-chain components
     within each annulus."""
-    from scipy import sparse
-
     if r < 1:
         raise MalformedSpec("scale must be >= 1")
     if not isinstance(space, TreeMetricSpace):
@@ -216,10 +215,10 @@ def witness_tree(space: Space, root, r: int, w: Window) -> ColoredCover:
     annulus = from_root // min(2 * r, 1 << 62)  # a wider annulus than that holds every point
 
     # r-chain components inside each annulus
-    g = w.scale_graph(r).tocoo()
-    inside = annulus[g.row] == annulus[g.col]
-    chains = sparse.csr_matrix((g.data[inside], (g.row[inside], g.col[inside])), shape=(n, n))
-    lay = ClassLayout.of(chains)
+    indptr, indices = w.scale_rows(r)
+    inside = np.repeat(annulus, np.diff(indptr)) == annulus[indices]
+    kept = np.concatenate(([0], np.cumsum(inside)))[indptr]  # the row starts among the entries inside
+    lay = ClassLayout.of(kept, indices[inside])
     families = ([], [])
     for idxs in lay.classes:
         families[annulus[idxs[0]] % 2].append(tuple(w.points[i] for i in idxs))
@@ -246,11 +245,11 @@ def greedy_cover(w: Window, r: int, d: int, B: int) -> Optional[ColoredCover]:
     # chunk the window into pieces of radius <= B // 2 around the seeds of
     # net_extract(w, B // 2); give each chunk the first color not taken by a
     # window point within r of it (only earlier chunks are colored yet)
-    near = w.scale_graph(r)
+    indptr, indices = w.scale_rows(r)
     color_of = np.full(len(w.points), -1, dtype=np.int64)
     families = [[] for _ in range(d + 1)]
     for chunk in w.net_chunks(B // 2):
-        nbrs = np.concatenate([near.indices[near.indptr[i]:near.indptr[i + 1]] for i in chunk])
+        nbrs = np.concatenate([indices[indptr[i]:indptr[i + 1]] for i in chunk])
         taken = set(color_of[nbrs].tolist())
         c = next((c for c in range(d + 1) if c not in taken), None)
         if c is None:

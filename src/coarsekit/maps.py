@@ -160,7 +160,7 @@ def injectivity_net(f: CoarseMap, c: int) -> Window:
     if c < 0:
         raise MalformedSpec("c must be >= 0")
     src = f.source
-    g = src.scale_graph(c)
+    indptr, indices = src.scale_rows(c)
     blocked = np.zeros(len(src.points), dtype=bool)  # within c of a chosen point
     chosen: list = []
     used_values = set()
@@ -169,13 +169,13 @@ def injectivity_net(f: CoarseMap, c: int) -> Window:
             continue
         placed = False
         # prefer p itself, then the canonically first usable point within c
-        for j in [i, *g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()]:
+        for j in [i, *indices[indptr[i]:indptr[i + 1]].tolist()]:
             q = src.points[j]
             if f(q) not in used_values:
                 chosen.append(q)
                 used_values.add(f(q))
                 blocked[j] = True
-                blocked[g.indices[g.indptr[j]:g.indptr[j + 1]]] = True
+                blocked[indices[indptr[j]:indptr[j + 1]]] = True
                 placed = True
                 break
         if not placed:

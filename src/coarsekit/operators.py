@@ -258,7 +258,7 @@ def op_norm_detailed(a: BandedOperator) -> NormEstimate:
     A = a.to_sparse()
     if A.nnz == 0:
         return NormEstimate(0.0, True, 0, "trivial")
-    lay = ClassLayout.of(A != 0)
+    lay = ClassLayout.of(A.indptr, A.indices)  # a canonical CSR holds no zeros
     C = A.tocoo()
     # the components that hold entries; the rest are single points
     held = np.flatnonzero(np.bincount(lay.labels[C.row], minlength=len(lay.sizes)))

@@ -75,7 +75,8 @@ class Space:
 
     def canonical_sorted(self, points) -> list:
         """The points in canonical order; equal keys keep their order."""
-        return sorted(points, key=self.canonical_key)
+        identity = type(self).canonical_key is Space.canonical_key  # then no call per point
+        return sorted(points, key=None if identity else self.canonical_key)
 
     def origin(self) -> PointId:
         raise NotImplementedError
@@ -1175,8 +1176,11 @@ def _metric_failures(D: np.ndarray) -> dict:
     masks = {"negative": D < 0, "diagonal": np.diag(D) != 0,
              "zero": D + np.eye(len(D), dtype=np.int64) == 0, "asymmetric": D != D.T}
     out = {axiom: tuple(map(int, np.argwhere(m)[0])) for axiom, m in masks.items() if m.any()}
+    wraps = not -2**62 <= int(D.min(initial=0)) <= int(D.max(initial=0)) < 2**62  # a sum may leave int64
     for k in range(len(D)):
-        bad = D > D[:, [k]] + D[[k], :]
+        a, b = D[:, [k]], D[[k], :]
+        s = a + b  # a sum that wrapped has the sign of both terms: below every entry or above
+        bad = np.where(((a ^ s) & (b ^ s)) < 0, a < 0, D > s) if wraps else D > s
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
             out["triangle"] = (i, k, j)
@@ -1273,6 +1277,10 @@ def make_space(spec: dict) -> Space:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise MalformedSpec(f"space spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
+    for key in {"tree": ["edges"], "point_line": ["coords"], "disjoint_union": ["blocks", "gaps"],
+                "custom": ["points", "dist"]}.get(kind, []):  # a constructor would iterate a str or a dict
+        if key in spec and type(spec[key]) is not list:
+            raise MalformedSpec(f"{kind} spec field {key!r} must be a JSON list, got {type(spec[key]).__name__}")
     try:
         if kind == "grid":
             return GridSpace(spec["dim"])
@@ -1402,36 +1410,47 @@ class Window:
     def subwindow(self, points) -> "Window":
         return Window._canonical(self.space, map(self.points.__getitem__, self.ids(points).tolist()))
 
-    def scale_graph(self, r: int) -> "sparse.csr_matrix":
-        """Symmetric CSR adjacency of "d <= r" on this window, with sorted
-        indices and no diagonal.  Built once per r from :func:`scale_pairs`
-        and cached; callers must not modify it."""
+    def scale_rows(self, r: int) -> tuple:
+        """The relation d <= r on this window as CSR rows (indptr, indices): row
+        i lists the other points within r of point i, ascending.  Built once per
+        r from :func:`scale_pairs` with one sort and cached; int32 where scipy
+        would index in int32, so that :meth:`scale_graph` views them.  Callers
+        must not modify them."""
         g = self._graphs.get(r)
         if g is None:
-            from scipy import sparse
             n = len(self.points)
             ii, jj = scale_pairs(self, r)
-            g = sparse.csr_matrix(
-                (np.ones(2 * len(ii), dtype=np.int8),
-                 (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
-                shape=(n, n),
-            )
-            g.sum_duplicates()
-            for a in (g.data, g.indices, g.indptr):
-                a.flags.writeable = False
-            self._graphs[r] = g
+            key = np.concatenate([jj * n + ii, ii * n + jj])  # row * n + column
+            key.sort(kind="stable")  # the pairs come in a few ascending runs
+            dt = np.int32 if max(n, len(key)) < 2**31 else np.int64
+            indptr = np.zeros(n + 1, dtype=dt)
+            np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n), out=indptr[1:])
+            g = self._graphs[r] = (indptr, (key % n).astype(dt))
+            indptr.flags.writeable = g[1].flags.writeable = False
+        return g if type(g) is tuple else (g.indptr, g.indices)
+
+    def scale_graph(self, r: int) -> "sparse.csr_matrix":
+        """:meth:`scale_rows` as a scipy CSR matrix of int8 ones, a view of the same
+        arrays that takes their place in the cache; callers must not modify it."""
+        indptr, indices = self.scale_rows(r)
+        g = self._graphs[r]
+        if type(g) is tuple:
+            from scipy import sparse
+            g = self._graphs[r] = sparse.csr_matrix(
+                (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(len(self),) * 2, copy=False)
+            g.data.flags.writeable = False
         return g
 
     def net_chunks(self, c: int) -> list:
-        """Greedy pass over the scale-c graph in canonical order: each point not
+        """Greedy pass over the scale-c rows in canonical order: each point not
         yet taken seeds a chunk, the index array of itself and its neighbours
         not yet taken.  The seeds form a maximal c-separated subset."""
-        g = self.scale_graph(c)
+        indptr, indices = self.scale_rows(c)
         free = np.ones(len(self.points), dtype=bool)
         chunks = []
         for i in range(len(self.points)):
             if free[i]:
-                row = g.indices[g.indptr[i]:g.indptr[i + 1]]
+                row = indices[indptr[i]:indptr[i + 1]]
                 chunk = np.concatenate(([i], row[free[row]]))
                 free[chunk] = False
                 chunks.append(chunk)
@@ -1453,9 +1472,9 @@ class Window:
                 return np.zeros(n, dtype=bool)
             center = self.index(self.ball_center)
             return s.paired_dist(self.layout, center, np.arange(n)) <= self.ball_radius - r
-        # the r-ball holds the point and its neighbours in the scale graph, so
+        # the r-ball holds the point and its neighbours in the scale rows, so
         # it fits iff it has no other point: counting stops one point past that
-        degree = np.diff(self.scale_graph(r).indptr).tolist()
+        degree = np.diff(self.scale_rows(r)[0]).tolist()
         return np.array([k + 1 == s.ball_count(p, r, k + 1) for p, k in zip(self.points, degree)],
                         dtype=bool)
 
@@ -1552,7 +1571,7 @@ def bounded_geometry_profile(w: Window, r: int) -> int:
         raise MalformedSpec("scale must be >= 0")
     if len(w.points) == 0:
         return 0
-    return int(np.diff(w.scale_graph(r).indptr).max()) + 1
+    return int(np.diff(w.scale_rows(r)[0]).max()) + 1
 
 
 def verify_metric(w: Window) -> dict:

@@ -80,6 +80,23 @@ def test_ball_normalizes_only_its_center(monkeypatch, kind):
     assert _normalize_calls(monkeypatch, lambda: ck.ball(space, x, 3)) == nested
 
 
+@pytest.mark.parametrize("kind", SPECS)
+def test_identity_keys_sort_with_no_key_call(monkeypatch, kind):
+    # grids, trees and point lines order points by the points themselves (the
+    # keyed sort made one canonical_key call per point of each window), and
+    # free groups sort words in two keyless passes
+    space = ck.make_space(SPECS[kind])
+    pts = list(ck.ball(space, _center(space, 3), 3).points)[::-1]
+    calls = []
+    for cls in vars(spaces).values():
+        if isinstance(cls, type) and "canonical_key" in vars(cls):
+            monkeypatch.setattr(cls, "canonical_key",
+                                lambda self, x, orig=vars(cls)["canonical_key"]: calls.append(x) or orig(self, x))
+    got = space.canonical_sorted(pts)
+    assert (calls == []) == (SPECS[kind]["kind"] in ("grid", "tree", "point_line", "free_group"))
+    assert got == sorted(pts, key=space.canonical_key) and got == list(ck.Window(space, pts).points)
+
+
 def test_window_points_are_found_without_normalize(monkeypatch):
     w = ck.ball(Z, (0,), 50)
     entries = {(p, q): 1 for p in w.points for q in w.points if abs(p[0] - q[0]) <= 1}

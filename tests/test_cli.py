@@ -675,7 +675,20 @@ _MALFORMED_SPECS = [
     ({"kind": "disjoint_union", "blocks": 5, "gaps": []}, "disjoint_union"),
     ({"kind": "disjoint_union", "blocks": [{"kind": "point_line", "coords": [0]}], "gaps": 5}, "disjoint_union"),
     ({"kind": "point_line", "coords": 5}, "point_line"),
+    # these two built a space: the str and the dict were iterated
+    ({"kind": "tree", "edges": {}}, "'edges' must be a JSON list"),
+    ({"kind": "custom", "points": "ab", "dist": [[0, 1], [1, 0]]}, "'points' must be a JSON list"),
 ]
+
+
+def test_metric_check_at_the_int64_top_passes(tmp_path, capsys):
+    # d(0,1) + d(1,0) wrapped in int64 and read as a failed triangle d(1,1) > ...
+    top = 2**63 - 1
+    spec = _op_file(tmp_path, "top.json", {"kind": "custom", "points": [0, 1], "dist": [[0, top], [top, 0]]})
+    assert main(["space", "--space", spec]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metric_check"] == {"identity": True, "ok": True, "symmetry": True, "triangle": True,
+                                       "witness": None}
 
 
 def test_malformed_specs_exit_3_with_a_named_error(tmp_path, capsys):

@@ -199,3 +199,37 @@ def test_cli_paradox_on_a_huge_ball_exits_3_at_once(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 3 and "Traceback" not in proc.stderr
+
+
+# -- the metric axioms on tables near the int64 bounds --------------------------
+
+def _failures_by_definition(T) -> dict:
+    """``_metric_failures`` in Python ints, which never wrap."""
+    n = len(T)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    tests = {"negative": lambda i, j: T[i][j] < 0, "diagonal": lambda i, j: i == j and T[i][i] != 0,
+             "zero": lambda i, j: T[i][j] + (i == j) == 0, "asymmetric": lambda i, j: T[i][j] != T[j][i]}
+    out = {}
+    for axiom, bad in tests.items():
+        hit = next((c for c in cells if bad(*c)), None)
+        if hit is not None:
+            out[axiom] = hit[:1] if axiom == "diagonal" else hit
+    hit = next(((i, k, j) for k in range(n) for i, j in cells if T[i][j] > T[i][k] + T[k][j]), None)
+    if hit is not None:
+        out["triangle"] = hit
+    return out
+
+
+_EDGE = st.sampled_from([0, 1, 2, 7, -1, 2**62 - 1, 2**62, 2**63 - 2, 2**63 - 1, -2**62, -2**62 - 1,
+                         -2**63, -2**63 + 1]) | st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6), metric_like=st.booleans())
+def test_metric_failures_match_python_ints_near_the_int64_bounds(data, n, metric_like):
+    if metric_like:  # symmetric with a zero diagonal, so the triangle decides
+        upper = [[data.draw(_EDGE.filter(lambda v: v >= 0)) for _ in range(n)] for _ in range(n)]
+        T = [[0 if i == j else upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        T = [[data.draw(_EDGE) for _ in range(n)] for _ in range(n)]
+    assert spaces._metric_failures(np.array(T, dtype=np.int64)) == _failures_by_definition(T)

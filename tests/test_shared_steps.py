@@ -39,20 +39,22 @@ def test_the_cli_builds_no_payload_by_hand():
 
 
 def test_one_function_labels_components():
-    def names(node):
-        return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-                | {a.name for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
-                   for a in n.names})
-
-    callers = []
+    # components are labelled by the numpy union-find behind ClassLayout.of:
+    # no module names scipy's labelling routine, no function but ``of`` calls
+    # the union-find, and no module builds a ClassLayout from labels of its own
+    for path in pathlib.Path(components.__file__).parent.glob("*.py"):
+        assert "connected_components" not in path.read_text(), path.name
+    callers, built = [], []
     for m in MODULES:
         tree = _tree(m)
-        assert not any("connected_components" in names(node) for node in tree.body
-                       if not isinstance(node, (ast.ClassDef, ast.FunctionDef)))
-        callers += [f"{m.__name__}.{f.name}" for f in ast.walk(tree)
-                    if isinstance(f, ast.FunctionDef) and "connected_components" in names(f)]
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                calls = {c.func.id for c in ast.walk(f) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                callers += [f"{m.__name__}.{f.name}"] if "_hook_and_shortcut" in calls else []
+        built += [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+                  and getattr(c.func, "id", getattr(c.func, "attr", None)) == "ClassLayout"]
     assert callers == ["coarsekit.components.of"]
+    assert built == []
 
 
 def test_tree_distance_and_ball_windows_have_one_path():

@@ -381,11 +381,20 @@ _JSON = st.recursive(
     max_leaves=10)
 
 
+# the fields that hold JSON lists
+_LIST_FIELDS = {"edges", "points", "dist", "coords", "blocks", "gaps"}
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(spec=st.sampled_from(_SPECS), data=st.data())
 def test_make_space_builds_or_refuses_any_json_field(spec, data):
     field = data.draw(st.sampled_from(sorted(set(spec) - {"kind"})))
     value = data.draw(_JSON | st.sampled_from(_SPECS) | st.lists(st.sampled_from(_SPECS), max_size=3))
+    if field in _LIST_FIELDS and type(value) is not list:
+        # a str or a dict there was iterated: "ab" made the points "a" and "b"
+        with pytest.raises(MalformedSpec, match=f"'{field}' must be a JSON list"):
+            ck.make_space(dict(spec, **{field: value}))
+        return
     try:
         ck.make_space(dict(spec, **{field: value}))
     except CoarseKitError:
