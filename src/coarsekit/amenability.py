@@ -26,7 +26,7 @@ from .errors import (
     Report,
 )
 from .maps import CoarseMap
-from .spaces import BALL_CAP_DEFAULT, FreeGroupSpace, GridSpace, Space, Window
+from .spaces import BALL_CAP_DEFAULT, FreeGroupSpace, Space, Window
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +39,11 @@ class PartialTranslation:
     def __init__(self, space: Space, pairs):
         flat = space.normalize_all(x for a, b in pairs for x in (a, b))
         pairs = list(zip(flat[::2], flat[1::2]))
-        self._map = dict(pairs)
-        if len(self._map) != len(pairs) or len(set(self._map.values())) != len(pairs):
+        mapping = dict(pairs)
+        if len(mapping) != len(pairs) or len(set(mapping.values())) != len(pairs):
             raise MalformedSpec("pairing is not a bijection")
         self.space = space
-        self.pairs = tuple((a, self._map[a]) for a in space.canonical_sorted(self._map))
+        self.pairs = tuple((a, mapping[a]) for a in space.canonical_sorted(mapping))
 
     @property
     def domain(self):
@@ -57,13 +57,6 @@ class PartialTranslation:
     def displacement(self) -> int:
         w = Window._canonical(self.space, self.domain + self.codomain)
         return _max_dist(w, w.ids(self.domain), w.ids(self.codomain), w.points)
-
-    def __call__(self, x):
-        return self._map[x]
-
-    def to_json(self):
-        enc = self.space.point_to_json
-        return {"pairs": [[enc(a), enc(b)] for a, b in self.pairs]}
 
 
 @dataclass(frozen=True)
@@ -413,9 +406,9 @@ class FolnerCertificate:
 def verify_folner(cert: FolnerCertificate) -> dict:
     """Recompute |N_r(F)| from F alone and re-check the ratio bound."""
     n = cert.space.neighborhood_size(cert.F, cert.r)
-    if not cert.F:
+    if not cert.F or len(set(cert.F)) < len(cert.F):  # a repeat would count twice in |F|
         return {"recomputed": n, "declared": cert.neighborhood_size, "ok": False,
-                "reason": "empty_F"}
+                "reason": "repeated_point" if cert.F else "empty_F"}
     ok = (
         n == cert.neighborhood_size
         and Fraction(n, len(cert.F)) <= 1 + cert.eps
@@ -482,10 +475,9 @@ def folner_search_report(
     if budget.subsets_of_ball is not None:
         return _folner_exhaustive(space, r, eps, base, budget.subsets_of_ball)
 
-    # grids, free groups and their products count balls in closed form, and in
-    # their graph metrics N_r(B_j) = B_(j+r): where both counts are exact, the
+    # in a graph metric N_r(B_j) = B_(j+r): where both counts are exact, the
     # candidate balls are counted, and only the best one is listed
-    counted = isinstance(getattr(space, "base", space), (GridSpace, FreeGroupSpace))
+    counted = space.graph_like
     tested, best, best_j, best_set, size = 0, None, None, None, None
     for j in range(budget.ball_radius_max + 1):
         if tested >= FOLNER_MAX_CANDIDATES:
@@ -755,9 +747,6 @@ class GrowthProfile:
     sizes: tuple  # |B_n(x)| for n = 0..n_max
     tag: str      # polynomial-like | exponential-like | inconclusive
     tail_slope: float
-
-    def to_json(self) -> dict:
-        return {"sizes": list(self.sizes), "tag": self.tag, "tail_slope": self.tail_slope}
 
 
 def growth_profile(space: Space, x, n_max: int, cap: int = 2_000_000) -> GrowthProfile:

@@ -14,7 +14,9 @@ from .spaces import _ROW_BLOCK, Space, Window
 
 
 class CoarseMap:
-    """A map from a source window into a target space, stored as an explicit pairing."""
+    """A map from a source window into a target space, stored as an explicit
+    pairing.  Pairs whose source lies outside the window are dropped, which
+    restricts the map; a source in the window with two images is refused."""
 
     def __init__(self, source: Window, target_space: Space, mapping):
         self.source = source
@@ -24,7 +26,11 @@ class CoarseMap:
         else:
             items = list(mapping.items() if isinstance(mapping, dict) else mapping)
             keys = source.ids([k for k, _ in items], {}).tolist()
-            pairs = {i: target_space.normalize(v) for i, (_, v) in zip(keys, items)}
+            pairs = {}
+            for i, (_, v) in zip(keys, items):
+                q = target_space.normalize(v)
+                if pairs.setdefault(i, q) != q and i < len(source):
+                    raise MalformedSpec(f"map gives the source point {source.points[i]!r} two images")
         for i, p in enumerate(source.points):
             if i not in pairs:
                 raise MalformedSpec(f"map is not total on the source window: missing {p!r}")
@@ -38,13 +44,6 @@ class CoarseMap:
 
     def image(self) -> list:
         return [self.mapping[p] for p in self.source.points]
-
-    def to_json(self) -> dict:
-        enc_s = self.source.space.point_to_json
-        enc_t = self.target_space.point_to_json
-        return {
-            "pairs": [[enc_s(p), enc_t(q)] for p, q in self.mapping.items()]
-        }
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .amenability import PartialTranslation
-from .components import ClassLayout, SegmentFamily, _segment_rows, scale_layout
+from .components import ClassLayout, SegmentFamily, scale_layout
 from .covers import ColoredCover
 from .errors import (
     ClassTooLarge,
@@ -219,24 +219,31 @@ def identity_operator(w: Window) -> BandedOperator:
     return BandedOperator(w, sp.identity(len(w.points), dtype=np.int64, format="csr"))
 
 
+def _moves(w: Window, src, dst) -> BandedOperator:
+    """The exact 0/1 operator with delta_(src[k]) -> delta_(dst[k]): a one at each
+    (dst[k], src[k]) of window indices, however often the move is listed."""
+    from scipy import sparse as sp
+
+    n = len(w)
+    M = sp.csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(n, n))
+    M.data[:] = 1  # the conversion summed the repeats of a move
+    return BandedOperator(w, M)
+
+
 def zero_operator(w: Window) -> BandedOperator:
-    return BandedOperator(w, {}, exact=True)
+    return _moves(w, [], [])
 
 
 def char_projection(S, w: Window) -> BandedOperator:
     """Diagonal 0/1 projection onto a subset of the window."""
-    ids = w.ids(S).tolist()
-    return BandedOperator(w, {(i, i): 1 for i in ids})
+    ids = w.ids(S)
+    return _moves(w, ids, ids)
 
 
 def from_partial_translation(t: PartialTranslation, w: Window) -> BandedOperator:
     """v delta_x = delta_{t(x)}, over the pairs with both endpoints in the window."""
-    from scipy import sparse as sp
-
-    n = len(w)
     pairs = [(a, b) for a, b in t.pairs if a in w and b in w]  # canonical: none is normalised
-    I, J = w.ids([b for _, b in pairs]), w.ids([a for a, _ in pairs])
-    return BandedOperator(w, sp.csr_matrix((np.ones(len(I), dtype=np.int64), (I, J)), shape=(n, n)))
+    return _moves(w, w.ids([a for a, _ in pairs]), w.ids([b for _, b in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -474,25 +481,30 @@ def rebuild_from_coloring(w: Window, coloring: BlockColoring) -> BandedOperator:
     models = [np.asarray(M, dtype=np.complex128).ravel() for M in coloring.models]
     vals = np.concatenate([np.zeros(0, dtype=np.complex128), *map(models.__getitem__, coloring.color_of_class)])
     n = len(w.points)
-    return BandedOperator(w, sp.coo_matrix((vals, (idx[at + k // m], idx[at + k % m])), shape=(n, n)), exact=False)
+    return BandedOperator(w, sp.coo_matrix((vals, (idx[at + k // m], idx[at + k % m])), shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
 # segment shift and cancellation witness
 # ---------------------------------------------------------------------------
 
-def segment_shift(fam: SegmentFamily, w: Window) -> BandedOperator:
-    """The unit shift along each segment (zero on last points), identity off
-    the segments."""
+def _shift_moves(fam: SegmentFamily, w: Window):
+    """(src, dst) window indices of the segment shift's moves: each point off
+    the segments to itself, each segment point but the last to the next one."""
     outside = {}
     ids = w.ids(fam.all_points(), outside)
     if outside:
         raise SegmentOutsideWindow(f"segment point {next(iter(outside))!r} is outside the window")
-    entries = {(i, i): 1 for i in np.setdiff1d(np.arange(len(w)), ids).tolist()}
-    for rows in _segment_rows(fam.segments):
-        run = ids[rows].tolist()
-        entries.update({(b, a): 1 for a, b in zip(run, run[1:])})
-    return BandedOperator(w, entries, exact=True)
+    # position k moves to k + 1 unless a segment starts there, at the end of the one before
+    k = np.setdiff1d(np.arange(1, len(ids)), np.cumsum(fam.lengths, dtype=np.int64)) - 1
+    rest = np.setdiff1d(np.arange(len(w)), ids)
+    return np.concatenate([rest, ids[k]]), np.concatenate([rest, ids[k + 1]])
+
+
+def segment_shift(fam: SegmentFamily, w: Window) -> BandedOperator:
+    """The unit shift along each segment (zero on last points), identity off
+    the segments."""
+    return _moves(w, *_shift_moves(fam, w))
 
 
 @dataclass(frozen=True)
@@ -513,13 +525,8 @@ def cancellation_witness(fam: SegmentFamily, w: Window, s: int) -> CancellationW
     segment endpoint."""
     if s < 1:
         raise MalformedSpec("s must be >= 1")
-    v = segment_shift(fam, w)
-    A = {p for seg in fam.segments for p in seg[:-1]}
-    B = {p for seg in fam.segments for p in seg[1:]}
-    C = set(fam.all_points())
-    rest = [p for p in w.points if p not in C]
-    p_op = char_projection(w.space.canonical_sorted(A) + rest, w)
-    q_op = char_projection(w.space.canonical_sorted(B) + rest, w)
+    src, dst = _shift_moves(fam, w)  # src lists A u (w \ C), dst B u (w \ C)
+    v, p_op, q_op = _moves(w, src, dst), _moves(w, src, src), _moves(w, dst, dst)
     lasts = fam.endpoints()
     D = w.space.pairwise_dist(fam.basepoints(), lasts)
     probe = next((bp for bp, row in zip(fam.basepoints(), D) if row.min() > s), None)
@@ -682,18 +689,12 @@ def build_uf(wZ2: Window, levels: int, f) -> BandedOperator:
     prod = ProductFiniteSpace(wZ2.space, levels)
     w = Window._canonical(prod, [(p, n) for p in wZ2.points for n in range(1, levels + 1)])
     targets = {}  # by window index
-    for j, (p, n) in enumerate(w.points):
-        x, y = p
-        fx = fmap[x]
-        if fx > 0 and n <= fx:
-            target = ((x + 1, y), n)
-        elif fx < 0 and n <= -fx:
-            target = ((x - 1, y), n)
-        else:
-            target = (p, n)
+    for j, ((x, y), n) in enumerate(w.points):
+        step = 1 if n <= fmap[x] else -1 if n <= -fmap[x] else 0  # levels start at n = 1
+        target = ((x + step, y), n)
         if target in w:
             targets[j] = target
-    return BandedOperator(w, dict.fromkeys(zip(w.ids(targets.values()).tolist(), targets), 1), exact=True)
+    return _moves(w, list(targets), w.ids(targets.values()))
 
 
 def interior_unitarity(u: BandedOperator, margin: int = 1) -> dict:
@@ -701,7 +702,7 @@ def interior_unitarity(u: BandedOperator, margin: int = 1) -> dict:
     by the margin-interior of the window."""
     w = u.window
     I = np.flatnonzero(w.interior_mask(margin))
-    one = identity_operator(w).restrict(I)
+    one = _moves(w, I, I)
     uu = u.adjoint().mul(u).restrict(I)
     uus = u.mul(u.adjoint()).restrict(I)
     return {

@@ -27,7 +27,7 @@ from .components import SegmentFamily, components_at_scale, verify_segments
 from .covers import ColoredCover, verify_decomposition
 from .errors import MalformedSpec, SegmentOutsideWindow
 from .operators import BandedOperator, make_operator
-from .spaces import Space, Window, is_nat, make_space, scale_pairs, window_from_json
+from .spaces import Space, Window, is_nat, make_space, window_from_json
 
 SCHEMA = "coarsekit/1"
 
@@ -260,7 +260,8 @@ def operator_from_payload(data: dict) -> BandedOperator:
 def _verify_partition(data) -> tuple[bool, dict]:
     _, f = read_payload(data, "scale_partition")
     have = {frozenset(c) for c in components_at_scale(f["window"], f["r"]).classes}
-    ok = have == {frozenset(c) for c in f["classes"]}
+    # equal sets of classes that together list |w| points list each point once
+    ok = have == {frozenset(c) for c in f["classes"]} and sum(map(len, f["classes"])) == len(f["window"])
     return ok, {"matches_recomputation": ok}
 
 
@@ -269,21 +270,21 @@ def _verify_matching_cut(data) -> tuple[bool, dict]:
     w, r, F = f["window"], f["r"], f["cut"]
     s, everyone, inside = w.space, np.arange(len(w)), w.ids([x for x in F if x in w])
     in_interior = len(inside) == len(F) and bool(w.interior_mask(r)[inside].all())
-    # |N_r(F) ∩ w| from the scale-r pairs, which off a ball of a geodesic space
-    # cost no more than the interior check did.  On such a ball they number at
-    # most n D / 2, D the center's degree, and F's rows of distances, |F| n of
-    # them, are read instead when fewer or when the pairs pass 2^23
+    # |N_r(F) ∩ w| from the scale-r rows, which off a ball of a geodesic space
+    # the interior check has already built.  On such a ball they hold at most
+    # n D entries, D the center's degree, and F's rows of distances, |F| n of
+    # them, are read instead when fewer or when the rows pass 2^24 entries
     near, geodesic_ball = np.isin(everyone, inside), w.is_ball and s.geodesic_extension
     D = int((s.paired_dist(w.layout, w.index(w.ball_center), everyone) <= r).sum()) if geodesic_ball else 0
     if not geodesic_ball or near.sum() > D and len(w) * D <= 1 << 24:
-        ii, jj = scale_pairs(w, r)  # not the scale graph: a verify process need not import scipy
-        near[jj[np.isin(ii, inside)]] = near[ii[np.isin(jj, inside)]] = True
+        indptr, indices = w.scale_rows(r)  # not the scale graph: a verify process need not import scipy
+        near[indices[np.repeat(near, np.diff(indptr))]] = True  # the rows list each pair at both ends
     else:
         step = max(1, (1 << 20) // len(w))  # rows at a time: memory stays near 8 MB an array
         for lo in range(0, len(inside), step):
             near |= (s.paired_dist(w.layout, inside[lo:lo + step, None], everyone) <= r).any(axis=0)
     size = int(near.sum())
-    violating = size < 2 * len(F) if F else False
+    violating = size < 2 * len(set(F)) if F else False  # a repeated point counts once
     ok = in_interior and violating and size == f["cut_neighborhood_size"]
     return ok, {
         "cut_in_interior": in_interior,

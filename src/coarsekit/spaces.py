@@ -1270,6 +1270,12 @@ class CustomSpace(Space):
         }
 
 
+def _holds_bool(v) -> bool:
+    """Whether a JSON value is a boolean, or a list that holds one at any depth."""
+    kinds = {*map(type, v)} if type(v) is list else {type(v)}  # one C-level pass per list
+    return bool in kinds or list in kinds and any(map(_holds_bool, v))
+
+
 def make_space(spec: dict) -> Space:
     """Build a space handle from its JSON-style specification."""
     if isinstance(spec, Space):
@@ -1281,6 +1287,10 @@ def make_space(spec: dict) -> Space:
                 "custom": ["points", "dist"]}.get(kind, []):  # a constructor would iterate a str or a dict
         if key in spec and type(spec[key]) is not list:
             raise MalformedSpec(f"{kind} spec field {key!r} must be a JSON list, got {type(spec[key]).__name__}")
+    for key in {"grid": ["dim"], "free_group": ["rank"], "tree": ["branching", "edges"], "point_line": ["coords"],
+                "product_finite": ["n"], "disjoint_union": ["gaps"], "custom": ["dist"]}.get(kind, []):
+        if key in spec and _holds_bool(spec[key]):  # a constructor would take true for 1
+            raise MalformedSpec(f"{kind} spec field {key!r} holds a JSON boolean where an integer belongs")
     try:
         if kind == "grid":
             return GridSpace(spec["dim"])

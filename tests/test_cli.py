@@ -347,6 +347,28 @@ def test_verify_rejects_empty_folner_set(tmp_path):
     assert res.payload["report"]["reason"] == "empty_F"
 
 
+def test_verify_rejects_a_folner_set_that_repeats_a_point(tmp_path):
+    # F2 has no Folner sets; the identity listed ten times passed as |F| = 10
+    cert = tmp_path / "repeated.json"
+    cert.write_text(json.dumps({
+        "schema": "coarsekit/1", "kind": "folner_certificate", "space": {"kind": "free_group", "rank": 2},
+        "F": [""] * 10, "r": 1, "eps": "1/10", "neighborhood_size": 5, "ratio": "1/2"}))
+    res = run(["verify", "--file", str(cert)])
+    assert res.exit_code == 1
+    assert res.payload["report"]["reason"] == "repeated_point"
+
+
+def test_a_map_that_gives_a_source_point_two_images_exits_3(specs, tmp_path):
+    # the last image won: 0 -> 7 was classified with Lipschitz constant 8
+    base = ["classify", "--space", specs["z"], "--window-radius", "1", "--target-space", specs["z"], "--map"]
+    pairs = [[[-1], [-1]], [[0], [0]], [[1], [1]]]
+    res = run([*base, _op_file(tmp_path, "two.json", {"pairs": [*pairs, [[0], [7]]]})])
+    assert res.exit_code == 3 and res.payload["error"] == "MalformedSpec" and "(0,)" in res.payload["reason"]
+    # a pair listed twice gives one image, and a source outside the window is dropped
+    res = run([*base, _op_file(tmp_path, "ok.json", {"pairs": [*pairs, [[0], [0]], [[5], [1]], [[5], [2]]]})])
+    assert res.exit_code == 0 and res.payload["lipschitz_constant"] == 1.0
+
+
 # -- operator files checked at the boundary ------------------------------------------
 
 def _op_file(tmp_path, name, data):
@@ -678,6 +700,16 @@ _MALFORMED_SPECS = [
     # these two built a space: the str and the dict were iterated
     ({"kind": "tree", "edges": {}}, "'edges' must be a JSON list"),
     ({"kind": "custom", "points": "ab", "dist": [[0, 1], [1, 0]]}, "'points' must be a JSON list"),
+    # these built a space, reading true as 1 and false as 0
+    ({"kind": "grid", "dim": True}, "grid spec field 'dim'"),
+    ({"kind": "free_group", "rank": True}, "free_group spec field 'rank'"),
+    ({"kind": "tree", "branching": True}, "tree spec field 'branching'"),
+    ({"kind": "tree", "edges": [[0, True]]}, "tree spec field 'edges'"),
+    ({"kind": "point_line", "coords": [False, True]}, "point_line spec field 'coords'"),
+    ({"kind": "product_finite", "base": {"kind": "grid", "dim": 1}, "n": True}, "product_finite spec field 'n'"),
+    ({"kind": "disjoint_union", "blocks": [{"kind": "point_line", "coords": [0]}] * 2, "gaps": [True]},
+     "disjoint_union spec field 'gaps'"),
+    ({"kind": "custom", "points": [0, 1], "dist": [[False, True], [True, False]]}, "custom spec field 'dist'"),
 ]
 
 

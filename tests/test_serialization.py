@@ -285,6 +285,16 @@ def test_stated_folner_ratio_must_match_recomputation():
     assert not ok and report["reason"] == "empty_F"
 
 
+def test_a_partition_that_lists_a_point_twice_fails():
+    # a set of classes compares equal with the repeat; the sizes must add up to |w|
+    payload = VALID["scale_partition"]
+    classes = payload["classes"]
+    assert ser.verify_payload(payload)[0]
+    for forged in ([classes[0] + classes[0][:1], *classes[1:]], classes + classes[:1]):
+        ok, report = ser.verify_payload(dict(payload, classes=forged))
+        assert not ok and report == {"matches_recomputation": False}
+
+
 @pytest.mark.parametrize("c", [2**63 + 5, 2**63 - 1])
 def test_folner_neighbourhoods_beyond_int64_are_counted_exactly(c):
     # |N_1({c})| = 3 in Z; a float or wrapped int64 coordinate miscounts it

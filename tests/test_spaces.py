@@ -381,8 +381,13 @@ _JSON = st.recursive(
     max_leaves=10)
 
 
-# the fields that hold JSON lists
+# the fields that hold JSON lists, and those that hold integers or lists of them
 _LIST_FIELDS = {"edges", "points", "dist", "coords", "blocks", "gaps"}
+_INT_FIELDS = {"dim", "rank", "branching", "edges", "coords", "n", "gaps", "dist"}
+
+
+def _holds_bool(v):
+    return type(v) is bool or type(v) is list and any(map(_holds_bool, v))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -393,6 +398,12 @@ def test_make_space_builds_or_refuses_any_json_field(spec, data):
     if field in _LIST_FIELDS and type(value) is not list:
         # a str or a dict there was iterated: "ab" made the points "a" and "b"
         with pytest.raises(MalformedSpec, match=f"'{field}' must be a JSON list"):
+            ck.make_space(dict(spec, **{field: value}))
+        return
+    if field != "points" and _holds_bool(value):
+        # true was read as 1: an integer field names itself, and a spec field
+        # ("base", "blocks") refuses the boolean where it meets it
+        with pytest.raises(MalformedSpec, match=f"'{field}'" if field in _INT_FIELDS else None):
             ck.make_space(dict(spec, **{field: value}))
         return
     try:

@@ -204,7 +204,7 @@ def _cut_report_by_sets(space, w, r, F, stated):
     """The check the window-only one replaced: Python sets of points."""
     in_interior = set(F) <= set(w.interior(r))
     nbrs = {q for q in space.neighborhood(F, r) if q in w}
-    violating = len(nbrs) < 2 * len(F) if F else False
+    violating = len(nbrs) < 2 * len(set(F)) if F else False
     ok = in_interior and violating and len(nbrs) == stated
     return ok, {"cut_in_interior": in_interior, "neighborhood_size": len(nbrs), "violates_doubling": violating}
 
@@ -235,11 +235,14 @@ CUTS = _cuts()
 
 def _forged(name, w, r, F, stated):
     """The cut and its forgeries: a point moved out of the interior, a point
-    outside the window, a stated size off by one either way."""
+    outside the window, a stated size off by one either way, and one point
+    listed ten times, with its true neighbourhood size."""
     boundary = next(p for p in w.points if p not in set(w.interior(r)))
     far = next(q for q in w.space.ball_points(w.points[-1], 3) if q not in w)
+    one = len([q for q in w.space.ball_points(F[0], r) if q in w])
     return {"valid": (F, stated), "moved_out_of_interior": ((*F[1:], boundary), stated),
-            "outside_window": ((*F, far), stated), "size_plus_1": (F, stated + 1), "size_minus_1": (F, stated - 1)}
+            "outside_window": ((*F, far), stated), "size_plus_1": (F, stated + 1), "size_minus_1": (F, stated - 1),
+            "repeated": ((F[0],) * 10, one)}
 
 
 @pytest.mark.parametrize("name, w, r, F, stated", CUTS, ids=[c[0] for c in CUTS])
@@ -326,8 +329,18 @@ def test_matching_cut_check_of_a_wide_cut_reads_the_pairs():
     assert want_ok and count["distances"] <= 2 * len(w) and count["scale_pairs"] == 1
 
 
+def test_matching_cut_check_off_a_ball_reads_the_rows_of_the_interior_check(monkeypatch):
+    # the interior check builds the scale rows; the neighbourhood count reads
+    # them where it enumerated the pairs a second time
+    w = ck.Window(Z, [(x,) for x in range(-50, 51)])
+    F = w.interior(1)
+    count = _count_distances(monkeypatch)
+    assert ser.verify_payload(_cut_payload(w, 1, F, len(w))) == _cut_report_by_sets(Z, w, 1, F, len(w))
+    assert count["scale_pairs"] == 1
+
+
 @pytest.mark.parametrize("forge, code", [("valid", 0), ("moved_out_of_interior", 1), ("outside_window", 1),
-                                         ("size_plus_1", 1), ("size_minus_1", 1)])
+                                         ("size_plus_1", 1), ("size_minus_1", 1), ("repeated", 1)])
 def test_matching_cut_exit_codes(tmp_path, forge, code):
     name, w, r, F, stated = CUTS[0]
     cut, size = _forged(name, w, r, F, stated)[forge]
