@@ -346,7 +346,7 @@ def transport_paradox(
         y = f(x)
         if y in values:
             raise NotInjective(
-                f"map collapses {values[y]!r} and {x!r}", pair=(values[y], x)
+                f"map collapses {values[y]!r} and {x!r}", witness=(values[y], x)
             )
         values[y] = x
 
@@ -366,7 +366,7 @@ def transport_paradox(
             if declared_bound is not None and d > declared_bound:
                 raise ExpansionUnbounded(
                     f"pair ({x!r}, {y!r}) expands to distance {d} > {declared_bound}",
-                    pair=(x, y),
+                    witness=(x, y),
                 )
             disp = max(disp, d)
             acc.append((fx, f(y)))

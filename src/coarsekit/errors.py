@@ -11,7 +11,14 @@ class Report:
 
 
 class CoarseKitError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``witness`` holds the offending data
+    where the raise site has it, else None: a metric triple (a, b, c) with
+    d(a, c) > d(a, b) + d(b, c), the pair a map collapses or stretches, a chain
+    class past its cap, or the point an injective choice cannot place."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class MalformedSpec(CoarseKitError):
@@ -19,15 +26,7 @@ class MalformedSpec(CoarseKitError):
 
 
 class MetricViolation(MalformedSpec):
-    """A custom distance table fails the metric axioms.
-
-    ``witness`` holds the offending data, e.g. a triple (a, b, c) with
-    d(a, c) > d(a, b) + d(b, c).
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A custom distance table fails the metric axioms."""
 
 
 class UnknownPoint(CoarseKitError):
@@ -53,17 +52,9 @@ class RankTooSmall(CoarseKitError):
 class NotInjective(CoarseKitError):
     """A map required to be injective collapses two points."""
 
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
-
 
 class ExpansionUnbounded(CoarseKitError):
     """A map moved a bounded pair farther than the declared expansion bound."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
 
 class WindowMismatch(CoarseKitError):
@@ -80,10 +71,6 @@ class PropagationTooLarge(CoarseKitError):
 
 class ClassTooLarge(CoarseKitError):
     """A chain class exceeds the configured block-size cap."""
-
-    def __init__(self, message, cls=None):
-        super().__init__(message)
-        self.cls = cls
 
 
 class SegmentOutsideWindow(CoarseKitError):
@@ -104,10 +91,6 @@ class DomainMismatch(CoarseKitError):
 
 class Infeasible(CoarseKitError):
     """A requested certificate provably cannot exist; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class CapExceeded(CoarseKitError):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amenability import PartialTranslation
+from .amenability import PartialTranslation, _first
 from .components import ClassLayout, SegmentFamily, scale_layout
 from .covers import ColoredCover
 from .errors import (
@@ -68,24 +68,21 @@ class BandedOperator:
     canonical index order: int64 when exact, complex128 otherwise.
 
     ``entries`` may be a {(row, column): value} dict, exact when every value is
-    an int (unless exact=False), or a fresh scipy sparse matrix, exact when its
-    dtype is integral."""
+    an int, or a fresh scipy sparse matrix, exact when its dtype is integral."""
 
-    def __init__(self, window: Window, entries, exact: Optional[bool] = None):
+    def __init__(self, window: Window, entries):
         from scipy import sparse as sp
 
         n = len(window.points)
-        if isinstance(entries, dict):  # exact=True cannot make non-int values exact
-            exact = exact is not False and all(isinstance(v, int) for v in entries.values())
+        if isinstance(entries, dict):
+            exact = all(isinstance(v, int) for v in entries.values())
             try:
                 data = np.array(list(entries.values()), dtype=np.int64 if exact else np.complex128)
             except OverflowError:
                 raise IntegerOverflow("an exact operator entry lies outside int64") from None
             ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
             entries = sp.csr_matrix((data, (ij[:, 0], ij[:, 1])), shape=(n, n))
-        elif exact is None:
-            exact = entries.dtype.kind in "biu"
-        M = sp.csr_matrix(entries, dtype=np.int64 if exact else np.complex128)
+        M = sp.csr_matrix(entries, dtype=np.int64 if entries.dtype.kind in "biu" else np.complex128)
         M.sum_duplicates()
         M.eliminate_zeros()
         self.window = window
@@ -343,6 +340,14 @@ class ProperInfiniteReport(Report):
         return self.xx_eq_p and self.yy_eq_p and self.psd_ok and self.orthogonal_ranges
 
 
+def _first_entry(a: BandedOperator, tol):
+    """The (row, column) indices of the first entry of a, in row-major order,
+    with |value| > tol; None when there is none."""
+    A = a.matrix.tocoo()
+    k = _first(np.abs(A.data) > tol)
+    return None if k is None else (int(A.row[k]), int(A.col[k]))
+
+
 def verify_properly_infinite(
     p: BandedOperator, x: BandedOperator, y: BandedOperator, margin: int
 ) -> ProperInfiniteReport:
@@ -351,26 +356,29 @@ def verify_properly_infinite(
     p._check(x)
     p._check(y)
     w = p.window
+    enc, pts = w.space.point_to_json, w.points
     I = np.flatnonzero(w.interior_mask(margin))
     tol = 0 if (p.exact and x.exact and y.exact) else FLOAT_TOL
     witness = None
 
-    xsx = x.adjoint().mul(x).restrict(I)
-    ysy = y.adjoint().mul(y).restrict(I)
     pr = p.restrict(I)
-    xx_eq = xsx.equals(pr, tol=tol)
-    yy_eq = ysy.equals(pr, tol=tol)
-    if not xx_eq:
-        witness = {"kind": "xx_ne_p"}
-    elif not yy_eq:
-        witness = {"kind": "yy_ne_p"}
+    xx_off = _first_entry(x.adjoint().mul(x).restrict(I).sub(pr), tol)
+    yy_off = _first_entry(y.adjoint().mul(y).restrict(I).sub(pr), tol)
+    xx_eq, yy_eq = xx_off is None, yy_off is None
+    for kind, off in (("xx_ne_p", xx_off), ("yy_ne_p", yy_off)):
+        if off is not None and witness is None:
+            witness = {"kind": kind, "pair": [enc(pts[i]) for i in off]}
 
     xxs = x.mul(x.adjoint()).restrict(I)
     yys = y.mul(y.adjoint()).restrict(I)
     S = pr.sub(xxs).sub(yys).matrix
-    if S.nnz == np.count_nonzero(S.diagonal()):
-        psd_ok = not np.any((S.data.real < -tol) | (np.abs(S.data.imag) > tol))
+    diag = S.diagonal()
+    if S.nnz == np.count_nonzero(diag):
+        k = _first((diag.real < -tol) | (np.abs(diag.imag) > tol))
+        psd_ok = k is None
         psd_method = "diagonal-exact" if S.dtype == np.int64 else "diagonal"
+        if not psd_ok and witness is None:
+            witness = {"kind": "not_psd", "point": enc(pts[k])}
     else:
         H = S[I][:, I].toarray()
         eig_min = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
@@ -442,7 +450,7 @@ def af_approximate(
     big = np.flatnonzero(lay.sizes > class_cap)
     if len(big):
         cls = classes[big[0]]
-        raise ClassTooLarge(f"chain class of size {len(cls)} exceeds cap {class_cap}", cls=cls)
+        raise ClassTooLarge(f"chain class of size {len(cls)} exceeds cap {class_cap}", witness=cls)
 
     # propagation <= r keeps every entry inside one class's block; a key is the
     # size and the lattice point of the block, with -0.0 read as 0.0

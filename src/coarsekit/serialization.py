@@ -3,7 +3,8 @@
 Payloads are tagged {"schema": "coarsekit/1", "kind": ...} and embed the space
 spec and window so that any serialized object re-verifies standalone.
 Serialization is canonical: fixed key order, fixed separators.  ``FIELDS``
-is the format, and every reader reads it through :func:`read_payload`.
+is the format, and every reader reads it through :func:`read_payload`.  Each
+``*_from_payload`` is the public reader of what its ``*_to_payload`` writes.
 """
 
 from __future__ import annotations

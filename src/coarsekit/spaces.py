@@ -104,10 +104,6 @@ class Space:
     def neighborhood_size(self, F, r: int) -> int:
         return len(self.neighborhood(F, r))
 
-    def neighbors(self, x) -> list:
-        """Unit-distance neighbors; only meaningful when ``graph_like``."""
-        raise NotImplementedError(f"{self.kind} has no unit-step structure")
-
     def all_points(self) -> list:
         raise NotImplementedError(f"{self.kind} is not finite")
 
@@ -302,13 +298,6 @@ class GridSpace(Space):
         for lo in range(0, len(codes), step):
             u = np.union1d(u, codes[lo:lo + step, None] + off @ strides)
         return len(u)
-
-    def neighbors(self, x):
-        out = []
-        for i in range(self.dim):
-            for s in (1, -1):
-                out.append(x[:i] + (x[i] + s,) + x[i + 1:])
-        return out
 
     def layout(self, points):
         # the coordinates as int64, or the points themselves where they leave the guard
@@ -533,24 +522,6 @@ class TreeMetricSpace(Space):
 
     graph_like = True
 
-    def _bfs(self, src, cutoff: int, cap: Optional[int] = None) -> dict:
-        """Distances from src out to radius cutoff, in breadth-first order with
-        neighbours in ``neighbors`` order; raises EnumerationOverflow once more
-        than cap points are reached, before the next vertex is expanded."""
-        lengths = {src: 0}
-        order = [src]
-        for v in order:
-            if cap is not None and len(lengths) > cap:
-                raise EnumerationOverflow(f"{self.kind} ball around {src!r} exceeds cap {cap}")
-            level = lengths[v] + 1
-            if level > cutoff:
-                break
-            for u in self.neighbors(v):
-                if u not in lengths:
-                    lengths[u] = level
-                    order.append(u)
-        return lengths
-
     def _closure(self, points) -> tuple:
         """The arguments of :class:`TreeLayout` for points: (parent, node) of
         their ancestor closure, or (parent, node, depth) of their hull."""
@@ -694,10 +665,10 @@ class FreeGroupSpace(TreeMetricSpace):
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         if self.ball_count(x, r, cap) > cap:
             raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {cap}")
-        # level by level, in the breadth-first order of _bfs: a word off the
-        # centre's prefix path has the children w + s, s any letter but the
-        # inverse of its last; the prefix p on the path, at index `at`, steps
-        # back to p[:-1] in place of p + (inverse of its last), and not along `back`
+        # level by level in breadth-first order, each word's neighbours w * s in
+        # letter order: a word off the centre's prefix path has the children w + s,
+        # s any letter but the inverse of its last; the prefix p on the path, at
+        # index `at`, steps back to p[:-1] in place of p + (inverse of its last), and not along `back`
         out, level, at, back, follow = [], [x], 0, None, self._follow
         for _ in range(r):
             out += level
@@ -710,11 +681,6 @@ class FreeGroupSpace(TreeMetricSpace):
                 nxt += kids + [w + s for w in level[k + 1:] for s in follow[w[-1]]]
             level = nxt
         return out + level
-
-    def neighbors(self, x):
-        # x * s for each letter s: it cancels the last letter of x, or appends s
-        last = x[-1:].swapcase()
-        return [x[:-1] if s == last else x + s for s in self.letters]
 
     def to_spec(self):
         return {"kind": "free_group", "rank": self.rank}
@@ -823,13 +789,31 @@ class TreeSpace(TreeMetricSpace):
                 v = u
         return parent, [known[v] for v in points]
 
-    def neighbors(self, x):
+    def _neighbors(self, x):
         if self.branching is not None:
             b = self.branching
             out = [] if x == 0 else [(x - 1) // b]
             out.extend(b * x + i for i in range(1, b + 1))
             return out
-        return list(self._adj[x])
+        return self._adj[x]
+
+    def _bfs(self, src, cutoff: int, cap: Optional[int] = None) -> dict:
+        """Distances from src out to radius cutoff, in breadth-first order with
+        neighbours in ``_neighbors`` order; raises EnumerationOverflow once more
+        than cap points are reached, before the next vertex is expanded."""
+        lengths = {src: 0}
+        order = [src]
+        for v in order:
+            if cap is not None and len(lengths) > cap:
+                raise EnumerationOverflow(f"{self.kind} ball around {src!r} exceeds cap {cap}")
+            level = lengths[v] + 1
+            if level > cutoff:
+                break
+            for u in self._neighbors(v):
+                if u not in lengths:
+                    lengths[u] = level
+                    order.append(u)
+        return lengths
 
     def ball_points(self, x, r, cap=BALL_CAP_DEFAULT):
         b = self.branching
@@ -1113,12 +1097,6 @@ class ProductFiniteSpace(Space):
             raise EnumerationOverflow(f"ball size exceeds cap {cap}")
         return sizes
 
-    def neighbors(self, x):
-        a, i = x
-        out = [(p, i) for p in self.base.neighbors(a)]
-        out.extend((a, j) for j in range(1, self.n + 1) if j != i)
-        return out
-
     def all_points(self):
         return [(p, j) for p in self.base.all_points() for j in range(1, self.n + 1)]
 
@@ -1276,6 +1254,22 @@ def _holds_bool(v) -> bool:
     return bool in kinds or list in kinds and any(map(_holds_bool, v))
 
 
+# each kind: its constructor from the spec, the fields that must be JSON lists (a
+# constructor would iterate a str or a dict), and the fields that may hold no JSON
+# boolean (a constructor would take true for 1)
+_SPECS = {
+    "grid": (lambda spec: GridSpace(spec["dim"]), (), ("dim",)),
+    "free_group": (lambda spec: FreeGroupSpace(spec["rank"]), (), ("rank",)),
+    "tree": (lambda spec: TreeSpace(branching=spec.get("branching"), edges=spec.get("edges")),
+             ("edges",), ("branching", "edges")),
+    "point_line": (lambda spec: PointLineSpace(spec["coords"]), ("coords",), ("coords",)),
+    "disjoint_union": (lambda spec: DisjointUnionSpace([make_space(b) for b in spec["blocks"]], spec["gaps"]),
+                       ("blocks", "gaps"), ("gaps",)),
+    "product_finite": (lambda spec: ProductFiniteSpace(make_space(spec["base"]), spec["n"]), (), ("n",)),
+    "custom": (lambda spec: CustomSpace(spec["points"], spec["dist"]), ("points", "dist"), ("dist",)),
+}
+
+
 def make_space(spec: dict) -> Space:
     """Build a space handle from its JSON-style specification."""
     if isinstance(spec, Space):
@@ -1283,35 +1277,21 @@ def make_space(spec: dict) -> Space:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise MalformedSpec(f"space spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
-    for key in {"tree": ["edges"], "point_line": ["coords"], "disjoint_union": ["blocks", "gaps"],
-                "custom": ["points", "dist"]}.get(kind, []):  # a constructor would iterate a str or a dict
+    if not (isinstance(kind, str) and kind in _SPECS):  # a JSON list or object is no key
+        raise MalformedSpec(f"unknown space kind {kind!r}")
+    build, lists, no_bools = _SPECS[kind]
+    for key in lists:
         if key in spec and type(spec[key]) is not list:
             raise MalformedSpec(f"{kind} spec field {key!r} must be a JSON list, got {type(spec[key]).__name__}")
-    for key in {"grid": ["dim"], "free_group": ["rank"], "tree": ["branching", "edges"], "point_line": ["coords"],
-                "product_finite": ["n"], "disjoint_union": ["gaps"], "custom": ["dist"]}.get(kind, []):
-        if key in spec and _holds_bool(spec[key]):  # a constructor would take true for 1
+    for key in no_bools:
+        if key in spec and _holds_bool(spec[key]):
             raise MalformedSpec(f"{kind} spec field {key!r} holds a JSON boolean where an integer belongs")
     try:
-        if kind == "grid":
-            return GridSpace(spec["dim"])
-        if kind == "free_group":
-            return FreeGroupSpace(spec["rank"])
-        if kind == "tree":
-            return TreeSpace(branching=spec.get("branching"), edges=spec.get("edges"))
-        if kind == "point_line":
-            return PointLineSpace(spec["coords"])
-        if kind == "disjoint_union":
-            blocks = [make_space(b) for b in spec["blocks"]]
-            return DisjointUnionSpace(blocks, spec["gaps"])
-        if kind == "product_finite":
-            return ProductFiniteSpace(make_space(spec["base"]), spec["n"])
-        if kind == "custom":
-            return CustomSpace(spec["points"], spec["dist"])
+        return build(spec)
     except KeyError as exc:
         raise MalformedSpec(f"{kind} spec missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type, or a ragged table
         raise MalformedSpec(f"{kind} spec has a malformed field: {exc}") from exc
-    raise MalformedSpec(f"unknown space kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

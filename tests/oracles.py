@@ -1,5 +1,6 @@
-"""Definitional oracles that several test modules share: the reduced product
-of free-group words, and scale pairs by one ``dist`` call per pair."""
+"""Definitional oracles that test modules share: the reduced product of
+free-group words, free-group balls by breadth-first search, and scale pairs by
+one ``dist`` call per pair."""
 
 import numpy as np
 
@@ -13,6 +14,29 @@ def word_mul(u: str, v: str) -> str:
         i -= 1
         j += 1
     return u[:i] + v[j:]
+
+
+def free_group_neighbors(space, x: str) -> list:
+    """x * s for each letter s of the free group, in letter order: it cancels
+    the last letter of x, or appends s."""
+    last = x[-1:].swapcase()
+    return [x[:-1] if s == last else x + s for s in space.letters]
+
+
+def free_group_bfs(space, src: str, cutoff: int) -> list:
+    """The words within cutoff of src in breadth-first order, each word's
+    neighbours in ``free_group_neighbors`` order: the search that the
+    generated free-group balls replaced."""
+    lengths = {src: 0}
+    order = [src]
+    for v in order:
+        if lengths[v] == cutoff:
+            break
+        for u in free_group_neighbors(space, v):
+            if u not in lengths:
+                lengths[u] = lengths[v] + 1
+                order.append(u)
+    return order
 
 
 def pairs_bruteforce(w, r: int):

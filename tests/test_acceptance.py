@@ -49,7 +49,7 @@ def random_banded(w, rng, prop, density=0.5):
     for i in range(len(w.points)):
         if rng.rand() < density:
             entries[(i, i)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 2
-    return BandedOperator(w, entries, exact=False)
+    return BandedOperator(w, entries)
 
 
 # -- 1: components against brute-force transitive closure ------------------------

@@ -259,7 +259,7 @@ def test_transport_rejects_collapse():
     collapsing = ck.CoarseMap(src, F2, lambda x: x[:-1] if x.endswith("b") else x)
     with pytest.raises(NotInjective) as exc:
         ck.transport_paradox(p, collapsing)
-    assert exc.value.pair is not None
+    assert exc.value.witness is not None
 
 
 def test_transport_respects_declared_bound():

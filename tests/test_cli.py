@@ -573,6 +573,18 @@ def test_verify_refuses_degenerate_certificates(tmp_path, payload, code, error):
     assert res.payload.get("error") == error
 
 
+def test_verify_refuses_a_space_kind_that_is_no_str(specs, tmp_path):
+    # a real certificate whose space kind is a JSON list ended in a traceback
+    res = run(["components", "--space", specs["z"], "--window-radius", "5", "--r", "1"])
+    assert res.payload["kind"] == "scale_partition"
+    path = _op_file(tmp_path, "partition.json", dict(res.payload, space={"kind": []}))
+    res = run(["verify", "--file", path])
+    assert (res.exit_code, res.payload["error"]) == (3, "MalformedSpec")
+    assert res.payload["reason"] == "unknown space kind []"
+    code, err = _cli_process(["verify", "--file", path])
+    assert code == 3 and "Traceback" not in err
+
+
 def test_segments_payload_carries_its_budget_and_verify_refuses_a_point_outside(specs, tmp_path):
     out = tmp_path / "segments.json"
     res = run(["segments", "--space", specs["z"], "--r", "1", "--count", "2", "--budget-radius", "10",
@@ -710,6 +722,9 @@ _MALFORMED_SPECS = [
     ({"kind": "disjoint_union", "blocks": [{"kind": "point_line", "coords": [0]}] * 2, "gaps": [True]},
      "disjoint_union spec field 'gaps'"),
     ({"kind": "custom", "points": [0, 1], "dist": [[False, True], [True, False]]}, "custom spec field 'dist'"),
+    # these raised TypeError (unhashable type) where the kind was looked up
+    ({"kind": []}, "unknown space kind []"),
+    ({"kind": {"a": 1}}, "unknown space kind {'a': 1}"),
 ]
 
 

@@ -210,7 +210,7 @@ def _bfs_tree(space, allowed, start, r):
     while frontier:
         nxt = []
         for p in frontier:
-            cand = space.neighbors(p) if space.graph_like else space.ball_points(p, r)
+            cand = space.ball_points(p, 1 if space.graph_like else r)
             for q in sorted((q for q in cand if q in allowed and q not in parents),
                             key=space.canonical_key):
                 parents[q] = p

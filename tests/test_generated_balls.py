@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import free_group_bfs
 
 import coarsekit as ck
 from coarsekit import serialization as ser
@@ -18,7 +19,7 @@ from coarsekit import spaces
 from coarsekit.amenability import PartialTranslation, WindowedDoubling, _max_dist
 from coarsekit.cli import run
 from coarsekit.errors import EnumerationOverflow, MalformedSpec
-from coarsekit.spaces import FreeGroupSpace, TreeMetricSpace, TreeSpace
+from coarsekit.spaces import FreeGroupSpace, TreeSpace
 
 # run again under two string-hash seeds (see pyproject.toml)
 pytestmark = pytest.mark.hashseed
@@ -40,11 +41,11 @@ def _free_group_ball_by_search(space, x, r, cap):
     # the code the generator replaced
     if space.ball_count(x, r, cap) > cap:
         raise EnumerationOverflow(f"free group ball of radius {r} exceeds cap {cap}")
-    return list(TreeMetricSpace._bfs(space, x, r))
+    return free_group_bfs(space, x, r)
 
 
 def _tree_ball_by_search(space, x, r, cap):
-    return sorted(TreeMetricSpace._bfs(space, x, cutoff=r, cap=cap))
+    return sorted(TreeSpace._bfs(space, x, cutoff=r, cap=cap))
 
 
 @st.composite
@@ -97,8 +98,8 @@ def test_generated_balls_of_huge_radius_overflow_at_once(space, x, r):
 
 def test_balls_of_free_groups_and_b_ary_trees_make_no_search(monkeypatch):
     calls = []
-    bfs = TreeMetricSpace._bfs
-    monkeypatch.setattr(TreeMetricSpace, "_bfs", lambda self, *a, **k: calls.append(a) or bfs(self, *a, **k))
+    bfs = TreeSpace._bfs
+    monkeypatch.setattr(TreeSpace, "_bfs", lambda self, *a, **k: calls.append(a) or bfs(self, *a, **k))
     assert len(ck.ball(FREE[2], "aB", 6)) == FREE[2].ball_count("", 6, 10**9)
     assert len(ck.ball(TREES[3], 5, 6)) == len(TREES[3].ball_points(5, 6))
     assert calls == []
@@ -221,14 +222,14 @@ def test_product_growth_profile_searches_once(monkeypatch):
     # vertices, and a search per radius ~ n_max^2
     space = ck.make_space({"kind": "product_finite", "base": PATH.to_spec(), "n": 2})
     visited = []
-    real = TreeMetricSpace._bfs
+    real = TreeSpace._bfs
 
     def counted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
         visited.append(len(out))
         return out
 
-    monkeypatch.setattr(TreeMetricSpace, "_bfs", counted)
+    monkeypatch.setattr(TreeSpace, "_bfs", counted)
 
     def visits(n_max):
         visited.clear()

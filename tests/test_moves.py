@@ -76,7 +76,7 @@ def _dict_segment_shift(fam, w):
     for seg in fam.segments:
         run = [w.index(p) for p in seg]
         entries.update({(b, a): 1 for a, b in zip(run, run[1:])})
-    return BandedOperator(w, entries, exact=True)
+    return BandedOperator(w, entries)
 
 
 def _dict_uf(wZ2, levels, f):
@@ -88,7 +88,7 @@ def _dict_uf(wZ2, levels, f):
         target = ((x + 1, y), n) if 0 < n <= fx else ((x - 1, y), n) if 0 < n <= -fx else ((x, y), n)
         if target in w:
             entries[(w.index(target), j)] = 1
-    return BandedOperator(w, entries, exact=True)
+    return BandedOperator(w, entries)
 
 
 def _same(op, ref):

@@ -58,7 +58,7 @@ def random_banded(w, rng, prop, bound=1.0):
             entries[(i, i)] = complex(rng.uniform(-bound, bound), 0)
     from coarsekit.operators import BandedOperator
 
-    return BandedOperator(w, entries, exact=False)
+    return BandedOperator(w, entries)
 
 
 # -- arithmetic and propagation ------------------------------------------------
@@ -172,7 +172,7 @@ def _block_diagonal(rng, n):
                 if rng.rand() < 0.7:
                     entries[(i, j)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         lo += m
-    return BandedOperator(w, entries, exact=False)
+    return BandedOperator(w, entries)
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,7 +195,7 @@ def test_norm_batches_of_mid_size_blocks_stay_bounded(monkeypatch):
               + np.diag(rng.uniform(-1, 1, s - 1), -1) for _ in range(k)]
     entries = {(b * s + i, b * s + j): B[i, j] for b, B in enumerate(blocks)
                for i, j in zip(*np.nonzero(B))}
-    a = BandedOperator(line_window(0, s * k - 1), entries, exact=False)
+    a = BandedOperator(line_window(0, s * k - 1), entries)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: shapes.append(M.shape) or svd(M, **kw))
@@ -423,7 +423,7 @@ def test_af_matches_per_cell_rounding(sizes, parts, eps):
     # parts * 3 covers the 108 cells of 12 classes of 3 points
     cells = [(i, j) for i, p in enumerate(w.points) for j, q in enumerate(w.points) if p[0] == q[0]]
     entries = {ij: complex(*z) for ij, z in zip(cells, parts * 3) if z != (0.0, 0.0)}
-    a = BandedOperator(w, entries, exact=False)
+    a = BandedOperator(w, entries)
     approx = ck.af_approximate(a, 2, eps)
     colors, models, err = _af_reference(a, 2, eps)
     assert approx.coloring.color_of_class == colors
@@ -679,7 +679,7 @@ def _mv_reference(a, omega):
     in_u = {p for piece in omega.u_pieces for p in piece}
     b = {ij: v for ij, v in a.entries.items() if w.points[ij[0]] in in_u}
     c = {ij: v for ij, v in a.entries.items() if w.points[ij[0]] not in in_u}
-    return BandedOperator(w, b, exact=a.exact), BandedOperator(w, c, exact=a.exact)
+    return BandedOperator(w, b), BandedOperator(w, c)
 
 
 def _omega_cases():
@@ -837,8 +837,12 @@ def window_and_operators(draw):
 @given(window_and_operators(), st.integers(-3, 3))
 def test_csr_operator_matches_dict_reference(case, c):
     w, exact, (ra, rb), idx = case
-    a = BandedOperator(w, ra, exact=exact)
-    b = BandedOperator(w, rb, exact=exact)
+
+    def build(entries):  # a float dict may be empty, which alone would build an exact operator
+        op = BandedOperator(w, entries)
+        return op if exact else op.scale(1.0)
+
+    a, b = build(ra), build(rb)
     assert_matches(a, ra, exact)
     assert_matches(a.add(b), ref_add(ra, rb), exact)
     assert_matches(a.sub(b), ref_add(ra, rb, -1), exact)
@@ -849,7 +853,7 @@ def test_csr_operator_matches_dict_reference(case, c):
     assert_matches(a.restrict(idx), ref_restrict(ra, idx), exact)
     for tol in (0, 0.5, 3):
         assert a.equals(b, tol=tol) == ref_equals(ra, rb, tol)
-    assert a.equals(BandedOperator(w, dict(ra), exact=exact))
+    assert a.equals(build(dict(ra)))
     assert a.propagation == ref_propagation(w, ra)
     assert a.mul(b).propagation == ref_propagation(w, ref_mul(ra, rb))
     assert a.to_json() == {"entries": ref_to_json(w, ra)}
@@ -865,9 +869,7 @@ def test_csr_operator_matches_dict_reference(case, c):
 def test_operator_storage_dtype_follows_exactness():
     w = line_window(0, 3)
     assert BandedOperator(w, {(0, 1): 2}).matrix.dtype == np.int64
-    assert BandedOperator(w, {(0, 1): 2}, exact=False).matrix.dtype == np.complex128
     assert BandedOperator(w, {(0, 1): 2.0}).matrix.dtype == np.complex128
-    assert BandedOperator(w, {(0, 1): 1.5}, exact=True).entry((0,), (1,)) == 1.5
     a = BandedOperator(w, {(0, 1): 2, (1, 1): 0})
     assert a.matrix.nnz == 1 and a.matrix.has_canonical_format
     assert not a.scale(np.int64(2)).exact  # only Python ints keep exactness, as before
@@ -917,7 +919,7 @@ def test_properly_infinite_eigenvalue_branch_matches_dense(seed):
     # p = M M* + shift: Hermitian with off-diagonal entries, PSD when shift >= 0
     M = rng.standard_normal((8, 8)) * (np.abs(np.subtract.outer(range(8), range(8))) <= 1)
     P = M @ M.T + (seed - 2) * np.eye(8)
-    p = BandedOperator(w, {(i, j): P[i, j] for i in range(8) for j in range(8)}, exact=False)
+    p = BandedOperator(w, {(i, j): P[i, j] for i in range(8) for j in range(8)})
     x = random_banded(w, rng, 1, bound=0.3)
     y = random_banded(w, rng, 1, bound=0.3)
     rep = ck.verify_properly_infinite(p, x, y, 1)
@@ -943,8 +945,31 @@ def test_properly_infinite_eigenvalue_branch_pass_and_not_psd():
     z = zero_operator(w)
     rep = ck.verify_properly_infinite(q, z, z, 0)
     assert rep.psd_method == "eigenvalue" and rep.psd_ok
-    assert rep.witness == {"kind": "xx_ne_p"}
+    assert rep.witness == {"kind": "xx_ne_p", "pair": [[0], [0]]}
     assert dense_interior_psd(q, z, z, 0)
+
+
+def test_properly_infinite_witnesses_name_their_points():
+    w = line_window(0, 3)
+    p = ck.char_projection([(0,), (1,)], w)
+    x = make_operator(w, {((2,), (0,)): 1, ((3,), (1,)): 1})
+    # y*y = [[1, 1], [1, 1]] on {0, 1}: it meets p at (0, 0), and (0, 1) is the
+    # first entry in row-major order where they differ, whatever the entry order
+    y = make_operator(w, {((2,), (1,)): 1, ((2,), (0,)): 1})
+    rep = ck.verify_properly_infinite(p, x, y, 0)
+    assert rep.xx_eq_p and not rep.yy_eq_p
+    assert rep.witness == {"kind": "yy_ne_p", "pair": [[0], [1]]}
+    rep = ck.verify_properly_infinite(p, y, x, 0)
+    assert rep.witness == {"kind": "xx_ne_p", "pair": [[0], [1]]}
+    # x and y both isometries of p's range onto {2, 3}: p - xx* - yy* is
+    # diag(1, 1, -2, -2), and 2 is the first point with a negative entry
+    y = make_operator(w, {((3,), (0,)): 1, ((2,), (1,)): 1})
+    rep = ck.verify_properly_infinite(p, x, y, 0)
+    assert rep.xx_eq_p and rep.yy_eq_p and rep.psd_method == "diagonal-exact" and not rep.psd_ok
+    assert rep.witness == {"kind": "not_psd", "point": [2]}
+    # the same in floating point
+    rep = ck.verify_properly_infinite(p.scale(1.0), x.scale(1.0), y.scale(1.0), 0)
+    assert rep.psd_method == "diagonal" and rep.witness == {"kind": "not_psd", "point": [2]}
 
 
 def test_omega_membership_witness_is_first_entry_in_row_major_order():

@@ -209,14 +209,14 @@ def test_tree_growth_profile_searches_once(monkeypatch):
     # to n_max visits 2 n_max + 1 vertices, and a search per radius ~ n_max^2
     path = ck.make_space({"kind": "tree", "edges": [[k, k + 1] for k in range(2000)]})
     visited = []
-    real = spaces.TreeMetricSpace._bfs
+    real = spaces.TreeSpace._bfs
 
     def counted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
         visited.append(len(out))
         return out
 
-    monkeypatch.setattr(spaces.TreeMetricSpace, "_bfs", counted)
+    monkeypatch.setattr(spaces.TreeSpace, "_bfs", counted)
 
     def visits(n_max):
         visited.clear()
@@ -229,8 +229,8 @@ def test_tree_growth_profile_searches_once(monkeypatch):
 def test_tree_balls_stop_enumerating_at_cap(monkeypatch):
     T3 = ck.make_space({"kind": "tree", "branching": 3})
     calls = []
-    real = T3.neighbors
-    monkeypatch.setattr(T3, "neighbors", lambda x: calls.append(x) or real(x))
+    real = T3._neighbors
+    monkeypatch.setattr(T3, "_neighbors", lambda x: calls.append(x) or real(x))
     for enumerate_ball in (lambda: T3.ball_points(0, 10, cap=1000),
                            lambda: ck.growth_profile(T3, 0, 10, cap=1000)):
         calls.clear()

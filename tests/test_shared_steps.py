@@ -1,8 +1,10 @@
 """A structural guard: each step that several modules share has one home.
 Payloads come from ``serialization.envelope``, check reports share one
 ``to_json``, ``ClassLayout.of`` labels components, a tree distance climbs once,
-only ``ball`` marks a window as a ball, and ``Window.ids`` turns points into
-window indices."""
+only ``ball`` marks a window as a ball, ``Window.ids`` turns points into
+window indices, only ``TreeSpace`` takes unit steps, an operator's exactness is
+read off its entries, every error takes its witness through ``CoarseKitError``,
+and ``make_space`` builds each kind from one table."""
 
 import ast
 import functools
@@ -101,3 +103,32 @@ def test_one_method_looks_points_up_in_a_window():
     # the window's dict is its one point index: no second one is cached beside it
     cached = [k for k, v in vars(spaces.Window).items() if isinstance(v, functools.cached_property)]
     assert cached == ["layout"]
+
+
+def test_one_slot_per_decision():
+    # only TreeSpace walks unit steps: no other class defines or calls a
+    # neighbour function or the breadth-first search
+    steps = {"neighbors", "_neighbors", "_bfs"}
+    sites = set()
+    for m in MODULES:
+        for node, names, _ in _scopes(_tree(m)):
+            if isinstance(node, ast.FunctionDef) and node.name in steps:
+                sites.add(names[:1])
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in steps:
+                sites.add(names[:1])
+    assert sites == {("TreeSpace",)}
+    assert not any(hasattr(c, "neighbors") for c in vars(spaces).values() if isinstance(c, type))
+    # an operator's exactness is read off its entries, with no override
+    assert list(inspect.signature(operators.BandedOperator.__init__).parameters) == ["self", "window", "entries"]
+    # every error takes its witness through the base class
+    subclasses = {c for m in MODULES for c in vars(m).values()
+                  if isinstance(c, type) and issubclass(c, errors.CoarseKitError)}
+    assert len(subclasses) > 20
+    assert [c.__name__ for c in subclasses if c is not errors.CoarseKitError and "__init__" in vars(c)] == []
+    # make_space names no space class: every kind is built from its row of _SPECS
+    kinds = {c for c in vars(spaces).values() if isinstance(c, type) and issubclass(c, spaces.Space)}
+    assert set(spaces._SPECS) == {c.kind for c in kinds} - {"abstract"}
+    (fn,) = [f for f in ast.walk(_tree(spaces)) if isinstance(f, ast.FunctionDef) and f.name == "make_space"]
+    called = {getattr(c.func, "id", None) for c in ast.walk(fn) if isinstance(c, ast.Call)}
+    assert not called & {c.__name__ for c in kinds}
+    assert "_SPECS" in {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
